@@ -73,15 +73,17 @@ bench-recovery:
 	$(GO) run ./cmd/gpsbench -recovery
 
 # Timebase determinism property: serial and parallel generation agree
-# bit-for-bit for awkward step sizes (0.1, 1/3, 86400/7).
+# bit-for-bit for awkward step sizes (0.1, 1/3, 86400/7); the Golden
+# pins catch cross-version drift of EpochAt output.
 determinism:
-	$(GO) test -run Determinism ./internal/scenario/...
+	$(GO) test -run 'Determinism|Golden' ./internal/scenario/...
 
 # Fault-injection determinism: the same (program, seed) pair mutates the
 # observation stream identically on every worker count, so degradation
-# runs stay byte-replayable.
+# runs stay byte-replayable. The Golden pins catch cross-version drift
+# of faulted observations, events, NMEA and wire bytes.
 fault-determinism:
-	$(GO) test -run Determinism ./internal/fault/ ./internal/engine/
+	$(GO) test -run 'Determinism|Golden' ./internal/fault/ ./internal/engine/
 
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences). Each target gets

@@ -21,8 +21,8 @@ func benchScene(recv geo.ECEF, epoch, biasMeters float64, m int) ([]Observation,
 	obs := make([]Observation, 0, m)
 	for _, v := range vis[:m] {
 		obs = append(obs, Observation{
-			Pos:         v.Pos,
-			Pseudorange: recv.DistanceTo(v.Pos) + biasMeters,
+			Pos:         v.State.Pos,
+			Pseudorange: recv.DistanceTo(v.State.Pos) + biasMeters,
 			Elevation:   v.Elevation,
 		})
 	}

@@ -29,8 +29,8 @@ func scene(t *testing.T, recv geo.ECEF, epoch, biasMeters float64, m int) []Obse
 	obs := make([]Observation, 0, m)
 	for _, v := range vis[:m] {
 		obs = append(obs, Observation{
-			Pos:         v.Pos,
-			Pseudorange: recv.DistanceTo(v.Pos) + biasMeters,
+			Pos:         v.State.Pos,
+			Pseudorange: recv.DistanceTo(v.State.Pos) + biasMeters,
 			Elevation:   v.Elevation,
 		})
 	}
@@ -551,8 +551,8 @@ func TestPropSolversRecoverRandomReceivers(t *testing.T) {
 		obs := make([]Observation, 0, 6)
 		for _, v := range vis[:6] {
 			obs = append(obs, Observation{
-				Pos:         v.Pos,
-				Pseudorange: recv.DistanceTo(v.Pos) + bias,
+				Pos:         v.State.Pos,
+				Pseudorange: recv.DistanceTo(v.State.Pos) + bias,
 				Elevation:   v.Elevation,
 			})
 		}

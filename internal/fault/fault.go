@@ -20,10 +20,10 @@ package fault
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"gpsdl/internal/core"
 	"gpsdl/internal/geo"
+	"gpsdl/internal/rng"
 	"gpsdl/internal/scenario"
 )
 
@@ -208,32 +208,37 @@ func (in *Injector) Program() Program {
 // deterministic: survivors in input order for drops and shrink, then
 // clause order × observation order for the bias terms.
 func (in *Injector) Apply(t float64, obs []scenario.SatObs, dst []scenario.SatObs, ev []Event) ([]scenario.SatObs, []Event) {
-	// Pass 0: injected software faults. These abort the step before any
-	// observation is produced, so they log no Event here — the recovering
-	// supervisor accounts for them instead.
-	for _, c := range in.prog {
-		if c.Kind == KindPanic && c.active(t) {
+	// The clauses active at t, in program order, collected once: every
+	// pass below walks this list instead of re-testing the whole program
+	// per observation. A program with more active clauses than the
+	// buffer holds spills to the heap.
+	var buf [16]*Clause
+	active := buf[:0]
+	for i := range in.prog {
+		c := &in.prog[i]
+		if !c.active(t) {
+			continue
+		}
+		// Pass 0: injected software faults. These abort the step before
+		// any observation is produced, so they log no Event here — the
+		// recovering supervisor accounts for them instead.
+		if c.Kind == KindPanic {
 			panic(InjectedPanic{T: t})
 		}
+		active = append(active, c)
 	}
 	// Pass 1: dropouts.
 	for i := range obs {
-		dropped := false
-		for _, c := range in.prog {
-			if c.Kind == KindDrop && c.active(t) && (c.PRN == 0 || c.PRN == obs[i].PRN) {
-				dropped = true
-				ev = append(ev, Event{T: t, Kind: KindDrop, PRN: obs[i].PRN})
-				break
-			}
-		}
-		if !dropped {
+		if dropped(active, obs[i].PRN) {
+			ev = append(ev, Event{T: t, Kind: KindDrop, PRN: obs[i].PRN})
+		} else {
 			dst = append(dst, obs[i])
 		}
 	}
 	// Pass 2: shrink-to-N (observations arrive sorted by descending
 	// elevation, so keeping a prefix keeps the best geometry).
-	for _, c := range in.prog {
-		if c.Kind != KindShrink || !c.active(t) {
+	for _, c := range active {
+		if c.Kind != KindShrink {
 			continue
 		}
 		if n := c.N; n >= 0 && n < len(dst) {
@@ -243,10 +248,7 @@ func (in *Injector) Apply(t float64, obs []scenario.SatObs, dst []scenario.SatOb
 		}
 	}
 	// Pass 3: bias terms on the survivors.
-	for _, c := range in.prog {
-		if !c.active(t) {
-			continue
-		}
+	for _, c := range active {
 		switch c.Kind {
 		case KindStep:
 			for i := range dst {
@@ -305,6 +307,16 @@ func (in *Injector) Apply(t float64, obs []scenario.SatObs, dst []scenario.SatOb
 	return dst, ev
 }
 
+// dropped reports whether an active drop clause removes satellite prn.
+func dropped(active []*Clause, prn int) bool {
+	for _, c := range active {
+		if c.Kind == KindDrop && (c.PRN == 0 || c.PRN == prn) {
+			return true
+		}
+	}
+	return false
+}
+
 // ApplyEpoch returns a faulted copy of the epoch and its event log.
 func (in *Injector) ApplyEpoch(ep scenario.Epoch) (scenario.Epoch, []Event) {
 	obs, ev := in.Apply(ep.T, ep.Obs, make([]scenario.SatObs, 0, len(ep.Obs)), nil)
@@ -349,11 +361,11 @@ const jamStreamTag = 0x5A4D5EED
 // gauss returns a standard normal draw that is a pure function of
 // (seed, prn, t) — the same splitmix64 stream-splitting scheme the
 // scenario generator uses, so burst noise is identical no matter which
-// worker processes the epoch or in what order.
+// worker processes the epoch or in what order. The draw comes from an
+// rng.Stream, which seeds in O(1) and allocates nothing; a math/rand
+// source would pay its 607-word warm-up on every draw.
 func gauss(seed int64, prn int, t float64) float64 {
-	z := uint64(seed) ^ (uint64(prn) * 0x9E3779B97F4A7C15) ^ math.Float64bits(t) ^ 0xD1B54A32D192ED03
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z))).NormFloat64()
+	z := rng.Mix64(uint64(seed) ^ (uint64(prn) * 0x9E3779B97F4A7C15) ^ math.Float64bits(t) ^ 0xD1B54A32D192ED03)
+	s := rng.New(int64(z))
+	return s.NormFloat64()
 }

@@ -138,6 +138,19 @@ type ENU struct {
 // Norm returns the Euclidean length of the ENU vector.
 func (e ENU) Norm() float64 { return math.Sqrt(e.E*e.E + e.N*e.N + e.U*e.U) }
 
+// LookAngles returns the elevation above the local horizon and the
+// azimuth clockwise from north (radians) of the direction e. A
+// non-positive U always gives a non-positive elevation.
+func (e ENU) LookAngles() (elev, azim float64) {
+	horiz := math.Hypot(e.E, e.N)
+	elev = math.Atan2(e.U, horiz)
+	azim = math.Atan2(e.E, e.N)
+	if azim < 0 {
+		azim += 2 * math.Pi
+	}
+	return elev, azim
+}
+
 // ToENU expresses target relative to the origin (an ECEF point) in the
 // origin's local East-North-Up frame.
 func ToENU(origin, target ECEF) ENU {
@@ -178,14 +191,7 @@ func (f *ENUFrame) ToENU(target ECEF) ENU {
 // ElevationAzimuth returns the look angles (radians) from the frame
 // origin to the target, bit-identical to the package-level function.
 func (f *ENUFrame) ElevationAzimuth(target ECEF) (elev, azim float64) {
-	enu := f.ToENU(target)
-	horiz := math.Hypot(enu.E, enu.N)
-	elev = math.Atan2(enu.U, horiz)
-	azim = math.Atan2(enu.E, enu.N)
-	if azim < 0 {
-		azim += 2 * math.Pi
-	}
-	return elev, azim
+	return f.ToENU(target).LookAngles()
 }
 
 // FromENU converts a local ENU offset at origin back to an ECEF position.
@@ -204,14 +210,7 @@ func FromENU(origin ECEF, offset ENU) ECEF {
 // satellite as seen from the receiver. Azimuth is measured clockwise from
 // north; elevation from the local horizon.
 func ElevationAzimuth(receiver, satellite ECEF) (elev, azim float64) {
-	enu := ToENU(receiver, satellite)
-	horiz := math.Hypot(enu.E, enu.N)
-	elev = math.Atan2(enu.U, horiz)
-	azim = math.Atan2(enu.E, enu.N)
-	if azim < 0 {
-		azim += 2 * math.Pi
-	}
-	return elev, azim
+	return ToENU(receiver, satellite).LookAngles()
 }
 
 // RotateEarth rotates an ECEF position about the Z axis by the Earth's

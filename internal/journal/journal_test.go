@@ -296,6 +296,73 @@ func TestTailSegmentSelfContained(t *testing.T) {
 	}
 }
 
+// TestTailRingByteBudget: catch-up batch frames run to hundreds of KB,
+// so a frame-count bound alone pins tens of MB. With frames far larger
+// in total than the byte budget, the ring must hold at most the budget
+// (or the newest frame alone), and its segment must still be a
+// self-contained journal ending at the newest epoch.
+func TestTailRingByteBudget(t *testing.T) {
+	for _, tc := range []struct {
+		batchLen int
+		oversize bool // one frame alone exceeds the budget
+	}{{3000, false}, {80000, true}} {
+		batchLen := tc.batchLen
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, testMeta(), Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc Encoder
+		epoch, maxFrame := uint64(0), 0
+		// Records frame to roughly 60 bytes, so this writes ~3× the budget.
+		for b := 0; b < 3*tailBudget/(batchLen*60)+3; b++ {
+			enc.Begin(0, epoch)
+			for i := 0; i < batchLen; i++ {
+				rec := makeRecord(0, epoch, i%7 == 0)
+				enc.Add(&rec)
+				epoch++
+			}
+			if n := len(enc.Payload()); n > maxFrame {
+				maxFrame = n
+			}
+			if err := w.WriteRecords(enc.Payload(), enc.Count(), epoch-1); err != nil {
+				t.Fatal(err)
+			}
+			if limit := max(tailBudget, maxFrame+maxFrame/8+16); w.tailBytes > limit {
+				t.Fatalf("batch %d: tail holds %d bytes, want ≤ %d", b, w.tailBytes, limit)
+			}
+			held := 0
+			for _, slot := range w.tail {
+				held += cap(slot)
+			}
+			if held != w.tailBytes {
+				t.Fatalf("batch %d: evicted slots still reachable: %d bytes held, %d accounted", b, held, w.tailBytes)
+			}
+		}
+		if tc.oversize != (maxFrame > tailBudget) {
+			t.Fatalf("batches of %d records framed to %d bytes; oversize=%v against a %d-byte budget",
+				batchLen, maxFrame, tc.oversize, tailBudget)
+		}
+		seg := w.TailSegment()
+		res, err := ScanBytes(seg)
+		if err != nil {
+			t.Fatalf("tail segment scan: %v", err)
+		}
+		if res.Torn {
+			t.Fatalf("tail segment torn: %s", res.TornReason)
+		}
+		if len(res.Records) < batchLen || len(res.Records)%batchLen != 0 {
+			t.Fatalf("tail segment has %d records, want whole batches of %d", len(res.Records), batchLen)
+		}
+		if got := res.Records[len(res.Records)-1].Epoch; got != epoch-1 {
+			t.Fatalf("tail last epoch %d, want %d", got, epoch-1)
+		}
+		if total := int(epoch) / batchLen; len(res.Records)/batchLen >= total {
+			t.Fatalf("tail kept all %d frames; the byte budget never applied", total)
+		}
+	}
+}
+
 func TestScanFileAndBadHeader(t *testing.T) {
 	dir := t.TempDir()
 	data, want := buildJournal(t, 2, 4, Options{})

@@ -32,7 +32,9 @@ type Options struct {
 
 	// TailFrames is how many recent frames the in-memory tail ring
 	// retains for incident segments. 0 selects DefaultTailFrames;
-	// negative disables the ring.
+	// negative disables the ring. The ring also holds at most 4 MiB:
+	// older frames are evicted first, and the newest frame is always
+	// kept.
 	TailFrames int
 
 	// Registry, when non-nil, registers and feeds the
@@ -46,6 +48,12 @@ const (
 	DefaultTailFrames   = 256
 	DefaultSyncInterval = 250 * time.Millisecond
 )
+
+// tailBudget bounds the tail ring's memory. Live-paced batch frames are a
+// few KB, so incident segments keep all TailFrames of them; catch-up
+// batch frames reach hundreds of KB, where a frame-count bound alone
+// would pin tens of MB for the life of the writer.
+const tailBudget = 4 << 20
 
 type syncer interface{ Sync() error }
 
@@ -68,9 +76,10 @@ type Writer struct {
 	syncFrames uint64
 	maxEpoch   uint64
 
-	tail    [][]byte // ring of framed bytes (marker..crc), slots reused
-	tailPos int
-	tailLen int
+	tail      [][]byte // ring of framed bytes (marker..crc); empty slots are nil
+	tailPos   int      // slot the next frame goes to
+	tailLen   int      // retained frames, the newest just before tailPos
+	tailBytes int      // capacity held by the retained slots
 
 	// Background fsync: periodic sync points kick this channel and the
 	// syncLoop goroutine flushes without holding mu, so a slow disk
@@ -260,14 +269,44 @@ func (w *Writer) writeFrameLocked(payload []byte) error {
 		w.bytesTotal.Add(uint64(len(b)))
 	}
 	if w.tail != nil {
-		slot := w.tail[w.tailPos]
-		w.tail[w.tailPos] = append(slot[:0], b...)
-		w.tailPos = (w.tailPos + 1) % len(w.tail)
-		if w.tailLen < len(w.tail) {
-			w.tailLen++
-		}
+		w.pushTailLocked(b)
 	}
 	return nil
+}
+
+// pushTailLocked copies frame b into the tail ring. It first evicts the
+// oldest frames while the ring is full or b's slot would take it past
+// tailBudget, so the ring's capacity stays within tailBudget — or within
+// b's slot alone when b is larger. Evicted slots are cleared, so their
+// memory is released; the last one evicted is reused for b when it fits.
+func (w *Writer) pushTailLocked(b []byte) {
+	// A fresh slot gets 1/8 headroom so later frames of similar size
+	// reuse it instead of allocating.
+	need := len(b) + len(b)/8
+	var spare []byte
+	for w.tailLen > 0 && (w.tailLen == len(w.tail) || w.tailBytes+need > tailBudget) {
+		spare = w.dropOldestTailLocked()
+	}
+	slot := spare[:0]
+	if cap(spare) < len(b) || cap(spare) > need {
+		slot = make([]byte, 0, need)
+	}
+	slot = append(slot, b...)
+	w.tail[w.tailPos] = slot
+	w.tailBytes += cap(slot)
+	w.tailPos = (w.tailPos + 1) % len(w.tail)
+	w.tailLen++
+}
+
+// dropOldestTailLocked evicts the oldest retained frame and returns its
+// buffer.
+func (w *Writer) dropOldestTailLocked() []byte {
+	i := (w.tailPos - w.tailLen + len(w.tail)) % len(w.tail)
+	b := w.tail[i]
+	w.tail[i] = nil
+	w.tailBytes -= cap(b)
+	w.tailLen--
+	return b
 }
 
 // TailSegment returns a self-contained journal (header plus the most

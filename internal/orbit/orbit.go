@@ -299,6 +299,11 @@ func (c *Constellation) StateAt(t float64, dst *EpochState) error {
 // iterations cost no Kepler solves and depend only on (state, recv) —
 // cache-shared and locally computed states give bit-identical results.
 func (st *SatState) Emission(recv geo.ECEF, t float64) (geo.ECEF, float64) {
+	// One rotation through the full epoch time lands the inertial
+	// emission position directly in the reception-time frame. The angle
+	// does not depend on τ, so its sincos is taken once; the rotation
+	// itself is geo.RotateEarth's arithmetic.
+	sinT, cosT := math.Sincos(geo.EarthRotationRate * t)
 	tau := 0.075 // initial guess ≈ orbital radius / c
 	var pos geo.ECEF
 	var dist float64
@@ -308,9 +313,7 @@ func (st *SatState) Emission(recv geo.ECEF, t float64) (geo.ECEF, float64) {
 			Y: st.PosECI.Y - st.VelECI.Y*tau + 0.5*st.AccECI.Y*tau*tau,
 			Z: st.PosECI.Z - st.VelECI.Z*tau + 0.5*st.AccECI.Z*tau*tau,
 		}
-		// One rotation through the full epoch time lands the inertial
-		// emission position directly in the reception-time frame.
-		pos = geo.RotateEarth(p, t)
+		pos = geo.ECEF{X: cosT*p.X + sinT*p.Y, Y: -sinT*p.X + cosT*p.Y, Z: p.Z}
 		dist = recv.DistanceTo(pos)
 		tau = dist / geo.SpeedOfLight
 	}
@@ -319,37 +322,52 @@ func (st *SatState) Emission(recv geo.ECEF, t float64) (geo.ECEF, float64) {
 
 // InView is one visible satellite together with its look angles.
 type InView struct {
-	Sat       Satellite
-	Pos       geo.ECEF // ECEF position at time t
-	Elevation float64  // radians
-	Azimuth   float64  // radians
-	// State points at the propagated state backing this satellite, valid
-	// as long as the EpochState it came from.
+	Elevation float64 // radians
+	Azimuth   float64 // radians
+	// State is the propagated state backing this satellite (its
+	// Satellite and ECEF position at time t), valid as long as the
+	// EpochState it came from.
 	State *SatState
 }
 
 // VisibleFromState returns the satellites above elevMask (radians) as
 // seen from the receiver, ordered by descending elevation, computed from
-// an already-propagated epoch state. The receiver's local frame is built
-// once; per-satellite arithmetic is identical to the historical Visible.
+// an already-propagated epoch state.
 func VisibleFromState(st *EpochState, receiver geo.ECEF, elevMask float64) []InView {
 	frame := geo.NewENUFrame(receiver)
-	out := make([]InView, 0, len(st.Sats))
+	return AppendVisible(make([]InView, 0, len(st.Sats)), st, &frame, elevMask)
+}
+
+// AppendVisible appends the satellites above elevMask (radians) as seen
+// through the receiver's local frame to dst, ordered by descending
+// elevation, and returns the extended slice. Callers that synthesize
+// every epoch for a fixed receiver keep the frame and a reusable dst, so
+// the per-epoch cost is the look-angle arithmetic alone. Satellites below
+// the horizon are rejected from the frame's up component before any
+// trigonometry when the mask is positive, which is exact: their elevation
+// is never positive.
+func AppendVisible(dst []InView, st *EpochState, frame *geo.ENUFrame, elevMask float64) []InView {
+	start := len(dst)
 	for i := range st.Sats {
 		s := &st.Sats[i]
-		elev, azim := frame.ElevationAzimuth(s.Pos)
+		enu := frame.ToENU(s.Pos)
+		if elevMask > 0 && enu.U <= 0 {
+			continue
+		}
+		elev, azim := enu.LookAngles()
 		if elev < elevMask {
 			continue
 		}
-		out = append(out, InView{Sat: s.Sat, Pos: s.Pos, Elevation: elev, Azimuth: azim, State: s})
+		dst = append(dst, InView{Elevation: elev, Azimuth: azim, State: s})
 	}
 	// Insertion sort by descending elevation (lists are ~10 long).
+	out := dst[start:]
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j].Elevation > out[j-1].Elevation; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	return dst
 }
 
 // Visible returns the satellites above elevMask (radians) as seen from the

@@ -245,7 +245,7 @@ func TestVisibleSortedByElevation(t *testing.T) {
 	// All above mask.
 	for _, v := range vis {
 		if v.Elevation < 5*math.Pi/180 {
-			t.Errorf("PRN %d below mask: %v", v.Sat.PRN, v.Elevation)
+			t.Errorf("PRN %d below mask: %v", v.State.Sat.PRN, v.Elevation)
 		}
 	}
 }
@@ -259,8 +259,8 @@ func TestVisibleSatellitesAreAboveHorizonGeometrically(t *testing.T) {
 	}
 	for _, v := range vis {
 		// Dot of station->sat direction with local up must be positive.
-		if (v.Pos.Sub(station)).Dot(station) < 0 {
-			t.Errorf("PRN %d reported visible but below geometric horizon", v.Sat.PRN)
+		if (v.State.Pos.Sub(station)).Dot(station) < 0 {
+			t.Errorf("PRN %d reported visible but below geometric horizon", v.State.Sat.PRN)
 		}
 	}
 }

@@ -164,13 +164,17 @@ func TestVisibleMatchesIndependentGeometry(t *testing.T) {
 		t.Fatalf("only %d satellites visible", len(vis))
 	}
 	for _, v := range vis {
-		elev, azim := geo.ElevationAzimuth(recv, v.Pos)
+		if v.State == nil {
+			t.Fatal("visible entry without a State")
+		}
+		prn := v.State.Sat.PRN
+		if want, err := v.State.Sat.Orbit.PositionECEF(tt); err != nil || v.State.Pos != want {
+			t.Errorf("PRN %d: State position %v, want the satellite's own %v (%v)", prn, v.State.Pos, want, err)
+		}
+		elev, azim := geo.ElevationAzimuth(recv, v.State.Pos)
 		if v.Elevation != elev || v.Azimuth != azim {
 			t.Errorf("PRN %d: look angles (%v, %v) != independent (%v, %v)",
-				v.Sat.PRN, v.Elevation, v.Azimuth, elev, azim)
-		}
-		if v.State == nil || v.State.Sat.PRN != v.Sat.PRN || v.State.Pos != v.Pos {
-			t.Errorf("PRN %d: State back-pointer inconsistent", v.Sat.PRN)
+				prn, v.Elevation, v.Azimuth, elev, azim)
 		}
 	}
 }

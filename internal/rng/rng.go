@@ -1,10 +1,13 @@
 // Package rng provides a tiny deterministic random stream for dataset
-// generation. Every observation in a scenario draws from its own stream
-// seeded by (Seed, PRN, t), so streams are re-seeded ~20 times per epoch
-// per receiver; math/rand's ALFG source pays a 607-word initialization on
-// every Seed, which dominated live generation cost (~14 µs per stream on
-// the reference machine). This splitmix64 stream seeds in O(1) and draws
-// in a few nanoseconds, which is what makes per-observation streams
+// generation and fault noise. Every observation in a scenario draws from
+// its own stream seeded by (Seed, PRN, t), and so does every burst or
+// jam draw of internal/fault, so streams are re-seeded ~20 times per
+// epoch per receiver; math/rand's ALFG source pays a 607-word
+// initialization (and a ~4.9 KB allocation) on every Seed, which
+// dominated live generation cost (~14 µs per stream on the reference
+// machine) and made fault injection ~40× slower inside a burst window.
+// This splitmix64 stream seeds in O(1), allocates nothing and draws in a
+// few nanoseconds, which is what makes per-observation streams
 // affordable at serving scale.
 //
 // The generator is Steele et al.'s splitmix64 (the seeder of xoshiro and

@@ -115,6 +115,16 @@ type Generator struct {
 	faults    []Fault
 	canyon    *UrbanCanyon
 	canyonLOS func(elev, azim float64) bool
+
+	// Constants of the station, computed once by NewGenerator rather
+	// than per observation: the station-ID seed mix of the receiver-local
+	// noise streams, the station's longitude (local solar time) and
+	// altitude (troposphere), and the receiver's local ENU frame. frame
+	// is nil for a mobile receiver (WithTrajectory), whose frame moves
+	// with it and is rebuilt every epoch.
+	stationSeed int64
+	lon, alt    float64
+	frame       *geo.ENUFrame
 }
 
 // Option customizes a Generator.
@@ -249,11 +259,18 @@ func NewGenerator(station Station, cfg Config, opts ...Option) *Generator {
 		cfg:     cfg,
 		cons:    orbit.DefaultConstellation(),
 		clk:     defaultClockModel(station, cfg.Seed),
-		posAt:   func(float64) geo.ECEF { return station.Pos },
 	}
 	for _, opt := range opts {
 		opt(g)
 	}
+	if g.posAt == nil {
+		g.posAt = func(float64) geo.ECEF { return station.Pos }
+		frame := geo.NewENUFrame(station.Pos)
+		g.frame = &frame
+	}
+	lla := station.Pos.ToLLA()
+	g.lon, g.alt = lla.Lon, lla.Alt
+	g.stationSeed = cfg.Seed ^ int64(hashString(station.ID))
 	return g
 }
 
@@ -324,7 +341,16 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		}
 		st = &local
 	}
-	vis := orbit.VisibleFromState(st, recv, mask)
+	frame := g.frame
+	if frame == nil {
+		f := geo.NewENUFrame(recv)
+		frame = &f
+	}
+	// A GPS sky never holds more than ~16 satellites above the horizon,
+	// so the look-angle list lives on the stack; a larger custom
+	// constellation just spills to the heap.
+	var visBuf [24]orbit.InView
+	vis := orbit.AppendVisible(visBuf[:0], st, frame, mask)
 	biasSec := g.clk.BiasAt(t)
 	var driftMPS float64
 	var recvVel geo.ECEF
@@ -341,7 +367,8 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		// Independent of the error stream (separate tag in the seed mix)
 		// so pseudo-range noise is byte-identical with and without the
 		// C/N0 model, and identical across CodeOnly modes.
-		env := rng.New(obsSeed(g.cfg.Seed^int64(hashString(g.station.ID))^envStreamTag, v.Sat.PRN, t))
+		sat := &v.State.Sat
+		env := rng.New(obsSeed(g.stationSeed^envStreamTag, sat.PRN, t))
 		nlos := false
 		var nlosBias float64
 		if g.canyon != nil && !g.canyonLOS(v.Elevation, v.Azimuth) {
@@ -355,10 +382,10 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		// expressing the satellite position in the reception-time frame
 		// (Sagnac correction).
 		emitPos, dist := v.State.Emission(recv, t)
-		eps, iono, tropo, obsRng := g.satelliteErrorParts(v.Sat.PRN, t, v.Elevation)
+		eps, iono, tropo, obsRng := g.satelliteErrorParts(sat.PRN, t, v.Elevation)
 		pr := dist + geo.SpeedOfLight*biasSec + eps + nlosBias
 		for _, f := range g.faults {
-			if f.PRN == v.Sat.PRN && t >= f.From && t < f.Until {
+			if f.PRN == sat.PRN && t >= f.From && t < f.Until {
 				pr += f.Bias
 			}
 		}
@@ -367,7 +394,7 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 			cn0 -= g.canyon.CN0LossDB
 		}
 		obsOut := SatObs{
-			PRN:         v.Sat.PRN,
+			PRN:         sat.PRN,
 			Pos:         emitPos,
 			Pseudorange: pr,
 			Elevation:   v.Elevation,
@@ -380,9 +407,9 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 			// the carrier (that asymmetry is what makes Hatch smoothing
 			// work).
 			obsOut.Carrier = dist + geo.SpeedOfLight*biasSec + tropo - iono +
-				g.carrierAmbiguity(v.Sat.PRN) + 0.003*obsRng.NormFloat64()
+				g.carrierAmbiguity(sat.PRN) + 0.003*obsRng.NormFloat64()
 			// Doppler: projected relative velocity plus clock drift.
-			satVel, verr := v.Sat.Orbit.VelocityECEF(t)
+			satVel, verr := sat.Orbit.VelocityECEF(t)
 			if verr == nil {
 				// Range rate: positive when the range is growing. u
 				// points from receiver to satellite.
@@ -441,7 +468,7 @@ func (g *Generator) receiverVelocity(t float64) geo.ECEF {
 // (λ·N with N an integer, λ = 19.03 cm for L1), fixed for the day.
 func (g *Generator) carrierAmbiguity(prn int) float64 {
 	const lambdaL1 = 0.1903
-	s := rng.New(obsSeed(g.cfg.Seed^int64(hashString(g.station.ID)), prn, -2))
+	s := rng.New(obsSeed(g.stationSeed, prn, -2))
 	n := s.Intn(2_000_000) - 1_000_000
 	return lambdaL1 * float64(n)
 }
@@ -467,7 +494,7 @@ func (g *Generator) satelliteError(prn int, t, elev float64) float64 {
 // lagged-Fibonacci warm-up that dominated live generation cost (each
 // epoch seeds ~2 streams per visible satellite).
 func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tropo float64, obs rng.Stream) {
-	obs = rng.New(obsSeed(g.cfg.Seed^int64(hashString(g.station.ID)), prn, t))
+	obs = rng.New(obsSeed(g.stationSeed, prn, t))
 	eps = g.cfg.NoiseSigma * obs.NormFloat64()
 	if g.cfg.Multipath {
 		eps += atmosphere.MultipathSigma(elev) * obs.NormFloat64()
@@ -479,10 +506,9 @@ func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tr
 		pass := rng.New(obsSeed(g.cfg.Seed, prn, -1))
 		uIono := pass.Float64()*2 - 1
 		uTropo := pass.Float64()*2 - 1
-		localTime := localSolarTime(g.station.Pos, t)
-		alt := g.station.Pos.ToLLA().Alt
+		localTime := localSolarTime(g.lon, t)
 		iono = atmosphere.ResidualIono(elev, localTime, g.cfg.IonoRemainder, uIono)
-		tropo = atmosphere.ResidualTropo(elev, alt, g.cfg.TropoRemainder, uTropo)
+		tropo = atmosphere.ResidualTropo(elev, g.alt, g.cfg.TropoRemainder, uTropo)
 		eps += iono + tropo
 	}
 	return eps, iono, tropo, obs
@@ -571,11 +597,10 @@ func IonoFreeEpoch(e Epoch) Epoch {
 	return out
 }
 
-// localSolarTime approximates the local solar time (seconds of day) at the
-// station from its longitude, for the ionosphere's diurnal cycle.
-func localSolarTime(pos geo.ECEF, t float64) float64 {
-	lla := pos.ToLLA()
-	lt := math.Mod(t+lla.Lon/(2*math.Pi)*86400, 86400)
+// localSolarTime approximates the local solar time (seconds of day) at
+// longitude lon (radians), for the ionosphere's diurnal cycle.
+func localSolarTime(lon, t float64) float64 {
+	lt := math.Mod(t+lon/(2*math.Pi)*86400, 86400)
 	if lt < 0 {
 		lt += 86400
 	}

@@ -1,0 +1,65 @@
+package scenario
+
+import (
+	"testing"
+
+	"gpsdl/internal/epochcache"
+	"gpsdl/internal/orbit"
+)
+
+// liveGenerators builds n code-only generators over the Table 5.1
+// stations sharing one epoch cache on the 1 s grid: the shape of a live
+// engine shard, where every session synthesizes the same epoch in turn.
+func liveGenerators(tb testing.TB, n int) []*Generator {
+	tb.Helper()
+	cons := orbit.DefaultConstellation()
+	cache, err := epochcache.New(cons, 0, 1, epochcache.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stations := Table51Stations()
+	gens := make([]*Generator, n)
+	for i := range gens {
+		cfg := DefaultConfig(int64(1000 + i))
+		cfg.CodeOnly = true
+		gens[i] = NewGenerator(stations[i%len(stations)], cfg, WithConstellation(cons), WithEpochCache(cache))
+	}
+	return gens
+}
+
+// BenchmarkEpochAtLive is one session's live synthesis step: a cached,
+// code-only EpochAt, round-robin over 64 sessions so every epoch's
+// constellation snapshot is computed once and then read 63 times.
+func BenchmarkEpochAtLive(b *testing.B) {
+	gens := liveGenerators(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		epochSink, err = gens[i%len(gens)].EpochAt(float64(3600 + i/len(gens)))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// epochSink keeps the benchmarked EpochAt result live.
+var epochSink Epoch
+
+// TestEpochAtLiveAllocs guards the live fast path: once the epoch's
+// snapshot is cached, a static station's EpochAt allocates only the
+// observation slice it returns (plus at most one spare).
+func TestEpochAtLiveAllocs(t *testing.T) {
+	g := liveGenerators(t, 1)[0]
+	if _, err := g.EpochAt(3600); err != nil { // warm the cache slot
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(200, func() { _, err = g.EpochAt(3600) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Errorf("live cached EpochAt makes %v allocations, want ≤ 2", allocs)
+	}
+}
