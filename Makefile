@@ -86,7 +86,8 @@ fault-determinism:
 	$(GO) test -run 'Determinism|Golden' ./internal/fault/ ./internal/engine/
 
 # Short native-fuzzing pass over every parser facing external input
-# (RINEX obs/nav, YUMA almanacs, NMEA sentences). Each target gets
+# (RINEX obs/nav, YUMA almanacs, NMEA sentences), plus the NMEA
+# fixed-point formatter against strconv. Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadYuma -fuzztime=$(FUZZTIME) ./internal/orbit/
 	$(GO) test -fuzz=FuzzValidate -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzParseGGA -fuzztime=$(FUZZTIME) ./internal/nmea/
+	$(GO) test -fuzz=FuzzAppendFixed -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzRankOneApplyInv -fuzztime=$(FUZZTIME) ./internal/lsq/
 

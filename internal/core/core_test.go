@@ -16,7 +16,7 @@ import (
 // range-domain clock bias (meters), using the default constellation at
 // time t. Satellite-dependent noise can be added per-observation by the
 // caller.
-func scene(t *testing.T, recv geo.ECEF, epoch, biasMeters float64, m int) []Observation {
+func scene(t testing.TB, recv geo.ECEF, epoch, biasMeters float64, m int) []Observation {
 	t.Helper()
 	cons := orbit.DefaultConstellation()
 	vis, err := cons.Visible(recv, epoch, 0)
@@ -433,6 +433,50 @@ func TestComputeDOPErrors(t *testing.T) {
 	same := []geo.ECEF{{X: 2.6e7}, {X: 2.6e7}, {X: 2.6e7}, {X: 2.6e7}}
 	if _, err := ComputeDOP(recv, same); err == nil {
 		t.Error("ComputeDOP with degenerate geometry succeeded")
+	}
+}
+
+// TestDOPFromObsLLAMatchesDOPFromObs: handing DOPFromObsLLA the
+// receiver's own ToLLA changes nothing, bit for bit, across epochs,
+// satellite counts and receiver positions off the station.
+func TestDOPFromObsLLAMatchesDOPFromObs(t *testing.T) {
+	for _, recv := range []geo.ECEF{yyr1(), {X: -2.7e6, Y: -4.3e6, Z: 3.85e6}, {X: 6.37e6, Y: 1, Z: -2}} {
+		for _, epoch := range []float64{0, 3000, 40000} {
+			for _, m := range []int{4, 6, 8} {
+				obs := scene(t, recv, epoch, 0, m)
+				p := recv.Add(geo.ECEF{X: 3.5, Y: -1.25, Z: 7})
+				want, werr := DOPFromObs(p, obs)
+				got, gerr := DOPFromObsLLA(p, p.ToLLA(), obs)
+				if got != want || (werr == nil) != (gerr == nil) {
+					t.Errorf("recv %v epoch %v m %d: DOPFromObsLLA %+v (%v), DOPFromObs %+v (%v)", recv, epoch, m, got, gerr, want, werr)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDOPFromObsLLA is the per-fix DOP cost once the caller has the
+// geodetic position; BenchmarkDOPFromObs adds the ToLLA it saves.
+func BenchmarkDOPFromObsLLA(b *testing.B) {
+	recv := yyr1()
+	obs := scene(b, recv, 3000, 0, 8)
+	lla := recv.ToLLA()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DOPFromObsLLA(recv, lla, obs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDOPFromObs(b *testing.B) {
+	recv := yyr1()
+	obs := scene(b, recv, 3000, 0, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DOPFromObs(recv, obs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -27,8 +27,7 @@ type enuFrame struct {
 	sinLat, cosLat, sinLon, cosLon float64
 }
 
-func newENUFrame(recv geo.ECEF) enuFrame {
-	lla := recv.ToLLA()
+func newENUFrame(lla geo.LLA) enuFrame {
 	var f enuFrame
 	f.sinLat, f.cosLat = math.Sincos(lla.Lat)
 	f.sinLon, f.cosLon = math.Sincos(lla.Lon)
@@ -93,7 +92,7 @@ func ComputeDOP(recv geo.ECEF, sats []geo.ECEF) (DOP, error) {
 		return DOP{}, fmt.Errorf("DOP needs >= 4 satellites, have %d: %w", len(sats), ErrTooFewSatellites)
 	}
 	// Geometry matrix in the local ENU frame so HDOP/VDOP are meaningful.
-	f := newENUFrame(recv)
+	f := newENUFrame(recv.ToLLA())
 	var ata [16]float64
 	for i, s := range sats {
 		row, ok := f.row(recv, s)
@@ -108,10 +107,18 @@ func ComputeDOP(recv geo.ECEF, sats []geo.ECEF) (DOP, error) {
 // DOPFromObs is ComputeDOP reading satellite positions straight out of an
 // observation slice, so hot paths need not build a []geo.ECEF first.
 func DOPFromObs(recv geo.ECEF, obs []Observation) (DOP, error) {
+	return DOPFromObsLLA(recv, recv.ToLLA(), obs)
+}
+
+// DOPFromObsLLA is DOPFromObs for a caller that already holds the
+// receiver's geodetic position: lla must equal recv.ToLLA(). A fix
+// pipeline that converts the solved position once for its NMEA output
+// passes that conversion here instead of paying for a second one.
+func DOPFromObsLLA(recv geo.ECEF, lla geo.LLA, obs []Observation) (DOP, error) {
 	if len(obs) < 4 {
 		return DOP{}, fmt.Errorf("DOP needs >= 4 satellites, have %d: %w", len(obs), ErrTooFewSatellites)
 	}
-	f := newENUFrame(recv)
+	f := newENUFrame(lla)
 	var ata [16]float64
 	for i := range obs {
 		row, ok := f.row(recv, obs[i].Pos)

@@ -395,8 +395,10 @@ func (s *session) step(i int) {
 	} else {
 		s.setState(StateHealthy)
 	}
+	// One geodetic conversion serves both the DOP frame and the NMEA fix.
+	lla := res.Solution.Pos.ToLLA()
 	hdop, pdop, dopOK := 0.0, 0.0, false
-	if dop, derr := core.DOPFromObs(res.Solution.Pos, obs); derr == nil {
+	if dop, derr := core.DOPFromObsLLA(res.Solution.Pos, lla, obs); derr == nil {
 		hdop, pdop, dopOK = dop.HDOP, dop.PDOP, true
 	}
 	var fq core.FixQuality
@@ -438,7 +440,7 @@ func (s *session) step(i int) {
 	s.journalFix(i, ep.T, &res, &fq, pdop, hdop, dopOK, clockInnov, clockOK, satObs)
 	fix := nmea.Fix{
 		TimeOfDay: ep.T,
-		Pos:       res.Solution.Pos.ToLLA(),
+		Pos:       lla,
 		Quality:   nmea.QualityGPS,
 		NumSats:   len(obs),
 		HDOP:      hdop,

@@ -2,42 +2,47 @@ package nmea
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 )
 
 // Allocation-free sentence encoders. AppendGGA/AppendRMC write into a
-// caller-supplied buffer (append-style, like strconv.Append*), producing
-// bytes identical to GGA/RMC. With a reused buffer the steady-state cost
-// is zero allocations per sentence, which is what puts NMEA output on the
-// fix engine's hot path.
+// caller-supplied buffer (append-style, like strconv.Append*); GGA and
+// RMC are thin string wrappers around them. With a reused buffer the
+// steady-state cost is zero allocations per sentence, which is what puts
+// NMEA output on the fix engine's hot path.
 
 const hexUpper = "0123456789ABCDEF"
 
 // AppendGGA appends a $GPGGA sentence for f to dst and returns the
-// extended buffer. Output is byte-identical to GGA(f).
+// extended buffer.
 func AppendGGA(dst []byte, f Fix) []byte {
 	dst = append(dst, '$')
 	body := len(dst)
 	dst = append(dst, "GPGGA,"...)
 	dst = appendTimeField(dst, f.TimeOfDay)
 	dst = append(dst, ',')
-	dst = appendLatitude(dst, f.Pos.Lat)
+	dst = appendAngle(dst, f.Pos.Lat, 2, 'N', 'S')
 	dst = append(dst, ',')
-	dst = appendLongitude(dst, f.Pos.Lon)
+	dst = appendAngle(dst, f.Pos.Lon, 3, 'E', 'W')
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(f.Quality), 10)
 	dst = append(dst, ',')
-	dst = appendPad2(dst, f.NumSats)
+	if f.NumSats >= 0 && f.NumSats < 10 { // fmt's %02d
+		dst = append(dst, '0')
+	}
+	dst = strconv.AppendInt(dst, int64(f.NumSats), 10)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, f.HDOP, 'f', 1, 64)
+	dst = appendFixed(dst, f.HDOP, 1)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, f.Pos.Alt, 'f', 1, 64)
+	dst = appendFixed(dst, f.Pos.Alt, 1)
 	dst = append(dst, ",M,0.0,M,,"...)
 	return appendChecksum(dst, body)
 }
 
 // AppendRMC appends a $GPRMC sentence for f to dst and returns the
-// extended buffer. Output is byte-identical to RMC(f).
+// extended buffer (date fields blank: the simulation clock carries
+// seconds of day, not calendar dates).
 func AppendRMC(dst []byte, f Fix) []byte {
 	dst = append(dst, '$')
 	body := len(dst)
@@ -48,95 +53,144 @@ func AppendRMC(dst []byte, f Fix) []byte {
 	} else {
 		dst = append(dst, ",A,"...)
 	}
-	dst = appendLatitude(dst, f.Pos.Lat)
+	dst = appendAngle(dst, f.Pos.Lat, 2, 'N', 'S')
 	dst = append(dst, ',')
-	dst = appendLongitude(dst, f.Pos.Lon)
+	dst = appendAngle(dst, f.Pos.Lon, 3, 'E', 'W')
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, f.SpeedKnots, 'f', 1, 64)
+	dst = appendFixed(dst, f.SpeedKnots, 1)
 	dst = append(dst, ',')
-	dst = strconv.AppendFloat(dst, f.CourseDeg, 'f', 1, 64)
+	dst = appendFixed(dst, f.CourseDeg, 1)
 	dst = append(dst, ",,,"...)
 	return appendChecksum(dst, body)
 }
 
 // appendChecksum XORs dst[body:] and appends *HH.
 func appendChecksum(dst []byte, body int) []byte {
-	var c byte
-	for _, b := range dst[body:] {
-		c ^= b
-	}
+	c := Checksum(dst[body:])
 	return append(dst, '*', hexUpper[c>>4], hexUpper[c&0x0f])
 }
 
-// appendPad2 appends v with fmt's %02d semantics.
-func appendPad2(dst []byte, v int) []byte {
-	if v >= 0 && v < 10 {
-		dst = append(dst, '0')
-	}
-	return strconv.AppendInt(dst, int64(v), 10)
+// pow10 holds every power of ten that fits in a uint64.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 }
 
-// appendZeroPadFloat appends v with fmt's %0W.Pf semantics for
-// non-negative v: fixed precision, zero-padded on the left to width
-// bytes. The digits are appended in place and shifted right if padding is
-// needed, so no temporary buffer is involved.
-func appendZeroPadFloat(dst []byte, v float64, width, prec int) []byte {
-	start := len(dst)
-	dst = strconv.AppendFloat(dst, v, 'f', prec, 64)
-	if n := len(dst) - start; n < width {
-		pad := width - n
-		for i := 0; i < pad; i++ {
-			dst = append(dst, '0')
-		}
-		copy(dst[start+pad:], dst[start:len(dst)-pad])
-		for i := 0; i < pad; i++ {
-			dst[start+i] = '0'
-		}
+// roundFixed returns |v|·10^prec rounded to an integer, ties to even,
+// computed exactly: v = mant·2^-shift, so mant·10^prec is formed in 128
+// bits and shifted, and the bits shifted out decide the rounding. That
+// is the rounding strconv's 'f' format applies to the exact decimal
+// expansion of v. ok is false for NaN, ±Inf, subnormals, |v| ≥ 2^52,
+// prec outside [0, 19], and results of 2^63 or more.
+func roundFixed(v float64, prec int) (q uint64, ok bool) {
+	b := math.Float64bits(v)
+	exp := int(b>>52) & 0x7ff
+	mant := b & (1<<52 - 1)
+	shift := 1075 - exp
+	if shift <= 0 || (exp == 0 && mant != 0) || uint(prec) >= uint(len(pow10)) {
+		return 0, false
 	}
-	return dst
+	if exp != 0 { // else v is ±0 and mant is already 0
+		mant |= 1 << 52
+	}
+	hi, lo := bits.Mul64(mant, pow10[prec])
+	// mant·10^prec < 2^117, so every shift ≥ 118 yields q = 0 with a
+	// remainder below half; capping keeps the shift counts below in range.
+	shift = min(shift, 127)
+	// q = (hi:lo) >> shift; (rhi:rlo) is the remainder left-aligned in
+	// 128 bits, so half a unit is exactly rhi = 1<<63, rlo = 0.
+	var rhi, rlo uint64
+	if shift < 64 {
+		if hi>>(shift-1) != 0 { // q ≥ 2^63: leave room to round up
+			return 0, false
+		}
+		q = hi<<(64-shift) | lo>>shift
+		rhi = lo << (64 - shift)
+	} else {
+		q = hi >> (shift - 64)
+		rhi, rlo = hi<<(128-shift)|lo>>(shift-64), lo<<(128-shift)
+	}
+	const half = 1 << 63
+	if rhi > half || (rhi == half && (rlo != 0 || q&1 == 1)) {
+		q++
+	}
+	return q, true
 }
 
-// appendTimeField renders hhmmss.ss from seconds of day, matching
-// timeField.
+// appendDecimal appends q/10^prec with exactly prec fraction digits,
+// zero-padded on the left to width bytes.
+func appendDecimal(dst []byte, q uint64, prec, width int) []byte {
+	var buf [32]byte
+	i := len(buf)
+	for n := 0; n <= prec || q > 0 || len(buf)-i < width; n++ {
+		if n == prec && prec > 0 {
+			i--
+			buf[i] = '.'
+		}
+		i--
+		buf[i] = byte('0' + q%10)
+		q /= 10
+	}
+	return append(dst, buf[i:]...)
+}
+
+// appendFixed appends exactly what strconv.AppendFloat(dst, v, 'f',
+// prec, 64) does, without strconv's multiprecision fallback for the 'f'
+// format with an explicit precision. The sign is kept for negative
+// values that round to zero and for −0, as strconv does.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	q, ok := roundFixed(v, prec)
+	if !ok {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	if math.Signbit(v) {
+		dst = append(dst, '-')
+	}
+	return appendDecimal(dst, q, prec, 0)
+}
+
+// appendTimeField renders hhmmss.ss from seconds of day. The time is
+// rounded to centiseconds once, so a seconds field that rounds to 60
+// carries into the minutes and hours, and 24 h wraps to 000000.00. A
+// non-finite time renders as an empty field.
 func appendTimeField(dst []byte, t float64) []byte {
 	t = math.Mod(t, 86400)
 	if t < 0 {
 		t += 86400
 	}
-	h := int(t) / 3600
-	m := (int(t) % 3600) / 60
-	s := t - float64(h*3600+m*60)
-	dst = appendPad2(dst, h)
-	dst = appendPad2(dst, m)
-	return appendZeroPadFloat(dst, s, 5, 2)
+	cs, ok := roundFixed(t, 2)
+	if !ok {
+		return dst
+	}
+	cs %= 86400 * 100
+	// hhmmss.ss is the integer hhmmsscc printed with two decimals.
+	return appendDecimal(dst, cs/360000*1e6+cs/6000%60*1e4+cs%6000, 2, 9)
 }
 
-// appendLatitude renders ddmm.mmmm,H matching latitude.
-func appendLatitude(dst []byte, rad float64) []byte {
-	hemi := byte('N')
+// appendAngle renders an angle in radians as d…dmm.mmmm,H with at least
+// degWidth degree digits, hemisphere pos for non-negative angles (−0
+// included) and neg otherwise. Minutes that round to 60 carry into the
+// degrees. A non-finite angle renders as two empty fields.
+func appendAngle(dst []byte, rad float64, degWidth int, pos, neg byte) []byte {
+	hemi := pos
 	if rad < 0 {
-		hemi = 'S'
-		rad = -rad
+		hemi = neg
 	}
-	deg := rad * 180 / math.Pi
+	deg := math.Abs(rad) * 180 / math.Pi
 	d := math.Floor(deg)
-	minutes := (deg - d) * 60
-	dst = appendZeroPadFloat(dst, d, 2, 0)
-	dst = appendZeroPadFloat(dst, minutes, 7, 4)
-	return append(dst, ',', hemi)
-}
-
-// appendLongitude renders dddmm.mmmm,H matching longitude.
-func appendLongitude(dst []byte, rad float64) []byte {
-	hemi := byte('E')
-	if rad < 0 {
-		hemi = 'W'
-		rad = -rad
+	mq, ok := roundFixed((deg-d)*60, 4)
+	if !ok {
+		return append(dst, ',')
 	}
-	deg := rad * 180 / math.Pi
-	d := math.Floor(deg)
-	minutes := (deg - d) * 60
-	dst = appendZeroPadFloat(dst, d, 3, 0)
-	dst = appendZeroPadFloat(dst, minutes, 7, 4)
+	if mq == 60*1e4 {
+		d++
+		mq = 0
+	}
+	if dq, ok := roundFixed(d, 0); ok {
+		dst = appendDecimal(dst, dq, 0, degWidth)
+	} else {
+		dst = strconv.AppendFloat(dst, d, 'f', 0, 64)
+	}
+	dst = appendDecimal(dst, mq, 4, 7)
 	return append(dst, ',', hemi)
 }

@@ -2,6 +2,7 @@ package nmea
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"gpsdl/internal/geo"
@@ -49,6 +50,26 @@ func FuzzParseGGA(f *testing.F) {
 		again := GGA(fix)
 		if _, err := ParseGGA(again); err != nil {
 			t.Fatalf("re-parse of re-rendered %q (from %q): %v", again, s, err)
+		}
+	})
+}
+
+// FuzzAppendFixed checks appendFixed byte for byte against
+// strconv.AppendFloat(…, 'f', prec, 64) for arbitrary values and every
+// precision the 64-bit fast path serves, plus a few past it.
+func FuzzAppendFixed(f *testing.F) {
+	f.Add(59.995, uint8(2))
+	f.Add(0.5, uint8(0))
+	f.Add(-0.04, uint8(1))
+	f.Add(math.Copysign(0, -1), uint8(3))
+	f.Add(1.8446744073709552e19, uint8(0))
+	f.Add(math.SmallestNonzeroFloat64, uint8(8))
+	f.Fuzz(func(t *testing.T, v float64, p uint8) {
+		prec := int(p % 24)
+		got := appendFixed(nil, v, prec)
+		want := strconv.AppendFloat(nil, v, 'f', prec, 64)
+		if string(got) != string(want) {
+			t.Fatalf("appendFixed(%v [%#016x], %d) = %s, want %s", v, math.Float64bits(v), prec, got, want)
 		}
 	})
 }

@@ -55,37 +55,13 @@ type Fix struct {
 }
 
 // GGA renders a $GPGGA sentence.
-func GGA(f Fix) string {
-	latStr, latHemi := latitude(f.Pos.Lat)
-	lonStr, lonHemi := longitude(f.Pos.Lon)
-	body := fmt.Sprintf("GPGGA,%s,%s,%s,%s,%s,%d,%02d,%.1f,%.1f,M,0.0,M,,",
-		timeField(f.TimeOfDay), latStr, latHemi, lonStr, lonHemi,
-		int(f.Quality), f.NumSats, f.HDOP, f.Pos.Alt)
-	return frame(body)
-}
+func GGA(f Fix) string { return string(AppendGGA(nil, f)) }
 
-// RMC renders a $GPRMC sentence (date fields blank: the simulation clock
-// carries seconds of day, not calendar dates).
-func RMC(f Fix) string {
-	latStr, latHemi := latitude(f.Pos.Lat)
-	lonStr, lonHemi := longitude(f.Pos.Lon)
-	status := "A"
-	if f.Quality == QualityInvalid {
-		status = "V"
-	}
-	body := fmt.Sprintf("GPRMC,%s,%s,%s,%s,%s,%s,%.1f,%.1f,,,",
-		timeField(f.TimeOfDay), status, latStr, latHemi, lonStr, lonHemi,
-		f.SpeedKnots, f.CourseDeg)
-	return frame(body)
-}
-
-// frame wraps a sentence body with $ and *checksum.
-func frame(body string) string {
-	return fmt.Sprintf("$%s*%02X", body, Checksum(body))
-}
+// RMC renders a $GPRMC sentence.
+func RMC(f Fix) string { return string(AppendRMC(nil, f)) }
 
 // Checksum returns the XOR of all bytes of the body (between $ and *).
-func Checksum(body string) byte {
+func Checksum[T string | []byte](body T) byte {
 	var c byte
 	for i := 0; i < len(body); i++ {
 		c ^= body[i]
@@ -158,19 +134,7 @@ func ParseGGA(sentence string) (Fix, error) {
 	return f, nil
 }
 
-// timeField renders hhmmss.ss from seconds of day.
-func timeField(t float64) string {
-	t = math.Mod(t, 86400)
-	if t < 0 {
-		t += 86400
-	}
-	h := int(t) / 3600
-	m := (int(t) % 3600) / 60
-	s := t - float64(h*3600+m*60)
-	return fmt.Sprintf("%02d%02d%05.2f", h, m, s)
-}
-
-// parseTime inverts timeField.
+// parseTime inverts appendTimeField.
 func parseTime(s string) (float64, error) {
 	if len(s) < 6 {
 		return 0, fmt.Errorf("nmea: time %q: %w", s, ErrBadSentence)
@@ -184,34 +148,8 @@ func parseTime(s string) (float64, error) {
 	return float64(h*3600+m*60) + sec, nil
 }
 
-// latitude renders ddmm.mmmm plus hemisphere.
-func latitude(rad float64) (string, string) {
-	hemi := "N"
-	if rad < 0 {
-		hemi = "S"
-		rad = -rad
-	}
-	deg := rad * 180 / math.Pi
-	d := math.Floor(deg)
-	minutes := (deg - d) * 60
-	return fmt.Sprintf("%02.0f%07.4f", d, minutes), hemi
-}
-
-// longitude renders dddmm.mmmm plus hemisphere.
-func longitude(rad float64) (string, string) {
-	hemi := "E"
-	if rad < 0 {
-		hemi = "W"
-		rad = -rad
-	}
-	deg := rad * 180 / math.Pi
-	d := math.Floor(deg)
-	minutes := (deg - d) * 60
-	return fmt.Sprintf("%03.0f%07.4f", d, minutes), hemi
-}
-
-// parseAngle inverts latitude/longitude; degDigits is 2 for latitude and
-// 3 for longitude.
+// parseAngle inverts appendAngle; degDigits is 2 for latitude and 3 for
+// longitude.
 func parseAngle(s, hemi string, degDigits int) (float64, error) {
 	if len(s) < degDigits+2 {
 		return 0, fmt.Errorf("nmea: angle %q: %w", s, ErrBadSentence)

@@ -141,12 +141,3 @@ func TestParseGGARejectsOtherSentences(t *testing.T) {
 		t.Error("RMC accepted as GGA")
 	}
 }
-
-func TestTimeFieldWraps(t *testing.T) {
-	if got := timeField(86400 + 3600); !strings.HasPrefix(got, "01") {
-		t.Errorf("timeField did not wrap: %s", got)
-	}
-	if got := timeField(-3600); !strings.HasPrefix(got, "23") {
-		t.Errorf("negative time not wrapped: %s", got)
-	}
-}
