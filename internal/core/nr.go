@@ -74,14 +74,6 @@ func (s *NRSolver) Solve(_ float64, obs []Observation) (Solution, error) {
 		eps = s.InitialGuess.ClockBias
 	}
 	m := len(obs)
-	var rows [][4]float64
-	var rhs []float64
-	if s.Scratch != nil {
-		rows, rhs = s.Scratch.nr(m)
-	} else {
-		rows = make([][4]float64, m)
-		rhs = make([]float64, m)
-	}
 	// Precompute sqrt-weights once: scaling each equation by √wᵢ makes
 	// the normal equations those of the weighted problem.
 	var sqw []float64
@@ -100,29 +92,52 @@ func (s *NRSolver) Solve(_ float64, obs []Observation) (Solution, error) {
 		}
 	}
 	for iter := 1; iter <= maxIter; iter++ {
-		// Build the linearized system of eq. 3-26: for each satellite,
-		// residual Pᵢ = ℜᵢ − ρᵉᵢ + εᴿ (eq. 3-24) and partials
-		// X'ᵢ = (xₑ−xᵢ)/ℜᵢ, …, E'ᵢ = 1 (eq. 3-20…3-23).
+		// Build the linearized system of eq. 3-26 and fold it straight
+		// into the normal equations: for each satellite, residual
+		// Pᵢ = ℜᵢ − ρᵉᵢ + εᴿ (eq. 3-24) and partials
+		// X'ᵢ = (xₑ−xᵢ)/ℜᵢ, …, E'ᵢ = 1 (eq. 3-20…3-23). The ten unique
+		// entries of AᵀA and the four of Aᵀb are summed in observation
+		// order with the same products as mat.NormalEq4, so the result
+		// is bit-identical to building the rows first (DESIGN.md).
+		var s00, s01, s02, s03, s11, s12, s13, s22, s23, s33 float64
+		var b0, b1, b2, b3 float64
 		for i, o := range obs {
 			dx, dy, dz := x-o.Pos.X, y-o.Pos.Y, z-o.Pos.Z
 			r := math.Sqrt(dx*dx + dy*dy + dz*dz)
 			if r == 0 {
 				return Solution{}, fmt.Errorf("NR iterate coincides with satellite %d: %w", i, ErrDegenerateGeometry)
 			}
-			rows[i] = [4]float64{dx / r, dy / r, dz / r, 1}
-			rhs[i] = -(r - o.Pseudorange + eps) // −Pᵢ
+			a0, a1, a2, a3 := dx/r, dy/r, dz/r, 1.0
+			rhs := -(r - o.Pseudorange + eps) // −Pᵢ
 			if sqw != nil {
 				w := sqw[i]
-				rows[i][0] *= w
-				rows[i][1] *= w
-				rows[i][2] *= w
-				rows[i][3] *= w
-				rhs[i] *= w
+				a0, a1, a2, a3 = a0*w, a1*w, a2*w, w
+				rhs *= w
 			}
+			s00 += a0 * a0
+			s01 += a0 * a1
+			s02 += a0 * a2
+			s03 += a0 * a3
+			b0 += a0 * rhs
+			s11 += a1 * a1
+			s12 += a1 * a2
+			s13 += a1 * a3
+			b1 += a1 * rhs
+			s22 += a2 * a2
+			s23 += a2 * a3
+			b2 += a2 * rhs
+			s33 += a3 * a3
+			b3 += a3 * rhs
 		}
 		// Step 4: ordinary least squares on the (possibly over-
 		// determined) system via the 4×4 normal equations.
-		ata, atb := mat.NormalEq4(rows, rhs)
+		ata := [16]float64{
+			s00, s01, s02, s03,
+			s01, s11, s12, s13,
+			s02, s12, s22, s23,
+			s03, s13, s23, s33,
+		}
+		atb := [4]float64{b0, b1, b2, b3}
 		delta, err := mat.Solve4(ata, atb)
 		if err != nil {
 			return Solution{}, fmt.Errorf("NR normal equations: %w", ErrDegenerateGeometry)

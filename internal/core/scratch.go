@@ -19,8 +19,6 @@ type Scratch struct {
 	rhoE  []float64    // clock-corrected pseudo-ranges (m)
 	rows3 [][3]float64 // differenced design matrix (m−1 × 3)
 	d     []float64    // differenced right-hand side (m−1)
-	rows4 [][4]float64 // NR design matrix (m × 4)
-	rhs   []float64    // NR right-hand side (m)
 	sqw   []float64    // NR sqrt-weights (m)
 	diag  []float64    // GLS covariance diagonal (m−1)
 	psi   []float64    // dense covariance / Cholesky factor (k×k)
@@ -44,15 +42,6 @@ func (s *Scratch) differenced(k int) ([][3]float64, []float64) {
 		s.d = make([]float64, 0, k)
 	}
 	return s.rows3[:0], s.d[:0]
-}
-
-// nr returns the (rows, rhs) buffers for an m-observation NR system.
-func (s *Scratch) nr(m int) ([][4]float64, []float64) {
-	if cap(s.rows4) < m {
-		s.rows4 = make([][4]float64, m)
-		s.rhs = make([]float64, m)
-	}
-	return s.rows4[:m], s.rhs[:m]
 }
 
 // weights returns the sqrt-weight buffer for m observations.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -25,6 +26,7 @@ type wireRecorder struct {
 	gga    map[[2]int]string
 	rmc    map[[2]int]string
 	frames map[[2]int][]byte
+	sols   map[[2]int][4]uint64 // position and clock-bias float bits
 	encs   map[int]*wire.FixEncoder
 }
 
@@ -33,6 +35,7 @@ func newWireRecorder() *wireRecorder {
 		gga:    make(map[[2]int]string),
 		rmc:    make(map[[2]int]string),
 		frames: make(map[[2]int][]byte),
+		sols:   make(map[[2]int][4]uint64),
 		encs:   make(map[int]*wire.FixEncoder),
 	}
 }
@@ -51,6 +54,8 @@ func (rc *wireRecorder) sink(e FixEvent) {
 	f := e.Wire()
 	frame, _ := enc.AppendFix(nil, &f)
 	rc.frames[k] = frame
+	p := e.Sol.Pos
+	rc.sols[k] = [4]uint64{math.Float64bits(p.X), math.Float64bits(p.Y), math.Float64bits(p.Z), math.Float64bits(e.Sol.ClockBias)}
 }
 
 // TestEngineHandoffDeterminism is the satellite-3 law behind cluster
@@ -58,9 +63,10 @@ func (rc *wireRecorder) sink(e FixEvent) {
 // last periodic checkpoint is from epoch `cut`; survivor node B builds
 // a SessionIDs engine over the orphans {1, 3}, restores the filtered
 // checkpoint, fast-forwards cut→head, and serves on. Sessions 1 and 3
-// must then produce byte-identical NMEA and byte-identical wire frames
-// to an uninterrupted single-node control over [cut, end) — across
-// multiple survivor worker/batch shapes.
+// must then produce byte-identical NMEA, byte-identical wire frames and
+// bit-identical solution position and clock bias to an uninterrupted
+// single-node control over [cut, end) — across multiple survivor
+// worker/batch shapes.
 func TestEngineHandoffDeterminism(t *testing.T) {
 	const cut, head, end = 200, 230, 300
 	orphans := []int{1, 3}
@@ -153,6 +159,9 @@ func TestEngineHandoffDeterminism(t *testing.T) {
 					if !bytes.Equal(rec.frames[k], control.frames[k]) {
 						t.Fatalf("session %d epoch %d: wire frame bytes diverged after handoff\n  survivor %x\n  control  %x",
 							r, i, rec.frames[k], control.frames[k])
+					}
+					if rec.sols[k] != control.sols[k] {
+						t.Fatalf("session %d epoch %d: solution float bits diverged after handoff", r, i)
 					}
 				}
 			}

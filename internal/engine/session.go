@@ -77,6 +77,12 @@ const (
 	maxPlausibleNorm = 7.4e6
 )
 
+// plausible reports whether p lies inside the plausibility band.
+func plausible(p geo.ECEF) bool {
+	n := p.Norm()
+	return n >= minPlausibleNorm && n <= maxPlausibleNorm
+}
+
 // defaultJournalSigma is the χ² measurement sigma the flight journal
 // assumes when the quality layer is off (matches QualityConfig.Sigma's
 // default).
@@ -96,7 +102,7 @@ type session struct {
 	gen    *scenario.Generator
 	inj    *fault.Injector // nil when the run is fault-free
 	pred   clock.Predictor
-	warm   *core.NRSolver // feeds the predictor, gpsserve-style
+	warm   *core.NRSolver // feeds the predictor, warm-started from warmGuess
 	chain  *core.FallbackChain
 	probe  core.Solver  // cheap DLO used for half-open breaker probes
 	solver string       // primary solver name, kept for restart
@@ -115,6 +121,8 @@ type session struct {
 	lastGood  core.Solution // most recent non-suspect fix, for coasting
 	lastGoodT float64       // receiver time of lastGood
 	haveGood  bool
+	warmGuess core.Solution // the feed's NR start; zero is the cold start
+	feedIters int           // iterations of the last predictor-feed solve (0 = failed)
 
 	// Circuit breaker: consecFails counts consecutive full-chain
 	// failures; at breakerK the breaker opens. While open, every
@@ -250,7 +258,7 @@ func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, c
 // keeping the expensive-to-recalibrate predictor.
 func (s *session) buildSolvers() error {
 	sc := &core.Scratch{}
-	s.warm = &core.NRSolver{Scratch: sc}
+	s.warm = &core.NRSolver{Scratch: sc, InitialGuess: &s.warmGuess}
 	if s.sp.weighted {
 		// The warm-start feed honors the same weights as the chain, so a
 		// down-weighted suspect cannot drag the clock model either.
@@ -330,23 +338,34 @@ func (s *session) step(i int) {
 	// Disruption scoring: innovations against the last good fix (with the
 	// clock model's extrapolated bias where available). Suspects get their
 	// σ inflated before the warm solve and the chain see them, so neither
-	// the clock feed nor the fix trusts a spoofed satellite.
-	disrupted := false
-	if s.disrupt != nil && s.haveGood {
-		ref := s.lastGood
+	// the clock feed nor the fix trusts a spoofed satellite. The same
+	// reference seeds the warm NR start below.
+	var ref core.Solution
+	if s.haveGood {
+		ref = s.lastGood
 		if bias, perr := s.pred.PredictBias(ep.T); perr == nil {
 			ref.ClockBias = bias * geo.SpeedOfLight
 		}
-		disrupted = s.disrupt.Downweight(ref, obs) > 0
 	}
-	// Feed the predictor from a warm NR solve (Section 4.2's "use the
-	// clock bias calculated by the NR method"), exactly as gpsserve does —
-	// but gate on position plausibility so a grossly faulted epoch cannot
-	// poison the clock model the coasting path depends on.
-	if nrSol, err := s.warm.Solve(ep.T, obs); err == nil {
-		if n := nrSol.Pos.Norm(); n >= minPlausibleNorm && n <= maxPlausibleNorm {
-			s.pred.Observe(clock.Fix{T: ep.T, Bias: nrSol.ClockBias / geo.SpeedOfLight})
-		}
+	disrupted := s.disrupt != nil && s.haveGood && s.disrupt.Downweight(ref, obs) > 0
+	// Feed the predictor from an NR solve (Section 4.2's "use the clock
+	// bias calculated by the NR method"), gated on position plausibility
+	// so a grossly faulted epoch cannot poison the clock model. It starts
+	// from checkpointed state only, so a restored session guesses the
+	// same, and a failed warm solve retries from the cold start (eq. 3-27).
+	warmed := s.haveGood && plausible(ref.Pos)
+	s.warmGuess = core.Solution{}
+	if warmed {
+		s.warmGuess = ref
+	}
+	nrSol, err := s.warm.Solve(ep.T, obs)
+	if err != nil && warmed {
+		s.warmGuess = core.Solution{}
+		nrSol, err = s.warm.Solve(ep.T, obs)
+	}
+	s.feedIters = nrSol.Iterations
+	if err == nil && plausible(nrSol.Pos) {
+		s.pred.Observe(clock.Fix{T: ep.T, Bias: nrSol.ClockBias / geo.SpeedOfLight})
 	}
 	start := time.Now()
 	if s.brkOpen {

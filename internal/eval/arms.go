@@ -30,6 +30,7 @@ type ArmStats struct {
 	P95Error    float64
 	MaxError    float64
 	MeanNanos   float64
+	MedianNanos float64 // P² median per-epoch solve time
 	Fixes       int
 	Failures    int
 	// MeanIterations is the average solver iteration count (1 for direct
@@ -157,7 +158,7 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 			}
 			sumSq[i] += d * d
 			sumIter[i] += float64(sol.Iterations)
-			quants[i].add(d)
+			quants[i].add(d, nanos)
 			s.Fixes++
 		}
 	}
@@ -167,6 +168,7 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 			stats[i].MeanIterations = sumIter[i] / float64(stats[i].Fixes)
 			stats[i].MedianError = quants[i].median.Value()
 			stats[i].P95Error = quants[i].p95.Value()
+			stats[i].MedianNanos = quants[i].nanos.Value()
 		}
 	}
 	return stats, nil

@@ -93,6 +93,7 @@ type ArmResult struct {
 	MedianError float64
 	P95Error    float64
 	MeanNanos   float64
+	MedianNanos float64 // P² median per-epoch solve time
 	Fixes       int
 	Failures    int
 }
@@ -194,9 +195,12 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 	row := Row{M: m}
 	quants := newArmQuantiles(3) // NR, DLO, DLG
 	pred := s.makePredictor()
-	var nr core.NRSolver
-	dlo := &core.DLOSolver{Predictor: pred, Base: s.Base}
-	dlg := &core.DLGSolver{Predictor: pred, Base: s.Base}
+	// One Scratch serves all three arms (they solve in turn), so no
+	// timed region allocates and GC cost lands on none of them.
+	sc := &core.Scratch{}
+	nr := core.NRSolver{Scratch: sc}
+	dlo := &core.DLOSolver{Predictor: pred, Base: s.Base, Scratch: sc}
+	dlg := &core.DLGSolver{Predictor: pred, Base: s.Base, Scratch: sc}
 	nrM := core.NewSolverMetrics(s.Registry, "NR")
 	dloM := core.NewSolverMetrics(s.Registry, "DLO")
 	dlgM := core.NewSolverMetrics(s.Registry, "DLG")
@@ -254,7 +258,7 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		} else {
 			nrD = AbsoluteError(nrSol, truth)
 			row.addFix(&row.NR, nrD, nrNanos)
-			quants[0].add(nrD)
+			quants[0].add(nrD, nrNanos)
 			pred.Observe(clock.Fix{T: e.T, Bias: nrSol.ClockBias / speedOfLight})
 		}
 		dloSol, dloNanos, dloErr := timedSolve(dlo, e.T, obs, reps)
@@ -265,7 +269,7 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		} else {
 			dloD = AbsoluteError(dloSol, truth)
 			row.addFix(&row.DLO, dloD, dloNanos)
-			quants[1].add(dloD)
+			quants[1].add(dloD, dloNanos)
 		}
 		dlgSol, dlgNanos, dlgErr := timedSolve(dlg, e.T, obs, reps)
 		dlgD := math.NaN()
@@ -275,7 +279,7 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		} else {
 			dlgD = AbsoluteError(dlgSol, truth)
 			row.addFix(&row.DLG, dlgD, dlgNanos)
-			quants[2].add(dlgD)
+			quants[2].add(dlgD, dlgNanos)
 		}
 		if s.Recorder != nil {
 			s.recordTrace(i, e.T, obs, [3]armSample{
@@ -358,9 +362,10 @@ func (s *Sweep) recordTrace(epoch int, t float64, obs []core.Observation, arms [
 	}
 }
 
-// armQuantiles pairs the two streaming quantile trackers for one arm.
+// armQuantiles holds one arm's streaming quantile trackers: error
+// median and p95, and solve-time median.
 type armQuantiles struct {
-	median, p95 *P2Quantile
+	median, p95, nanos *P2Quantile
 }
 
 func newArmQuantiles(n int) []armQuantiles {
@@ -370,18 +375,21 @@ func newArmQuantiles(n int) []armQuantiles {
 		// occur.
 		out[i].median, _ = NewP2Quantile(0.5)
 		out[i].p95, _ = NewP2Quantile(0.95)
+		out[i].nanos, _ = NewP2Quantile(0.5)
 	}
 	return out
 }
 
-func (a armQuantiles) add(d float64) {
+func (a armQuantiles) add(d, nanos float64) {
 	a.median.Add(d)
 	a.p95.Add(d)
+	a.nanos.Add(nanos)
 }
 
 func (a armQuantiles) finish(res *ArmResult) {
 	res.MedianError = a.median.Value()
 	res.P95Error = a.p95.Value()
+	res.MedianNanos = a.nanos.Value()
 }
 
 const speedOfLight = 299792458.0

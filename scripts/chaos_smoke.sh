@@ -55,10 +55,13 @@ start_server() {
     [ -n "$admin" ] && [ -n "$serve" ] || fail "could not parse listen addresses"
 }
 
-# healthz_field NAME: numeric field from /healthz; empty (not a pipefail
-# abort) while the server is still coming up or the field is absent.
+# healthz_field NAME: top-level numeric field from /healthz; empty (not
+# a pipefail abort) while the server is still coming up or the field is
+# absent. The per-shard census array repeats names like "panics", so it
+# is stripped first (its entries are flat objects, no nested brackets).
 healthz_field() {
-    { curl -sS "http://$admin/healthz" | grep -o "\"$1\":[0-9.-]*" | head -1 | cut -d: -f2; } || true
+    { curl -sS "http://$admin/healthz" | sed 's/"shards":\[[^]]*\]//' |
+        grep -o "\"$1\":[0-9.-]*" | head -1 | cut -d: -f2; } || true
 }
 
 "$GO" build -race -o "$bin" ./cmd/gpsserve
