@@ -5,9 +5,9 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (Go -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint test race bench bench-json bench-broadcast bench-quality bench-faults bench-recovery bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke trace-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
+.PHONY: all build vet lint test race bench bench-json bench-broadcast bench-quality bench-faults bench-recovery bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
 
-all: build vet test determinism fault-determinism race fuzz-smoke metrics-smoke trace-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-json bench-broadcast bench-gate
+all: build vet test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-json bench-broadcast bench-gate
 
 build:
 	$(GO) build ./...
@@ -123,18 +123,12 @@ test-cover:
 		awk -v p="$$pct" 'BEGIN { exit !(p < 85) }' && { echo "FAIL: $$pkg below the 85% coverage floor"; exit 1; } || true; \
 	done
 
-# End-to-end check of the gpsserve admin endpoint: boots the server with
-# -admin, scrapes /metrics and /healthz, and asserts the key metric
-# families are exposed.
+# End-to-end check of the gpsserve admin endpoint and journal replay:
+# boots the default one-receiver server with -admin and -journal,
+# scrapes /metrics and /healthz, asserts the key metric families are
+# exposed, and replays the journal bit-identically through gpsinspect.
 metrics-smoke:
 	GO="$(GO)" ./scripts/metrics_smoke.sh
-
-# End-to-end check of the flight recorder: boots gpsserve with tracing,
-# asserts /debug/trace carries the pipeline spans and /debug/trace/chrome
-# is a trace_event document, then replays the captured exemplars through
-# gpsrun -replay.
-trace-smoke:
-	GO="$(GO)" ./scripts/trace_smoke.sh
 
 # Chaos end-to-end check of the supervised engine (race-built gpsserve):
 # injected worker panic, stalled NMEA client, mid-run SIGTERM with

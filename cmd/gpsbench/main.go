@@ -33,7 +33,6 @@ import (
 	"gpsdl/internal/eval"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
 )
 
 func main() {
@@ -53,9 +52,6 @@ type benchConfig struct {
 	// registry, when non-nil, collects solver/clock metrics across every
 	// sweep the run performs (-metrics-out).
 	registry *telemetry.Registry
-	// recorder, when non-nil, collects per-epoch traces across the figure
-	// sweeps for the Chrome trace_event export (-trace-out).
-	recorder *trace.Recorder
 }
 
 func run(args []string) error {
@@ -113,8 +109,6 @@ func run(args []string) error {
 		broadcastTrials = fs.Int("broadcast-trials", 5, "runs per (arm, clients) cell for -broadcast; the fastest is kept")
 		broadcastJSON   = fs.String("broadcast-json", "BENCH_broadcast.json", "write the -broadcast sweep as JSON to this file (empty disables)")
 		metricsOut      = fs.String("metrics-out", "", "write a final Prometheus-format metrics snapshot to this file")
-		traceOut        = fs.String("trace-out", "", "write the figure sweeps' epoch traces as a Chrome trace_event file (open in Perfetto)")
-		traceN          = fs.Int("trace", 4096, "epoch traces retained for -trace-out")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -265,12 +259,6 @@ func run(args []string) error {
 	if *metricsOut != "" {
 		cfg.registry = telemetry.NewRegistry()
 	}
-	if *traceOut != "" {
-		if *traceN <= 0 {
-			return fmt.Errorf("-trace must be positive with -trace-out, have %d", *traceN)
-		}
-		cfg.recorder = trace.New(trace.Config{Capacity: *traceN})
-	}
 	switch *fig {
 	case "":
 	case "table":
@@ -312,24 +300,6 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if *traceOut != "" {
-		if err := writeTraces(*traceOut, cfg.recorder); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeTraces dumps the recorded sweep traces as a Chrome trace_event
-// file loadable in Perfetto / about:tracing.
-func writeTraces(path string, rec *trace.Recorder) error {
-	if rec.Count() == 0 {
-		return fmt.Errorf("-trace-out %s: no traces recorded (did the run include -fig sweeps?)", path)
-	}
-	if err := trace.WriteChromeFile(path, rec.Snapshot()); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d traces)\n", path, len(rec.Snapshot()))
 	return nil
 }
 
@@ -427,7 +397,6 @@ func runFigures(cfg benchConfig, which string) error {
 			MaxEpochs: cfg.epochs,
 			Seed:      cfg.seed,
 			Registry:  cfg.registry,
-			Recorder:  cfg.recorder,
 		}
 		res, err := sweep.Run()
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"gpsdl/internal/engine"
 	"gpsdl/internal/fault"
+	"gpsdl/internal/journal"
 )
 
 // writeJournal runs a journaling engine with a RAIM-evading step fault
@@ -120,6 +121,61 @@ func TestDiffAndReplay(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "replayed bit-identically") {
 		t.Errorf("replay verdict missing:\n%s", out.String())
+	}
+}
+
+// A journal whose captured solution no longer matches its observations
+// must fail replay loudly: non-zero exit and a MISMATCH line naming the
+// record. The tampered journal is rewritten record by record through
+// journal.Writer, so it is a well-formed file carrying a wrong fix.
+func TestReplayDetectsMismatch(t *testing.T) {
+	res, err := journal.ScanFile(writeJournal(t, "clean.gpsj", 21, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tampered.gpsj")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw, err := journal.NewWriter(f, res.Meta, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc journal.Encoder
+	tampered := -1
+	for i := range res.Records {
+		r := res.Records[i]
+		if tampered < 0 && r.Flags&journal.FlagObs != 0 && r.Flags&journal.FlagCoast == 0 {
+			r.Pos.X += 0.5
+			tampered = i
+		}
+		enc.Begin(0, r.Epoch)
+		enc.Add(&r)
+		if err := jw.WriteRecords(enc.Payload(), enc.Count(), r.Epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tampered < 0 {
+		t.Fatal("journal captured no observation sets to tamper with")
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run(&out, []string{"replay", path}); err == nil {
+		t.Fatalf("tampered journal replayed cleanly:\n%s", out.String())
+	}
+	want := fmt.Sprintf("recv %d epoch %d: MISMATCH", res.Records[tampered].Receiver, res.Records[tampered].Epoch)
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("replay output missing %q:\n%s", want, out.String())
+	}
+	if n := strings.Count(out.String(), "MISMATCH"); n != 1 {
+		t.Errorf("%d MISMATCH lines, want exactly the tampered record:\n%s", n, out.String())
 	}
 }
 

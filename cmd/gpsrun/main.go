@@ -5,22 +5,16 @@
 //
 //	gpsrun -dataset yyr1.jsonl -solver dlg
 //	gpsrun -dataset yyr1.jsonl -solver nr -sats 6 -epochs 1000
-//	gpsrun -replay exemplars.json   # re-run captured slow-fix exemplars
 //
-// -replay takes a flight-recorder exemplar file (a gpsserve -trace-dump,
-// a /debug/trace/exemplars scrape, or a bare exemplar array) and re-runs
-// each captured epoch through all four solvers with the captured clock
-// estimate pinned, verifying the original solver reproduces the recorded
-// solution bit-for-bit.
+// To re-solve fixes captured by a running server, use gpsinspect replay
+// on its flight journal or an incident bundle.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
-	"time"
 
 	"gpsdl/internal/clock"
 	"gpsdl/internal/core"
@@ -29,7 +23,6 @@ import (
 	"gpsdl/internal/geo"
 	"gpsdl/internal/nmea"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/trace"
 )
 
 func main() {
@@ -48,18 +41,14 @@ func run(args []string) error {
 		epochs    = fs.Int("epochs", 0, "max epochs to process (0 = all)")
 		seed      = fs.Int64("seed", 1, "satellite-selection seed")
 		nmeaN     = fs.Int("nmea", 0, "emit NMEA GGA/RMC sentences for the first N fixes")
-		replay    = fs.String("replay", "", "replay a captured exemplar file (trace dump, /debug/trace/exemplars body, or exemplar array) through all solvers")
 		faults    = fs.String("faults", "", "apply a fault-injection program to the dataset first, e.g. 'step:prn=7,bias=400,from=100;burst:sigma=8'")
 		faultSeed = fs.Int64("fault-seed", 1, "fault-injector seed (burst noise stream) for -faults")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *replay != "" {
-		return replayExemplars(os.Stdout, *replay)
-	}
 	if *dataset == "" {
-		return fmt.Errorf("-dataset is required (or -replay an exemplar file)")
+		return fmt.Errorf("-dataset is required")
 	}
 	ds, err := loadDataset(*dataset)
 	if err != nil {
@@ -160,61 +149,6 @@ func emitNMEA(ds *scenario.Dataset, s core.Solver, pred clock.Predictor, n int) 
 		fmt.Println(nmea.RMC(fix))
 		emitted++
 	}
-	return nil
-}
-
-// replayExemplars re-runs every captured exemplar in the file through
-// all four solvers with the captured clock estimate pinned. It fails if
-// the originally captured solver does not reproduce the recorded
-// solution bit-for-bit — the flight recorder's determinism guarantee.
-func replayExemplars(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("open %s: %w", path, err)
-	}
-	defer f.Close()
-	exs, err := trace.DecodeExemplars(f)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "replaying %d exemplar(s) from %s\n", len(exs), path)
-	var mismatches int
-	for idx, ex := range exs {
-		in, err := eval.DecodeReplayInput(ex)
-		if err != nil {
-			return fmt.Errorf("exemplar %d: %w", idx+1, err)
-		}
-		fmt.Fprintf(w, "\nexemplar %d: station %s epoch %d t=%.1f s, %d sats, reason=%s solve=%v residual=%.2f m, captured by %s\n",
-			idx+1, in.Station.ID, in.EpochIndex, in.T, len(in.Obs),
-			ex.Reason, time.Duration(ex.SolveNanos), ex.ResidualMeters, in.Solver)
-		matched := false
-		for _, s := range in.Solvers() {
-			sol, err := s.Solve(in.T, in.Obs)
-			if err != nil {
-				fmt.Fprintf(w, "  %-9s solve failed: %v\n", s.Name(), err)
-				continue
-			}
-			fmt.Fprintf(w, "  %-9s error vs truth %9.3f m, vs captured fix %.6g m",
-				s.Name(), sol.Pos.DistanceTo(in.Station.Pos), sol.Pos.DistanceTo(in.Solution))
-			if s.Name() == in.Solver {
-				matched = true
-				if sol.Pos == in.Solution {
-					fmt.Fprintf(w, "  [byte-identical replay]")
-				} else {
-					mismatches++
-					fmt.Fprintf(w, "  [MISMATCH: %+v != captured %+v]", sol.Pos, in.Solution)
-				}
-			}
-			fmt.Fprintln(w)
-		}
-		if !matched {
-			return fmt.Errorf("exemplar %d: captured solver %q did not produce a fix on replay", idx+1, in.Solver)
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("%d exemplar(s) did not replay byte-identically", mismatches)
-	}
-	fmt.Fprintf(w, "\nall %d exemplar(s) replayed byte-identically\n", len(exs))
 	return nil
 }
 

@@ -1,16 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
-	"gpsdl/internal/eval"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/trace"
 )
 
 func writeDataset(t *testing.T) string {
@@ -67,95 +61,6 @@ func TestRunEmitsNMEA(t *testing.T) {
 	path := writeDataset(t)
 	if err := run([]string{"-dataset", path, "-solver", "dlg", "-sats", "6", "-nmea", "3"}); err != nil {
 		t.Fatalf("run with -nmea: %v", err)
-	}
-}
-
-// writeExemplars captures real exemplars through an instrumented sweep
-// and writes them as a flight-recorder dump.
-func writeExemplars(t *testing.T) string {
-	t.Helper()
-	st, err := scenario.StationByID("YYR1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := scenario.DefaultConfig(9)
-	cfg.Step = 5
-	g := scenario.NewGenerator(st, cfg)
-	ds, err := g.GenerateRange(0, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.New(trace.Config{Capacity: 64, Exemplars: 16, SlowThreshold: time.Nanosecond})
-	sweep := &eval.Sweep{Dataset: ds, SatCounts: []int{8}, InitEpochs: 30, MaxEpochs: 5, Seed: 1, Recorder: rec}
-	if _, err := sweep.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Exemplars()) == 0 {
-		t.Fatal("sweep captured no exemplars")
-	}
-	path := filepath.Join(t.TempDir(), "exemplars.json")
-	if err := rec.DumpFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// -replay must re-run every captured exemplar and report byte-identical
-// reproduction of the captured solver's fix.
-func TestRunReplayExemplars(t *testing.T) {
-	path := writeExemplars(t)
-	if err := run([]string{"-replay", path}); err != nil {
-		t.Fatalf("run -replay: %v", err)
-	}
-}
-
-// A tampered solution must be detected as a replay mismatch.
-func TestRunReplayDetectsMismatch(t *testing.T) {
-	path := writeExemplars(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump struct {
-		Exemplars []*trace.Exemplar `json:"exemplars"`
-	}
-	if err := json.Unmarshal(data, &dump); err != nil {
-		t.Fatal(err)
-	}
-	in, err := eval.DecodeReplayInput(dump.Exemplars[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Solution.X += 0.5
-	raw, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump.Exemplars[0].Input = raw
-	tampered := filepath.Join(t.TempDir(), "tampered.json")
-	out, err := json.Marshal(dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(tampered, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-replay", tampered})
-	if err == nil || !strings.Contains(err.Error(), "byte-identically") {
-		t.Fatalf("tampered replay error = %v, want mismatch", err)
-	}
-}
-
-func TestRunReplayErrors(t *testing.T) {
-	if err := run([]string{"-replay", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
-		t.Error("missing replay file succeeded")
-	}
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-replay", empty}); err == nil {
-		t.Error("empty replay file succeeded")
 	}
 }
 

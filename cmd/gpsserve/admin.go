@@ -1,8 +1,7 @@
 // Admin HTTP endpoint: /metrics (Prometheus text format), /healthz
-// (epoch-loop liveness with last-fix age and broadcaster backpressure),
-// /debug/trace* (the flight recorder: JSON, Chrome trace_event, and
-// replayable exemplars), and /debug/pprof/* for live profiling. Enabled
-// with -admin addr; everything is stdlib-only.
+// (liveness with last-fix age, broadcaster backpressure and the engine's
+// shard census), /debug/status, /debug/incidents, and /debug/pprof/* for
+// live profiling. Enabled with -admin addr; everything is stdlib-only.
 package main
 
 import (
@@ -16,14 +15,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gpsdl/internal/clock"
 	"gpsdl/internal/cluster"
-	"gpsdl/internal/core"
 	"gpsdl/internal/engine"
-	"gpsdl/internal/eval"
-	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
 )
 
 // health tracks epoch-loop liveness for /healthz: how many epochs have
@@ -47,7 +41,7 @@ type health struct {
 	// degraded broadcaster is visible without scraping /metrics.
 	b *Broadcaster
 
-	// shards, when non-nil (engine mode), contributes the per-shard
+	// shards, when non-nil, contributes the engine's per-shard
 	// session-state census so /healthz shows which shards are degraded
 	// or coasting under fault injection.
 	shards func() []engine.ShardHealth
@@ -123,8 +117,8 @@ func (h *health) recordCheckpoint(epoch int) {
 	h.lastCkptNanos.Store(time.Now().UnixNano())
 }
 
-// checkpointStatus is the /healthz checkpoint block (engine mode with
-// -checkpoint only).
+// checkpointStatus is the /healthz checkpoint block (with -checkpoint
+// only).
 type checkpointStatus struct {
 	Path string `json:"path"`
 	// Epoch is the engine epoch of the last successful save; AgeSeconds
@@ -147,8 +141,8 @@ type healthStatus struct {
 	// Draining reports that shutdown is flushing client queues; the
 	// server is going away on purpose, not stalled.
 	Draining bool `json:"draining,omitempty"`
-	// Shards is the engine mode's per-shard session-state census
-	// (healthy / degraded / coasting), absent in single-receiver mode.
+	// Shards is the engine's per-shard session-state census
+	// (healthy / degraded / coasting).
 	Shards []engine.ShardHealth `json:"shards,omitempty"`
 	// DegradedSessions and CoastingSessions total the census across
 	// shards, so a load balancer can alert on one number. The
@@ -232,19 +226,14 @@ func (h *health) handler(w http.ResponseWriter, _ *http.Request) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// newAdminMux wires the admin routes. st.rec may be nil (tracing
-// disabled: the /debug/trace routes answer 404); st.eng may be nil
-// (single-receiver mode: /debug/status serves liveness without the
-// quality/SLO block).
+// newAdminMux wires the admin routes. st.eng may be nil (/debug/status
+// then serves liveness without the quality/SLO block).
 func newAdminMux(st *serverTelemetry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.Handler(st.reg))
 	mux.HandleFunc("/healthz", st.health.handler)
 	mux.HandleFunc("/debug/status", st.statusHandler)
 	mux.HandleFunc("/debug/incidents", st.incidentsHandler)
-	mux.Handle("/debug/trace", trace.Handler(st.rec))
-	mux.Handle("/debug/trace/chrome", trace.ChromeHandler(st.rec))
-	mux.Handle("/debug/trace/exemplars", trace.ExemplarsHandler(st.rec))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -268,94 +257,50 @@ func serveAdmin(ctx context.Context, ln net.Listener, handler http.Handler, log 
 	}
 }
 
-// serverTelemetry is the full gpsserve instrument set: the primary and
-// warm-up solvers wrapped with per-solver metrics, clock-predictor
-// counters, broadcaster connection metrics, the health tracker, and the
-// optional flight recorder and RAIM integrity gate. One constructor so
-// run() and the admin tests register identical families — every
-// required /metrics name exists from startup, before traffic.
+// serverTelemetry is gpsserve's instrument set around the engine: the
+// registry, the health tracker, and the engine, incident capturer and
+// cluster node the admin routes report on.
 type serverTelemetry struct {
-	reg     *telemetry.Registry
-	solver  core.Solver // instrumented primary solver
-	warm    core.Solver // instrumented NR warm-up / clock-feed solver
-	raim    *core.RAIM  // non-nil when -raim integrity gating is on
-	rec     *trace.Recorder
-	station scenario.Station // ground truth for exemplar residuals
-	health  *health
-	eng     *engine.Engine    // engine mode only; nil for the single-receiver loop
-	inc     *incidentCapturer // engine mode with -incident-dir; nil otherwise
-	node    *cluster.Node     // cluster serving tier (-wire); nil otherwise
+	reg    *telemetry.Registry
+	health *health
+	eng    *engine.Engine
+	inc    *incidentCapturer // with -incident-dir; nil otherwise
+	node   *cluster.Node     // cluster serving tier (-wire); nil otherwise
 }
 
-// wireTelemetry instruments the server around registry reg. logs may be
-// nil (silent); rec may be nil (tracing disabled).
-func wireTelemetry(reg *telemetry.Registry, solver core.Solver, pred clock.Predictor,
-	b *Broadcaster, logs *telemetry.Logging, fixMaxAge time.Duration,
-	rec *trace.Recorder, withRAIM bool, st scenario.Station) *serverTelemetry {
+// newServerTelemetry registers gpsserve's own instruments in reg — build
+// info, the broadcaster's connection families and the liveness tracker —
+// so run() and the admin tests expose identical families from startup.
+// logs may be nil (silent). The engine, capturer and node are attached
+// by the caller once built.
+func newServerTelemetry(reg *telemetry.Registry, b *Broadcaster, logs *telemetry.Logging, fixMaxAge time.Duration) *serverTelemetry {
 	telemetry.RegisterBuildInfo(reg)
-	if lp, ok := pred.(*clock.LinearPredictor); ok {
-		lp.Metrics = clock.NewMetrics(reg)
-	} else if reg != nil {
-		// Keep gps_clock_* families present even with oracle/Kalman
-		// predictors, so dashboards never miss series.
-		clock.NewMetrics(reg)
-	}
-	if dlg, ok := solver.(*core.DLGSolver); ok {
-		dlg.Metrics = core.NewGLSMetrics(reg)
-	}
 	b.Metrics = NewBroadcasterMetrics(reg)
 	b.Logger = logs.Component("broadcaster")
-	tel := &serverTelemetry{
-		reg:     reg,
-		solver:  core.Instrument(solver, reg),
-		warm:    core.Instrument(&core.NRSolver{}, reg),
-		rec:     rec,
-		station: st,
-		health:  newHealth(reg, fixMaxAge, b),
-	}
-	if withRAIM {
-		tel.raim = &core.RAIM{Solver: tel.solver, Metrics: core.NewRAIMMetrics(reg)}
-	}
-	return tel
+	return &serverTelemetry{reg: reg, health: newHealth(reg, fixMaxAge, b)}
 }
 
-// captureExemplar classifies a finished fix against the recorder's
-// thresholds and, when it crosses one, captures the complete trace plus
-// the serialized input epoch for offline replay (gpsrun -replay). The
-// clock estimate is read back from the predictor before the next epoch's
-// Observe, so it is exactly the value the solver subtracted.
-func (st *serverTelemetry) captureExemplar(tr *trace.Trace, obs []core.Observation,
-	sol core.Solution, pred clock.Predictor) {
-	if st.rec == nil || tr == nil {
-		return
+// sink is the engine's FixSink: each fix event feeds liveness, the wire
+// hub (with -wire) and the NMEA broadcaster. It runs on shard
+// goroutines; health counters are atomic and Broadcast locks
+// internally, so no extra synchronization is needed. GGA/RMC must be
+// copied (string conversion does) before the callback returns.
+func (st *serverTelemetry) sink(b *Broadcaster) engine.FixSink {
+	return func(e engine.FixEvent) {
+		st.health.recordEpoch()
+		if st.node != nil {
+			// The wire hub gets every event, misses included: a MISS
+			// frame tells subscribers "no fix this epoch" where a
+			// skipped epoch would read as a stream gap.
+			st.node.Publish(e)
+		}
+		if e.Err != nil {
+			return
+		}
+		st.health.recordFix(e.HDOP)
+		b.Broadcast(string(e.GGA))
+		b.Broadcast(string(e.RMC))
 	}
-	var solve time.Duration
-	if sp := tr.Span(core.SpanName(st.solver)); sp != nil {
-		solve = time.Duration(sp.DurNs)
-	}
-	residual := sol.Pos.DistanceTo(st.station.Pos)
-	reason := st.rec.ExemplarReason(solve, residual)
-	if reason == "" {
-		return
-	}
-	bias, err := pred.PredictBias(tr.T)
-	if err != nil {
-		bias = 0
-	}
-	in := &eval.ReplayInput{
-		Station:    st.station,
-		EpochIndex: tr.Epoch,
-		T:          tr.T,
-		Obs:        append([]core.Observation(nil), obs...),
-		Solver:     st.solver.Name(),
-		ClockBias:  bias,
-		Solution:   sol.Pos,
-	}
-	ex, err := eval.CaptureExemplar(reason, tr, solve, residual, in)
-	if err != nil {
-		return
-	}
-	st.rec.AddExemplar(ex)
 }
 
 // listenAdmin binds the admin address and starts the admin server,

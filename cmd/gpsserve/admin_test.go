@@ -12,37 +12,43 @@ import (
 	"time"
 
 	"gpsdl/internal/clock"
-	"gpsdl/internal/core"
-	"gpsdl/internal/eval"
+	"gpsdl/internal/engine"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
 )
 
-// discardLog is a no-output logger for exercising streamFixes directly.
+// discardLog is a no-output logger for components under test.
 func discardLog() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// newTestTelemetry wires the full server instrument set the way run()
-// does, around a DLG solver and a linear clock predictor. rec may be nil
-// (tracing disabled, the default).
-func newTestTelemetry(t *testing.T, maxAge time.Duration, rec *trace.Recorder) (*telemetry.Registry, *serverTelemetry) {
+// newTestTelemetry wires the server instrument set the way run() does,
+// around a one-session DLG engine on YYR1 whose sink feeds the health
+// tracker. The engine has not run yet.
+func newTestTelemetry(t *testing.T, maxAge time.Duration) *serverTelemetry {
 	t.Helper()
 	st, err := scenario.StationByID("YYR1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
-	tel := wireTelemetry(reg, core.NewDLGSolver(pred), pred, NewBroadcaster(), nil, maxAge, rec, false, st)
-	return reg, tel
+	b := NewBroadcaster()
+	tel := newServerTelemetry(telemetry.NewRegistry(), b, nil, maxAge)
+	eng, err := engine.New(engine.Config{
+		Receivers: 1, Seed: 11, Stations: []scenario.Station{st},
+		Registry: tel.reg, Sink: tel.sink(b),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel.eng = eng
+	tel.health.shards = eng.ShardHealth
+	return tel
 }
 
 // The acceptance criterion: /metrics must serve Prometheus text format
 // containing every key metric family from startup, before any traffic.
 func TestAdminMetricsEndpoint(t *testing.T) {
-	_, tel := newTestTelemetry(t, 0, nil)
+	tel := newTestTelemetry(t, 0)
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
 
@@ -63,19 +69,18 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		// Required families.
-		core.MetricSolveSeconds,
-		core.MetricSolveFailures,
-		core.MetricNRIterations,
+		// Required families: the engine's solve path and the clock
+		// predictor's counters.
+		"engine_solve_seconds",
+		"engine_solve_failures_total",
+		"engine_fixes_total",
 		clock.MetricResets,
+		clock.MetricCalibrations,
 		metricClients,
-		// Per-solver histogram series in Prometheus text shape.
-		`gps_solve_seconds_bucket{solver="DLG",le="`,
-		`gps_solve_seconds_bucket{solver="NR",le="+Inf"} 0`,
-		`gps_solve_seconds_count{solver="DLG"}`,
-		`gps_solve_seconds_count{solver="NR"}`,
-		`gps_solve_failures_total{solver="DLG"} 0`,
-		"# TYPE gps_solve_seconds histogram",
+		// Per-shard histogram series in Prometheus text shape.
+		`engine_solve_seconds_bucket{shard="0",le="+Inf"} 0`,
+		`engine_solve_failures_total{shard="0"} 0`,
+		"# TYPE engine_solve_seconds histogram",
 		"# TYPE gpsserve_clients gauge",
 		// Connection and epoch-loop families.
 		metricConnects,
@@ -84,6 +89,7 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		metricFixes,
 		// DLG covariance-path counters.
 		`gps_dlg_solves_total{path="fast"} 0`,
+		"gps_build_info",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -91,15 +97,14 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// /metrics must reflect recorded activity.
+// /metrics must reflect the engine's activity: every epoch reaches the
+// health tracker through the sink, and the predictor's calibration is
+// counted once its window fills.
 func TestAdminMetricsReflectActivity(t *testing.T) {
-	_, tel := newTestTelemetry(t, 0, nil)
-	// Fail one solve (too few satellites) and record a fix.
-	if _, err := tel.solver.Solve(0, nil); err == nil {
-		t.Fatal("empty solve succeeded")
+	tel := newTestTelemetry(t, 0)
+	if err := tel.eng.Run(context.Background(), 80); err != nil {
+		t.Fatal(err)
 	}
-	tel.health.recordEpoch()
-	tel.health.recordFix(1.25)
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -110,19 +115,23 @@ func TestAdminMetricsReflectActivity(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	out := string(body)
 	for _, want := range []string{
-		`gps_solve_failures_total{solver="DLG"} 1`,
-		"gpsserve_epochs_total 1",
-		"gpsserve_fixes_total 1",
-		"gpsserve_hdop 1.25",
+		`engine_fixes_total{shard="0"} 80`,
+		`engine_solve_seconds_count{shard="0"} 80`,
+		"gps_clock_calibrations_total 1",
+		"gpsserve_epochs_total 80",
+		"gpsserve_fixes_total 80",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "gpsserve_hdop 0\n") {
+		t.Error("gpsserve_hdop not set by the fixes")
+	}
 }
 
 func TestHealthzLifecycle(t *testing.T) {
-	_, tel := newTestTelemetry(t, time.Hour, nil)
+	tel := newTestTelemetry(t, time.Hour)
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
 
@@ -168,7 +177,7 @@ func TestHealthzLifecycle(t *testing.T) {
 }
 
 func TestHealthzStalled(t *testing.T) {
-	_, tel := newTestTelemetry(t, time.Nanosecond, nil)
+	tel := newTestTelemetry(t, time.Nanosecond)
 	tel.health.recordFix(1)
 	time.Sleep(2 * time.Millisecond)
 	srv := httptest.NewServer(newAdminMux(tel))
@@ -190,7 +199,7 @@ func TestHealthzStalled(t *testing.T) {
 // Every mounted pprof route must answer 200 with a non-empty body —
 // including the named profiles the index handler dispatches to.
 func TestAdminPprofRoutes(t *testing.T) {
-	_, tel := newTestTelemetry(t, 0, nil)
+	tel := newTestTelemetry(t, 0)
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
 	for _, path := range []string{
@@ -222,14 +231,8 @@ func TestAdminPprofRoutes(t *testing.T) {
 // /healthz must expose broadcaster backpressure: the live client count
 // and the cumulative drop total.
 func TestHealthzBackpressure(t *testing.T) {
-	st, err := scenario.StationByID("YYR1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
 	b := NewBroadcaster()
-	tel := wireTelemetry(reg, core.NewDLGSolver(pred), pred, b, nil, time.Hour, nil, false, st)
+	tel := newServerTelemetry(telemetry.NewRegistry(), b, nil, time.Hour)
 	// Register one fake client and two historical drops directly; the
 	// broadcaster lifecycle itself is covered by the server tests.
 	b.clients[nil] = nil
@@ -256,60 +259,10 @@ func TestHealthzBackpressure(t *testing.T) {
 	}
 }
 
-// With a recorder wired in, the /debug/trace routes must serve the
-// retained traces, the Chrome export, and the exemplar tail.
-func TestAdminTraceRoutes(t *testing.T) {
-	rec := trace.New(trace.Config{Capacity: 8})
-	_, tel := newTestTelemetry(t, 0, rec)
-	tb := rec.StartEpoch(3, 1.5)
-	sp := tb.Start("solve/dlg")
-	sp.End()
-	tb.Finish()
-	srv := httptest.NewServer(newAdminMux(tel))
-	defer srv.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
-			t.Errorf("GET %s Content-Type = %q, want application/json; charset=utf-8", path, ct)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	if out := get("/debug/trace"); !strings.Contains(out, `"solve/dlg"`) || !strings.Contains(out, `"count": 1`) {
-		t.Errorf("/debug/trace body missing trace: %s", out)
-	}
-	chrome := get("/debug/trace/chrome")
-	var ct struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(chrome), &ct); err != nil {
-		t.Fatalf("/debug/trace/chrome not JSON: %v", err)
-	}
-	if len(ct.TraceEvents) == 0 {
-		t.Error("/debug/trace/chrome has no traceEvents")
-	}
-	if out := get("/debug/trace/exemplars"); !strings.Contains(out, `"exemplars"`) {
-		t.Errorf("/debug/trace/exemplars body: %s", out)
-	}
-}
-
-// Without a recorder the trace routes answer 404, distinguishing
-// "tracing disabled" from "no traces yet".
+// No /debug/trace route is served (the flight journal is the replay
+// record): those paths must answer 404.
 func TestAdminTraceDisabled(t *testing.T) {
-	_, tel := newTestTelemetry(t, 0, nil)
+	tel := newTestTelemetry(t, 0)
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()
 	for _, path := range []string{"/debug/trace", "/debug/trace/chrome", "/debug/trace/exemplars"} {
@@ -321,109 +274,5 @@ func TestAdminTraceDisabled(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
-	}
-}
-
-// streamFixes must record one trace per epoch with the full pipeline
-// span set, and capture exemplars when a threshold is crossed.
-func TestStreamFixesTraces(t *testing.T) {
-	st, err := scenario.StationByID("YYR1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := scenario.NewGenerator(st, scenario.DefaultConfig(11))
-	rec := trace.New(trace.Config{Capacity: 64, SlowThreshold: time.Nanosecond})
-	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
-	b := NewBroadcaster()
-	tel := wireTelemetry(reg, core.NewDLGSolver(pred), pred, b, nil, 0, rec, false, st)
-	source := func(i int) (scenario.Epoch, error) { return g.EpochAt(float64(i)) }
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- streamFixes(ctx, source, tel, pred, b, 2000, discardLog()) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for rec.Count() < 20 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if rec.Count() < 20 {
-		t.Fatalf("recorded %d traces, want >= 20", rec.Count())
-	}
-	// Find a successful fix (the DLG solver needs predictor warm-up, so
-	// the earliest epochs fail) and check its span pipeline.
-	var fix *trace.Trace
-	for _, tr := range rec.Snapshot() {
-		if tr.Err == "" {
-			fix = tr
-			break
-		}
-	}
-	if fix == nil {
-		t.Fatal("no successful fix among recorded traces")
-	}
-	for _, name := range []string{
-		"epoch/generate", "clock/predict", "solve/dlg",
-		"dop/compute", "nmea/encode", "broadcast",
-	} {
-		if fix.Span(name) == nil {
-			t.Errorf("trace missing span %s: %+v", name, fix.Spans)
-		}
-	}
-	if fix.T == 0 {
-		t.Error("trace T not back-filled from the generated epoch")
-	}
-	exs := rec.Exemplars()
-	if len(exs) == 0 {
-		t.Fatal("1 ns slow threshold captured no exemplars")
-	}
-	in, err := eval.DecodeReplayInput(exs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Solver != "DLG" || len(in.Obs) == 0 || in.Station.ID != "YYR1" {
-		t.Errorf("exemplar input = %+v", in)
-	}
-}
-
-// A RAIM-gated server must emit raim/check spans wrapping per-solve
-// spans for the initial fix.
-func TestStreamFixesRAIMSpans(t *testing.T) {
-	st, err := scenario.StationByID("YYR1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := scenario.NewGenerator(st, scenario.DefaultConfig(12))
-	rec := trace.New(trace.Config{Capacity: 64})
-	reg := telemetry.NewRegistry()
-	pred := clock.NewLinearPredictor(5, 1e-4)
-	b := NewBroadcaster()
-	tel := wireTelemetry(reg, &core.NRSolver{}, pred, b, nil, 0, rec, true, st)
-	source := func(i int) (scenario.Epoch, error) { return g.EpochAt(float64(i)) }
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- streamFixes(ctx, source, tel, pred, b, 2000, discardLog()) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for rec.Count() < 5 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	var checked *trace.Trace
-	for _, tr := range rec.Snapshot() {
-		if tr.Span("raim/check") != nil {
-			checked = tr
-			break
-		}
-	}
-	if checked == nil {
-		t.Fatal("no trace carries a raim/check span")
-	}
-	if checked.Span("solve/nr") == nil {
-		t.Errorf("RAIM trace missing inner solve/nr span: %+v", checked.Spans)
 	}
 }

@@ -1,9 +1,10 @@
-// Multi-receiver serving mode: -receivers N > 1 swaps the single-station
-// epoch loop for internal/engine's sharded fix engine. Every receiver's
-// GGA/RMC stream is fanned out through the same broadcaster, the admin
-// endpoint serves the engine's per-shard metrics (fixes, queue depth,
+// The serving pipeline: gpsserve always runs internal/engine's sharded
+// fix engine, with one session by default. Every receiver's GGA/RMC
+// stream is fanned out through the same broadcaster, the admin endpoint
+// serves the engine's per-shard metrics (fixes, queue depth,
 // solve-latency histograms) next to the broadcaster/health families, and
-// /healthz keeps working — fed by fix events from all receivers.
+// /healthz is fed by fix events from all receivers. -dataset serves a
+// recorded file through a one-session engine instead of live generation.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"strings"
 	"time"
 
 	"gpsdl/internal/checkpoint"
@@ -27,7 +29,7 @@ import (
 	"gpsdl/internal/wire"
 )
 
-// engineParams is the subset of gpsserve flags the engine mode consumes.
+// engineParams is the resolved gpsserve flag set.
 type engineParams struct {
 	receivers  int
 	sessions   []int  // explicit global session ids (cluster mode); empty uses receivers
@@ -35,6 +37,7 @@ type engineParams struct {
 	workers    int
 	epochCache bool // share per-epoch constellation snapshots across sessions
 	station    string
+	dataset    string // recorded dataset served once by one session; "" generates live
 	solver     string
 	addr       string
 	adminAddr  string
@@ -71,6 +74,7 @@ type servingConfig struct {
 	Workers       int     `json:"workers"`
 	EpochCache    bool    `json:"epoch_cache"`
 	Station       string  `json:"station"`
+	Dataset       string  `json:"dataset,omitempty"`
 	Solver        string  `json:"solver"`
 	Rate          float64 `json:"rate"`
 	Seed          int64   `json:"seed"`
@@ -96,6 +100,7 @@ func configSnapshot(p engineParams) json.RawMessage {
 		Workers:       p.workers,
 		EpochCache:    p.epochCache,
 		Station:       p.station,
+		Dataset:       p.dataset,
 		Solver:        p.solver,
 		Rate:          p.rate,
 		Seed:          p.seed,
@@ -132,11 +137,41 @@ func resolveStations(id string) ([]scenario.Station, error) {
 	return []scenario.Station{st}, nil
 }
 
-// runEngine serves fixes from cfg.receivers concurrent sessions, paced at
-// cfg.rate epochs per second per receiver, until ctx ends.
-func runEngine(ctx context.Context, p engineParams) error {
-	stations, err := resolveStations(p.station)
+// loadDataset loads a dataset in either on-disk format by extension and
+// rejects an empty one.
+func loadDataset(path string) (*scenario.Dataset, error) {
+	var ds *scenario.Dataset
+	var err error
+	if strings.HasSuffix(path, ".bin") {
+		ds, err = scenario.LoadBinaryFile(path)
+	} else {
+		ds, err = scenario.LoadFile(path)
+	}
 	if err != nil {
+		return nil, err
+	}
+	if ds.Len() == 0 {
+		return nil, fmt.Errorf("dataset %s has no epochs", path)
+	}
+	return ds, nil
+}
+
+// runEngine serves fixes from p.receivers concurrent sessions, paced at
+// p.rate epochs per second per receiver, until ctx ends (or, with
+// -dataset, until the recording's last epoch has been served).
+func runEngine(ctx context.Context, p engineParams) error {
+	var (
+		ds       *scenario.Dataset
+		stations []scenario.Station
+		step     float64
+		err      error
+	)
+	if p.dataset != "" {
+		if ds, err = loadDataset(p.dataset); err != nil {
+			return err
+		}
+		stations, step = []scenario.Station{ds.Station}, ds.Config.Step
+	} else if stations, err = resolveStations(p.station); err != nil {
 		return err
 	}
 	var prog fault.Program
@@ -155,15 +190,15 @@ func runEngine(ctx context.Context, p engineParams) error {
 		qcfg = &engine.QualityConfig{Window: p.qualityWin, Objectives: objs}
 	}
 	reg := telemetry.NewRegistry()
-	telemetry.RegisterBuildInfo(reg)
 	b := NewBroadcaster()
-	b.Metrics = NewBroadcasterMetrics(reg)
-	b.Logger = p.logs.Component("broadcaster")
+	// A fix is stale once ~10 epoch periods have passed without one
+	// (floored at 10 s so slow streaming rates are not declared dead).
 	maxAge := time.Duration(10 * float64(time.Second) / p.rate)
 	if maxAge < 10*time.Second {
 		maxAge = 10 * time.Second
 	}
-	h := newHealth(reg, maxAge, b)
+	tel := newServerTelemetry(reg, b, p.logs, maxAge)
+	h := tel.health
 	h.ckptPath = p.ckptPath
 	ckptEvery := 0
 	if p.ckptPath != "" {
@@ -197,16 +232,13 @@ func runEngine(ctx context.Context, p engineParams) error {
 		}
 		onIncident = capturer.handle
 	}
-	// node is captured by the sink closure below; it is assigned (or left
-	// nil) before the engine starts running, so shard goroutines only
-	// ever observe the final value.
-	var node *cluster.Node
 	ecfg := engine.Config{
 		Receivers:         p.receivers,
 		Workers:           p.workers,
 		DisableEpochCache: !p.epochCache,
 		Solver:            p.solver,
 		Seed:              p.seed,
+		Step:              step,
 		Faults:            prog,
 		FaultSeed:         p.faultSeed,
 		Stations:          stations,
@@ -217,25 +249,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 		Disruption:        p.disruption,
 		Quality:           qcfg,
 		OnIncident:        onIncident,
-		// The sink runs on shard goroutines; health counters are atomic
-		// and Broadcast locks internally, so no extra synchronization is
-		// needed. GGA/RMC must be copied (string conversion does) before
-		// the callback returns.
-		Sink: func(e engine.FixEvent) {
-			h.recordEpoch()
-			if node != nil {
-				// The wire hub gets every event, misses included: a MISS
-				// frame tells subscribers "no fix this epoch" where a
-				// skipped epoch would read as a stream gap.
-				node.Publish(e)
-			}
-			if e.Err != nil {
-				return
-			}
-			h.recordFix(e.HDOP)
-			b.Broadcast(string(e.GGA))
-			b.Broadcast(string(e.RMC))
-		},
+		Sink:              tel.sink(b),
 	}
 	if len(p.sessions) > 0 {
 		ecfg.Receivers = 0
@@ -249,7 +263,12 @@ func runEngine(ctx context.Context, p engineParams) error {
 	if err != nil {
 		return err
 	}
+	if ds != nil {
+		eng.Preload(ds.Epochs)
+	}
+	tel.eng, tel.inc = eng, capturer
 	h.shards = eng.ShardHealth
+	var node *cluster.Node
 	if p.wireAddr != "" {
 		// The cluster serving tier: a Node owning the wire hub plus this
 		// primary engine, with the /cluster/* control plane on the admin
@@ -265,6 +284,9 @@ func runEngine(ctx context.Context, p engineParams) error {
 			OnRestore: h.recordRestore,
 		})
 		node.Track(eng)
+		// Set before the engine runs, so shard goroutines only ever
+		// observe the final value in the sink.
+		tel.node = node
 	}
 	if capturer != nil {
 		capturer.start(eng, h, configSnapshot(p))
@@ -288,6 +310,9 @@ func runEngine(ctx context.Context, p engineParams) error {
 	}
 	fmt.Printf("gpsserve: engine mode, %d receivers × %s over %d workers on %s (%g epoch/s each)\n",
 		nSessions, p.solver, eng.Workers(), ln.Addr(), p.rate)
+	if ds != nil {
+		fmt.Printf("gpsserve: serving dataset %s once (%d epochs, station %s)\n", p.dataset, ds.Len(), ds.Station.ID)
+	}
 	if p.faults != "" {
 		fmt.Printf("gpsserve: fault injection active: %s (seed %d)\n", prog.String(), p.faultSeed)
 	}
@@ -304,7 +329,6 @@ func runEngine(ctx context.Context, p engineParams) error {
 	bctx, bcancel := context.WithCancel(context.Background())
 	defer bcancel()
 	if p.adminAddr != "" {
-		tel := &serverTelemetry{reg: reg, health: h, eng: eng, inc: capturer, node: node}
 		bound, err := listenAdmin(bctx, p.adminAddr, tel, p.logs.Component("admin"))
 		if err != nil {
 			ln.Close()
@@ -350,7 +374,16 @@ func runEngine(ctx context.Context, p engineParams) error {
 		}
 	}()
 
-	err = paceEngine(ctx, eng, p.rate, p.logs.Component("engine"))
+	ticker := time.NewTicker(time.Duration(float64(time.Second) / p.rate))
+	defer ticker.Stop()
+	var ticks <-chan time.Time = ticker.C
+	if ds != nil {
+		// A recording is served once, never wrapped: journal records,
+		// checkpoints and wire resume tokens all key on a monotonically
+		// increasing epoch index.
+		ticks = countTicks(ctx, ticker.C, ds.Len()-eng.ResumeEpoch())
+	}
+	err = paceEngine(ctx, eng, ticks, p.logs.Component("engine"))
 
 	// Ordered drain. The engine is quiescent once RunPaced returns (and
 	// adopted engines once node.Wait returns — their pacers share ctx),
@@ -464,12 +497,32 @@ func saveCheckpoint(st *checkpoint.State, path string, h *health, log *slog.Logg
 	log.Debug("checkpoint saved", "path", path, "epoch", st.Epoch, "sessions", len(st.Sessions))
 }
 
-// paceEngine drives RunPaced off a wall-clock ticker and logs a summary
+// countTicks forwards the first n ticks of src and then closes, which
+// ends a RunPaced run after exactly n epochs.
+func countTicks(ctx context.Context, src <-chan time.Time, n int) <-chan time.Time {
+	out := make(chan time.Time)
+	go func() {
+		defer close(out)
+		for ; n > 0; n-- {
+			select {
+			case t := <-src:
+				select {
+				case out <- t:
+				case <-ctx.Done():
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out
+}
+
+// paceEngine drives RunPaced off wall-clock ticks and logs a summary
 // when the run ends.
-func paceEngine(ctx context.Context, eng *engine.Engine, rate float64, log *slog.Logger) error {
-	ticker := time.NewTicker(time.Duration(float64(time.Second) / rate))
-	defer ticker.Stop()
-	err := eng.RunPaced(ctx, ticker.C)
+func paceEngine(ctx context.Context, eng *engine.Engine, ticks <-chan time.Time, log *slog.Logger) error {
+	err := eng.RunPaced(ctx, ticks)
 	st := eng.Stats()
 	log.Info("engine stopped",
 		"fixes", st.Fixes,

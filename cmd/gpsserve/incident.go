@@ -2,10 +2,10 @@
 // SLO objective paging, a recovered panic, a session out of restarts),
 // a self-contained forensics bundle is written under -incident-dir —
 // the recent flight-journal segment, a checkpoint of every session, the
-// operator status view, the serving configuration, build info, and
-// gpsrun-replayable exemplars lifted from the journal's captured
-// observation sets. Bundles appear atomically (tmp dir + rename) and
-// are listed on /debug/incidents.
+// operator status view, the serving configuration and build info.
+// gpsinspect replays and attributes a bundle through its journal
+// segment. Bundles appear atomically (tmp dir + rename) and are listed
+// on /debug/incidents.
 package main
 
 import (
@@ -24,10 +24,7 @@ import (
 
 	"gpsdl/internal/checkpoint"
 	"gpsdl/internal/engine"
-	"gpsdl/internal/eval"
-	"gpsdl/internal/journal"
 	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
 )
 
 // Bundle file names. Every bundle directory holds incidentFile; the
@@ -39,12 +36,7 @@ const (
 	checkpointFile = "checkpoint.ckpt"
 	statusFile     = "status.json"
 	configFile     = "config.json"
-	exemplarsFile  = "exemplars.json"
 )
-
-// incidentExemplarMax bounds how many journal-captured epochs are
-// lifted into a bundle's exemplars.json (most recent first).
-const incidentExemplarMax = 16
 
 // incidentRecord is the incident.json body: the engine's incident
 // event plus capture provenance.
@@ -180,9 +172,6 @@ func (c *incidentCapturer) capture(inc engine.Incident) (string, error) {
 		if err := os.WriteFile(filepath.Join(tmp, journalFile), seg, 0o644); err != nil {
 			return "", err
 		}
-		if err := writeExemplars(filepath.Join(tmp, exemplarsFile), seg); err != nil {
-			c.log.Warn("incident exemplar extraction failed", "err", err)
-		}
 	}
 	if snap := c.eng.Snapshot(); len(snap.Sessions) > 0 {
 		if err := checkpoint.Save(filepath.Join(tmp, checkpointFile), snap); err != nil {
@@ -202,39 +191,6 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeExemplars lifts the journal segment's captured observation sets
-// into a gpsrun -replay compatible exemplar file (most recent epochs
-// first, at most incidentExemplarMax).
-func writeExemplars(path string, segment []byte) error {
-	res, err := journal.ScanBytes(segment)
-	if err != nil {
-		return err
-	}
-	var exs []*trace.Exemplar
-	for i := len(res.Records) - 1; i >= 0 && len(exs) < incidentExemplarMax; i-- {
-		rec := &res.Records[i]
-		in, err := eval.ReplayInputFromRecord(&res.Meta, rec)
-		if err != nil {
-			continue // not a captured solve epoch
-		}
-		var residual float64
-		if rec.Has(journal.FlagRMS) {
-			residual = rec.RMS
-		}
-		ex, err := eval.CaptureExemplar("incident", nil, 0, residual, in)
-		if err != nil {
-			return err
-		}
-		exs = append(exs, ex)
-	}
-	if len(exs) == 0 {
-		return nil // nothing captured in the tail; not an error
-	}
-	return writeJSON(path, struct {
-		Exemplars []*trace.Exemplar `json:"exemplars"`
-	}{exs})
 }
 
 // incidentList is the /debug/incidents response body.

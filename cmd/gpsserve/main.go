@@ -1,44 +1,36 @@
 // Command gpsserve streams live NMEA fixes over TCP, the way gpsd's raw
-// mode does: it generates (or replays) observation epochs, positions the
-// receiver with one of the repository's solvers, and broadcasts GGA + RMC
-// sentences to every connected client.
+// mode does: it runs the sharded fix engine (internal/engine) over one
+// receiver session by default, or many with -receivers, and broadcasts
+// every fix as GGA + RMC sentences to each connected client.
 //
 //	gpsserve -station YYR1 -solver dlg -addr 127.0.0.1:2947 -rate 10
 //	nc 127.0.0.1 2947          # watch the sentences
 //
 // With -admin, an HTTP endpoint exposes Prometheus metrics, liveness,
-// and pprof:
+// the operator status view, and pprof:
 //
 //	gpsserve -station YYR1 -admin 127.0.0.1:8080
 //	curl 127.0.0.1:8080/metrics
 //	curl 127.0.0.1:8080/healthz
 //	go tool pprof 127.0.0.1:8080/debug/pprof/profile
 //
-// Stop with Ctrl-C; clients are disconnected cleanly.
+// With -journal, every session-epoch is recorded in a black-box flight
+// journal that gpsinspect inspects and replays offline. Stop with
+// Ctrl-C; clients are disconnected cleanly.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"gpsdl/internal/clock"
 	"gpsdl/internal/cluster"
-	"gpsdl/internal/core"
-	"gpsdl/internal/eval"
-	"gpsdl/internal/geo"
-	"gpsdl/internal/nmea"
-	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
 )
 
 func main() {
@@ -53,42 +45,37 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gpsserve", flag.ContinueOnError)
 	var (
-		stationID  = fs.String("station", "YYR1", "Table 5.1 station to simulate")
-		dataset    = fs.String("dataset", "", "replay a gpsgen dataset file instead of live generation")
+		stationID  = fs.String("station", "YYR1", "Table 5.1 station to simulate ('all' round-robins the four stations across receivers)")
+		dataset    = fs.String("dataset", "", "serve a gpsgen dataset file once through a one-receiver engine instead of live generation, then exit")
 		solver     = fs.String("solver", "dlg", "positioning algorithm: nr, dlo, dlg or bancroft")
 		addr       = fs.String("addr", "127.0.0.1:2947", "TCP listen address")
-		adminAddr  = fs.String("admin", "", "admin HTTP listen address serving /metrics, /healthz and /debug/pprof (disabled when empty)")
+		adminAddr  = fs.String("admin", "", "admin HTTP listen address serving /metrics, /healthz, /debug/status and /debug/pprof (disabled when empty)")
 		rate       = fs.Float64("rate", 1, "epochs per second to stream")
-		seed       = fs.Int64("seed", 2009, "generation seed")
+		seed       = fs.Int64("seed", 2009, "base generation seed; each receiver's seed is mixed from it")
 		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn or error")
 		logFormat  = fs.String("log-format", "text", "log format: text or json")
-		traceN     = fs.Int("trace", 256, "epoch traces retained in the flight recorder (0 disables tracing)")
-		traceSlow  = fs.Duration("trace-slow", 5*time.Millisecond, "solve latency above which a fix is captured as a replayable exemplar (0 disables)")
-		traceResid = fs.Float64("trace-residual", 100, "position residual in meters above which a fix is captured as an exemplar (0 disables)")
-		traceDump  = fs.String("trace-dump", "", "write a flight-recorder dump (traces + exemplars) to this file on shutdown")
-		withRAIM   = fs.Bool("raim", false, "run RAIM integrity checks around each fix (needs >= 5 satellites)")
-		receivers  = fs.Int("receivers", 1, "independent receiver sessions; > 1 serves via the sharded fix engine (-station all round-robins the Table 5.1 stations)")
-		workers    = fs.Int("workers", 0, "engine shard count when -receivers > 1; 0 means GOMAXPROCS")
-		epochCache = fs.Bool("epoch-cache", true, "share one per-epoch constellation snapshot across engine receivers (needs -receivers > 1)")
-		faults     = fs.String("faults", "", "fault-injection program for engine mode, e.g. 'drop:prn=3,from=10,until=40;burst:sigma=8,from=60' (needs -receivers > 1)")
+		receivers  = fs.Int("receivers", 1, "independent receiver sessions served by the sharded fix engine")
+		workers    = fs.Int("workers", 0, "engine shard count; 0 means GOMAXPROCS")
+		epochCache = fs.Bool("epoch-cache", true, "share one per-epoch constellation snapshot across receivers")
+		faults     = fs.String("faults", "", "fault-injection program, e.g. 'drop:prn=3,from=10,until=40;burst:sigma=8,from=60'")
 		faultSeed  = fs.Int64("fault-seed", 1, "fault-injector seed (burst noise stream) for -faults")
-		ckptPath   = fs.String("checkpoint", "", "engine-mode checkpoint file: clock calibration, health state and last fix per session are saved here periodically and on shutdown (needs -receivers > 1)")
+		ckptPath   = fs.String("checkpoint", "", "checkpoint file: clock calibration, health state and last fix per session are saved here periodically and on shutdown")
 		ckptEvery  = fs.Int("checkpoint-every", 100, "epochs between per-session checkpoint refreshes (with -checkpoint)")
 		ckptPeriod = fs.Duration("checkpoint-interval", 5*time.Second, "wall-clock period between checkpoint file saves (with -checkpoint)")
 		restore    = fs.Bool("restore", false, "resume from the -checkpoint file at startup; a missing, corrupt, or mismatched checkpoint falls back to a cold start")
 		drainWait  = fs.Duration("drain-timeout", 2*time.Second, "how long shutdown waits for connected clients to drain their queued sentences")
-		qualityOn  = fs.Bool("quality", true, "engine-mode solution-quality windows and SLO/error-budget evaluation, surfaced on /debug/status (needs -receivers > 1)")
+		qualityOn  = fs.Bool("quality", true, "solution-quality windows and SLO/error-budget evaluation, surfaced on /debug/status")
 		qualityWin = fs.Int("quality-window", 600, "quality sliding-window span in epochs (with -quality)")
 		sloSpec    = fs.String("slo", "", "SLO objectives for -quality, e.g. 'availability>=99.9@600,p99_rms<=13@600,chi2>=95@600' (empty uses those defaults)")
-		jrnlPath   = fs.String("journal", "", "engine-mode black-box flight journal file: every session-epoch is appended as a CRC-framed binary record for offline forensics with gpsinspect (needs -receivers > 1)")
+		jrnlPath   = fs.String("journal", "", "black-box flight journal file: every session-epoch is appended as a CRC-framed binary record for offline forensics and replay with gpsinspect")
 		jrnlSync   = fs.Int("journal-sync", 0, "record frames between journal sync points / fsyncs (with -journal; 0 uses the default, negative disables)")
-		incDir     = fs.String("incident-dir", "", "engine-mode incident bundle directory: SLO pages, recovered panics and failed sessions are captured here as self-contained forensics bundles (needs -receivers > 1)")
+		incDir     = fs.String("incident-dir", "", "incident bundle directory: SLO pages, recovered panics and failed sessions are captured here as self-contained forensics bundles")
 		incGap     = fs.Duration("incident-interval", 30*time.Second, "minimum wall-clock spacing between incident bundles (with -incident-dir; 0 disables rate limiting)")
 		dlgVariant = fs.String("dlg-variant", "fast", "DLG covariance route: fast (O(m) Sherman-Morrison), paper (dense Cholesky) or explicit (eq. 4-21 reference)")
-		weights    = fs.Bool("weights", false, "map each satellite's C/N0 to a pseudo-range sigma and run the weighted solve paths (needs -receivers > 1)")
-		disrupt    = fs.Bool("disrupt", false, "down-weight satellites whose pseudo-range innovations are robust outliers before RAIM excludes; implies weighted solving (needs -receivers > 1)")
-		wireAddr   = fs.String("wire", "", "binary fix-stream listener address for cluster serving (resume tokens, delta frames); enables engine mode")
-		sessions   = fs.String("session-ids", "", "comma-separated global session ids this node hosts, e.g. '0,1' (cluster mode; replaces -receivers); enables engine mode")
+		weights    = fs.Bool("weights", false, "map each satellite's C/N0 to a pseudo-range sigma and run the weighted solve paths")
+		disrupt    = fs.Bool("disrupt", false, "down-weight satellites whose pseudo-range innovations are robust outliers before RAIM excludes; implies weighted solving")
+		wireAddr   = fs.String("wire", "", "binary fix-stream listener address for cluster serving (resume tokens, delta frames)")
+		sessions   = fs.String("session-ids", "", "comma-separated global session ids this node hosts, e.g. '0,1' (cluster mode; replaces -receivers)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,12 +88,6 @@ func run(ctx context.Context, args []string) error {
 	if *receivers < 1 {
 		return fmt.Errorf("-receivers must be >= 1, have %d", *receivers)
 	}
-	if *traceN < 0 {
-		return fmt.Errorf("-trace must be >= 0, have %d", *traceN)
-	}
-	if *traceDump != "" && *traceN == 0 {
-		return fmt.Errorf("-trace-dump needs tracing enabled (-trace > 0)")
-	}
 	if *dataset == "" && strings.TrimSpace(*stationID) == "" {
 		return fmt.Errorf("-station must not be empty (or use -dataset to replay a file)")
 	}
@@ -118,6 +99,9 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *restore && *ckptPath == "" {
 		return fmt.Errorf("-restore needs a -checkpoint file to resume from")
+	}
+	if *qualityWin < 10 {
+		return fmt.Errorf("-quality-window must be >= 10 epochs, have %d", *qualityWin)
 	}
 	level, err := telemetry.ParseLevel(*logLevel)
 	if err != nil {
@@ -137,316 +121,39 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("-session-ids: %v", err)
 		}
 	}
-	if *receivers > 1 || *wireAddr != "" || len(sessionIDs) > 0 {
-		// Engine mode runs many sessions; the single-receiver-only
-		// features must be explicitly absent rather than silently off.
-		switch {
-		case *dataset != "":
-			return fmt.Errorf("-dataset replay supports a single receiver; drop -receivers/-session-ids/-wire")
-		case *withRAIM:
-			return fmt.Errorf("-raim supports a single receiver; drop -receivers/-session-ids/-wire")
-		case *traceDump != "":
-			return fmt.Errorf("-trace-dump supports a single receiver; drop -receivers/-session-ids/-wire")
-		}
-		if *qualityWin < 10 {
-			return fmt.Errorf("-quality-window must be >= 10 epochs, have %d", *qualityWin)
-		}
-		return runEngine(ctx, engineParams{
-			receivers:   *receivers,
-			sessions:    sessionIDs,
-			wireAddr:    *wireAddr,
-			workers:     *workers,
-			epochCache:  *epochCache,
-			station:     strings.ToUpper(strings.TrimSpace(*stationID)),
-			solver:      strings.ToLower(*solver),
-			addr:        *addr,
-			adminAddr:   *adminAddr,
-			rate:        *rate,
-			seed:        *seed,
-			faults:      *faults,
-			faultSeed:   *faultSeed,
-			ckptPath:    *ckptPath,
-			ckptEvery:   *ckptEvery,
-			ckptPeriod:  *ckptPeriod,
-			restore:     *restore,
-			drainWait:   *drainWait,
-			quality:     *qualityOn,
-			qualityWin:  *qualityWin,
-			sloSpec:     *sloSpec,
-			journalPath: *jrnlPath,
-			journalSync: *jrnlSync,
-			incidentDir: *incDir,
-			incidentGap: *incGap,
-			dlgVariant:  *dlgVariant,
-			weighting:   *weights,
-			disruption:  *disrupt,
-			logs:        logs,
-		})
+	if *dataset != "" && (*receivers > 1 || *wireAddr != "" || len(sessionIDs) > 0) {
+		return fmt.Errorf("-dataset replay serves a single receiver; drop -receivers/-session-ids/-wire")
 	}
-	if *weights || *disrupt {
-		return fmt.Errorf("-weights/-disrupt configure the fix engine's weighted solve paths; use -receivers > 1")
-	}
-	if *faults != "" {
-		return fmt.Errorf("-faults needs the fix engine's degradation machinery; use -receivers > 1")
-	}
-	if *ckptPath != "" {
-		return fmt.Errorf("-checkpoint snapshots engine sessions; use -receivers > 1")
-	}
-	if setFlags["quality"] || setFlags["quality-window"] || setFlags["slo"] {
-		return fmt.Errorf("-quality/-quality-window/-slo configure the fix engine's quality layer; use -receivers > 1")
-	}
-	if setFlags["epoch-cache"] {
-		return fmt.Errorf("-epoch-cache shares constellation snapshots across engine sessions; use -receivers > 1")
-	}
-	if *jrnlPath != "" || setFlags["journal-sync"] {
-		return fmt.Errorf("-journal records the fix engine's flight journal; use -receivers > 1")
-	}
-	if *incDir != "" || setFlags["incident-interval"] {
-		return fmt.Errorf("-incident-dir captures fix-engine incidents; use -receivers > 1")
-	}
-	var (
-		source epochSource
-		st     scenario.Station
-	)
-	if *dataset != "" {
-		var ds *scenario.Dataset
-		var err error
-		if strings.HasSuffix(*dataset, ".bin") {
-			ds, err = scenario.LoadBinaryFile(*dataset)
-		} else {
-			ds, err = scenario.LoadFile(*dataset)
-		}
-		if err != nil {
-			return err
-		}
-		if ds.Len() == 0 {
-			return fmt.Errorf("dataset %s has no epochs", *dataset)
-		}
-		st = ds.Station
-		source = replaySource(ds)
-	} else {
-		var err error
-		st, err = scenario.StationByID(strings.ToUpper(*stationID))
-		if err != nil {
-			return err
-		}
-		gen := scenario.NewGenerator(st, scenario.DefaultConfig(*seed))
-		source = func(i int) (scenario.Epoch, error) { return gen.EpochAt(float64(i)) }
-	}
-	pred := eval.DefaultPredictor(st.Clock)
-	var s core.Solver
-	switch strings.ToLower(*solver) {
-	case "nr":
-		s = &core.NRSolver{}
-	case "dlo":
-		s = core.NewDLOSolver(pred)
-	case "dlg":
-		v, err := parseDLGVariant(*dlgVariant)
-		if err != nil {
-			return err
-		}
-		s = &core.DLGSolver{Predictor: pred, Variant: v}
-	case "bancroft":
-		s = core.BancroftSolver{}
-	default:
-		return fmt.Errorf("unknown solver %q", *solver)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", *addr, err)
-	}
-	fmt.Printf("gpsserve: streaming %s fixes for %s on %s (%g epoch/s)\n",
-		s.Name(), st.ID, ln.Addr(), *rate)
-
-	b := NewBroadcaster()
-	// A fix is stale once ~10 epoch periods have passed without one
-	// (floored at 10 s so slow streaming rates are not declared dead).
-	maxAge := time.Duration(10 * float64(time.Second) / *rate)
-	if maxAge < 10*time.Second {
-		maxAge = 10 * time.Second
-	}
-	reg := telemetry.NewRegistry()
-	var rec *trace.Recorder
-	if *traceN > 0 {
-		rec = trace.New(trace.Config{
-			Capacity:          *traceN,
-			SlowThreshold:     *traceSlow,
-			ResidualThreshold: *traceResid,
-		})
-	}
-	if *traceDump != "" {
-		// Runs on every exit path, including SIGTERM/SIGINT cancellation.
-		defer func() {
-			if err := rec.DumpFile(*traceDump); err != nil {
-				logs.Component("trace").Error("flight-recorder dump failed", "err", err)
-				return
-			}
-			fmt.Printf("gpsserve: wrote flight-recorder dump %s\n", *traceDump)
-		}()
-	}
-	tel := wireTelemetry(reg, s, pred, b, logs, maxAge, rec, *withRAIM, st)
-	if *adminAddr != "" {
-		bound, err := listenAdmin(ctx, *adminAddr, tel, logs.Component("admin"))
-		if err != nil {
-			ln.Close()
-			return err
-		}
-		fmt.Printf("gpsserve: admin on http://%s (/metrics /healthz /debug/status /debug/trace /debug/pprof)\n", bound)
-		logs.Component("admin").Info("admin endpoint up", "addr", bound.String())
-	}
-
-	// The broadcaster runs on its own context so shutdown is ordered:
-	// the fix loop stops first, queued sentences flush to well-behaved
-	// clients, and only then are connections closed.
-	bctx, bcancel := context.WithCancel(context.Background())
-	defer bcancel()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- b.Serve(bctx, ln) }()
-
-	err = streamFixes(ctx, source, tel, pred, b, *rate, logs.Component("solver"))
-	tel.health.startDrain()
-	b.Flush(*drainWait)
-	bcancel()
-	cancelErr := <-serveErr
-	if err != nil {
-		return err
-	}
-	if cancelErr != nil && !errors.Is(cancelErr, context.Canceled) {
-		return cancelErr
-	}
-	return nil
-}
-
-// parseDLGVariant resolves the -dlg-variant flag for the single-receiver
-// path (engine mode validates the string itself via engine.Config).
-func parseDLGVariant(name string) (core.DLGVariant, error) {
-	switch strings.ToLower(name) {
-	case "", "fast":
-		return core.VariantFast, nil
-	case "paper":
-		return core.VariantPaper, nil
-	case "explicit":
-		return core.VariantExplicit, nil
-	default:
-		return 0, fmt.Errorf("unknown DLG variant %q (want fast, paper or explicit)", name)
-	}
-}
-
-// epochSource supplies the i-th epoch to stream.
-type epochSource func(i int) (scenario.Epoch, error)
-
-// replaySource cycles through a loaded dataset's epochs.
-func replaySource(ds *scenario.Dataset) epochSource {
-	return func(i int) (scenario.Epoch, error) {
-		return ds.Epochs[i%ds.Len()], nil
-	}
-}
-
-// ctxSolver forwards Solve through core.SolveTraced so every internal
-// solve of a RAIM pass (initial fix + per-exclusion re-solves) emits its
-// own solve/* span on the epoch's trace.
-type ctxSolver struct {
-	core.Solver
-	ctx context.Context
-}
-
-func (c ctxSolver) Solve(t float64, obs []core.Observation) (core.Solution, error) {
-	return core.SolveTraced(c.ctx, c.Solver, t, obs)
-}
-
-// streamFixes runs the epoch loop until the context ends, reporting
-// liveness and per-solver metrics through tel and recording one flight-
-// recorder trace per epoch (generate → clock → solve → dop → encode →
-// broadcast) when tracing is enabled.
-func streamFixes(ctx context.Context, source epochSource, tel *serverTelemetry,
-	pred clock.Predictor, b *Broadcaster, rate float64, log *slog.Logger) error {
-	ticker := time.NewTicker(time.Duration(float64(time.Second) / rate))
-	defer ticker.Stop()
-	i := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-		// The trace opens before the epoch exists: generation (orbits,
-		// atmosphere, noise) is the first traced stage. T is back-filled
-		// once known. tb is nil when tracing is off; every use no-ops.
-		tb := tel.rec.StartEpoch(i, 0)
-		ectx := trace.With(ctx, tb)
-		gen := tb.Start("epoch/generate")
-		epoch, err := source(i)
-		if err != nil {
-			return err
-		}
-		gen.SetAttr(trace.Int("sats", len(epoch.Obs)))
-		gen.End()
-		tb.SetT(epoch.T)
-		i++
-		tel.health.recordEpoch()
-		obs := make([]core.Observation, 0, len(epoch.Obs))
-		sats := make([]geo.ECEF, 0, len(epoch.Obs))
-		for _, o := range epoch.Obs {
-			obs = append(obs, core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation})
-			sats = append(sats, o.Pos)
-		}
-		cp := tb.Start("clock/predict")
-		if nrSol, err := tel.warm.Solve(epoch.T, obs); err == nil {
-			pred.Observe(clock.Fix{T: epoch.T, Bias: nrSol.ClockBias / geo.SpeedOfLight})
-		}
-		if bias, err := pred.PredictBias(epoch.T); err == nil {
-			cp.SetAttr(trace.Float("bias_s", bias))
-		}
-		cp.End()
-		var sol core.Solution
-		if tel.raim != nil && len(obs) >= 5 {
-			// Copy the RAIM config per epoch so the context-carrying
-			// solver wrapper never outlives its trace.
-			raim := *tel.raim
-			if tb != nil {
-				raim.Solver = ctxSolver{Solver: raim.Solver, ctx: ectx}
-			}
-			res, rerr := raim.CheckCtx(ectx, epoch.T, obs)
-			sol, err = res.Solution, rerr
-			if rerr == nil && res.Excluded >= 0 {
-				// The fix came from the reduced set; capture that set so
-				// an exemplar replay reproduces it exactly.
-				obs = append(obs[:res.Excluded:res.Excluded], obs[res.Excluded+1:]...)
-			}
-		} else {
-			sol, err = core.SolveTraced(ectx, tel.solver, epoch.T, obs)
-		}
-		if err != nil {
-			// Predictor warming up or degenerate epoch; the wrapper
-			// already counted the failure.
-			tb.SetErr(err)
-			tb.Finish()
-			log.Debug("solve failed", "epoch", i, "err", err)
-			continue
-		}
-		dsp := tb.Start("dop/compute")
-		hdop := 0.0
-		if dop, err := core.ComputeDOP(sol.Pos, sats); err == nil {
-			hdop = dop.HDOP
-		}
-		dsp.SetAttr(trace.Float("hdop", hdop))
-		dsp.End()
-		tel.health.recordFix(hdop)
-		esp := tb.Start("nmea/encode")
-		fix := nmea.Fix{
-			TimeOfDay: epoch.T,
-			Pos:       sol.Pos.ToLLA(),
-			Quality:   nmea.QualityGPS,
-			NumSats:   len(obs),
-			HDOP:      hdop,
-		}
-		gga, rmc := nmea.GGA(fix), nmea.RMC(fix)
-		esp.End()
-		bsp := tb.Start("broadcast")
-		b.Broadcast(gga)
-		b.Broadcast(rmc)
-		bsp.End()
-		tel.captureExemplar(tb.Finish(), obs, sol, pred)
-	}
+	return runEngine(ctx, engineParams{
+		receivers:   *receivers,
+		sessions:    sessionIDs,
+		wireAddr:    *wireAddr,
+		workers:     *workers,
+		epochCache:  *epochCache,
+		station:     strings.ToUpper(strings.TrimSpace(*stationID)),
+		dataset:     *dataset,
+		solver:      strings.ToLower(*solver),
+		addr:        *addr,
+		adminAddr:   *adminAddr,
+		rate:        *rate,
+		seed:        *seed,
+		faults:      *faults,
+		faultSeed:   *faultSeed,
+		ckptPath:    *ckptPath,
+		ckptEvery:   *ckptEvery,
+		ckptPeriod:  *ckptPeriod,
+		restore:     *restore,
+		drainWait:   *drainWait,
+		quality:     *qualityOn,
+		qualityWin:  *qualityWin,
+		sloSpec:     *sloSpec,
+		journalPath: *jrnlPath,
+		journalSync: *jrnlSync,
+		incidentDir: *incDir,
+		incidentGap: *incGap,
+		dlgVariant:  *dlgVariant,
+		weighting:   *weights,
+		disruption:  *disrupt,
+		logs:        logs,
+	})
 }

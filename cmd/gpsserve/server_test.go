@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gpsdl/internal/engine"
 	"gpsdl/internal/nmea"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
@@ -137,8 +138,7 @@ func TestShutdownClosesClients(t *testing.T) {
 	}
 }
 
-// End-to-end: run the full server briefly and read real NMEA sentences.
-// Engine mode end-to-end: -receivers > 1 serves interleaved NMEA from
+// Multi-receiver end-to-end: -receivers > 1 serves interleaved NMEA from
 // every session through the same broadcaster.
 func TestServeEngineModeEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -206,6 +206,8 @@ func TestServeEngineModeEndToEnd(t *testing.T) {
 	}
 }
 
+// End-to-end: run the default one-receiver server briefly and read real
+// NMEA sentences.
 func TestServeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network end-to-end")
@@ -256,7 +258,96 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// Replay mode: serve from a saved dataset file.
+// TestServeOneReceiverMatchesEngine pins that gpsserve has one serving
+// pipeline: the default one-receiver stream, read over its TCP socket,
+// is byte-identical to receiver 0 of an engine built with the same
+// seed, station and solver. The client attaches a few epochs after the
+// server starts ticking, so the read lines must match a contiguous run
+// of the reference stream starting at the first line read.
+func TestServeOneReceiverMatchesEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("network end-to-end")
+	}
+	const lines = 60
+	st, err := scenario.StationByID("YYR1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	eng, err := engine.New(engine.Config{
+		Receivers: 1, Seed: 17, Solver: "dlg", Stations: []scenario.Station{st},
+		Sink: func(e engine.FixEvent) {
+			if e.Err == nil {
+				want = append(want, string(e.GGA), string(e.RMC))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background(), 600); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", addr, "-rate", "50", "-seed", "17",
+			"-solver", "dlg", "-station", "YYR1"})
+	}()
+	var conn net.Conn
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conn, err = net.Dial("tcp", addr)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never listened: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(15 * time.Second))
+	r := bufio.NewReader(conn)
+	got := make([]string, lines)
+	for i := range got {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read line %d: %v", i, err)
+		}
+		got[i] = strings.TrimRight(line, "\r\n")
+	}
+	start := -1
+	for i, w := range want {
+		if w == got[0] {
+			start = i
+			break
+		}
+	}
+	if start < 0 || start+lines > len(want) {
+		t.Fatalf("first served line %q is not within the engine's first %d lines", got[0], len(want)-lines)
+	}
+	for i, g := range got {
+		if w := want[start+i]; g != w {
+			t.Fatalf("served line %d differs from engine receiver 0:\n got %q\nwant %q", i, g, w)
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("server did not stop")
+	}
+}
+
+// Replay mode: serve from a saved dataset file through a one-session
+// engine, once, then exit cleanly.
 func TestServeReplayDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network end-to-end")
@@ -312,11 +403,15 @@ func TestServeReplayDataset(t *testing.T) {
 	if d := fix.Pos.ToECEF().DistanceTo(st.Pos); d > 100 {
 		t.Errorf("replayed fix %v m from station", d)
 	}
-	cancel()
+	// The recording is served once: after its 120th epoch the server
+	// drains and returns nil on its own, without a cancel.
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Error("server did not stop")
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("server did not exit after the dataset's last epoch")
 	}
 }
 
@@ -340,12 +435,13 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad listen address", []string{"-addr", "256.256.256.256:99999"}},
 		{"zero receivers", []string{"-receivers", "0"}},
 		{"engine with dataset", []string{"-receivers", "2", "-dataset", "/does/not/exist.jsonl"}},
+		// Unknown flags (there is no -raim or -trace*) must be rejected,
+		// never ignored.
 		{"engine with raim", []string{"-receivers", "2", "-raim"}},
 		{"engine with trace dump", []string{"-receivers", "2", "-trace", "16", "-trace-dump", "/tmp/engine-trace.json"}},
 		{"engine unknown station", []string{"-receivers", "2", "-station", "NOPE"}},
 		{"engine unknown solver", []string{"-receivers", "2", "-solver", "magic"}},
 		{"restore without checkpoint", []string{"-restore"}},
-		{"checkpoint single receiver", []string{"-checkpoint", "/tmp/gps.ckpt"}},
 		{"zero checkpoint every", []string{"-checkpoint-every", "0"}},
 		{"zero checkpoint interval", []string{"-checkpoint-interval", "0s"}},
 	}

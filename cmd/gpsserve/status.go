@@ -25,7 +25,7 @@ type statusResponse struct {
 	// staleness, backpressure, shard census, checkpoint, drain).
 	Health healthStatus `json:"health"`
 	// Quality is the engine's consolidated quality/SLO verdict; absent
-	// in single-receiver mode or with the quality layer disabled.
+	// with the quality layer disabled.
 	Quality *engine.FleetQuality `json:"quality,omitempty"`
 	// Cluster is the serving-tier block (-wire): hosted sessions with
 	// stream heads, handoff/adoption counters, and hub fan-out stats.

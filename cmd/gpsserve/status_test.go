@@ -15,10 +15,11 @@ import (
 	"gpsdl/internal/telemetry"
 )
 
-// Single-receiver mode: /debug/status serves the liveness block without
-// a quality section, in both JSON and text renderings.
+// A one-session engine with the quality layer off (-quality=false):
+// /debug/status serves the liveness block without a quality section, in
+// both JSON and text renderings.
 func TestStatusSingleMode(t *testing.T) {
-	_, tel := newTestTelemetry(t, time.Hour, nil)
+	tel := newTestTelemetry(t, time.Hour)
 	tel.health.recordEpoch()
 	tel.health.recordFix(1.1)
 	srv := httptest.NewServer(newAdminMux(tel))
@@ -43,7 +44,7 @@ func TestStatusSingleMode(t *testing.T) {
 		t.Errorf("health block = %+v", sr.Health)
 	}
 	if sr.Quality != nil {
-		t.Errorf("single mode carries a quality block: %+v", sr.Quality)
+		t.Errorf("quality-off status carries a quality block: %+v", sr.Quality)
 	}
 
 	text, err := http.Get(srv.URL + "/debug/status?format=text")
@@ -170,7 +171,7 @@ func TestStatusEngineMode(t *testing.T) {
 // The draining flag must surface on both /healthz and /debug/status
 // once shutdown starts flushing.
 func TestStatusDraining(t *testing.T) {
-	_, tel := newTestTelemetry(t, time.Hour, nil)
+	tel := newTestTelemetry(t, time.Hour)
 	tel.health.recordFix(1.0)
 	srv := httptest.NewServer(newAdminMux(tel))
 	defer srv.Close()

@@ -1,16 +1,9 @@
 package core
 
-import (
-	"context"
-	"strings"
-	"time"
+import "gpsdl/internal/telemetry"
 
-	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
-)
-
-// Canonical metric names exported by the solver instrumentation. The
-// per-solver families carry a solver="NR"/"DLO"/"DLG"/... label.
+// Canonical metric names of the solver-path counters. The per-solver
+// families carry a solver="NR"/"DLO"/"DLG"/... label.
 const (
 	MetricSolveSeconds    = "gps_solve_seconds"
 	MetricSolveFailures   = "gps_solve_failures_total"
@@ -27,7 +20,8 @@ const (
 )
 
 // SolverMetrics bundles the instruments describing one solver's hot
-// path. A nil *SolverMetrics (or nil fields) records nothing.
+// path; callers that time solves themselves (the evaluation sweep)
+// record into it. A nil *SolverMetrics (or nil fields) records nothing.
 type SolverMetrics struct {
 	// SolveSeconds is the per-solve latency histogram
 	// (gps_solve_seconds{solver=...}).
@@ -40,7 +34,7 @@ type SolverMetrics struct {
 	// contribute 1 per fix).
 	Iterations *telemetry.Counter
 	// NRIterations is the unlabeled gps_nr_iterations_total counter,
-	// registered only when the instrumented solver is NR — the paper's
+	// registered only for the solver named NR — the paper's
 	// baseline cost driver (Section 5's execution-time rates are
 	// normalized against it).
 	NRIterations *telemetry.Counter
@@ -67,65 +61,6 @@ func NewSolverMetrics(reg *telemetry.Registry, name string) *SolverMetrics {
 			"Newton-Raphson iterations across successful NR solves.")
 	}
 	return m
-}
-
-// InstrumentedSolver wraps a Solver with latency, failure, and
-// iteration-count metrics. With nil Metrics it forwards directly and
-// skips even the clock reads, so an uninstrumented wrapper costs one
-// pointer test per solve.
-type InstrumentedSolver struct {
-	Solver
-	Metrics *SolverMetrics
-}
-
-// Instrument wraps s with the standard per-solver metrics registered in
-// reg (named after s.Name()). With a nil registry the wrapper is
-// overhead-free passthrough.
-func Instrument(s Solver, reg *telemetry.Registry) *InstrumentedSolver {
-	return &InstrumentedSolver{Solver: s, Metrics: NewSolverMetrics(reg, s.Name())}
-}
-
-// Solve implements Solver, recording around the wrapped solver.
-func (w *InstrumentedSolver) Solve(t float64, obs []Observation) (Solution, error) {
-	m := w.Metrics
-	if m == nil {
-		return w.Solver.Solve(t, obs)
-	}
-	start := time.Now()
-	sol, err := w.Solver.Solve(t, obs)
-	m.SolveSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		m.Failures.Inc()
-		return sol, err
-	}
-	if sol.Iterations > 0 {
-		m.Iterations.Add(uint64(sol.Iterations))
-		m.NRIterations.Add(uint64(sol.Iterations))
-	}
-	return sol, nil
-}
-
-// SpanName returns the canonical span name for a solver: "solve/" plus
-// the lower-cased solver name ("solve/nr", "solve/dlg", ...).
-func SpanName(s Solver) string { return "solve/" + strings.ToLower(s.Name()) }
-
-// SolveTraced runs s.Solve under a per-stage span on the context's
-// active trace. With no trace in ctx (the common case) the only
-// overhead is one context lookup — no clock reads, no allocations —
-// matching the nil-instrument guarantee of the telemetry layer.
-func SolveTraced(ctx context.Context, s Solver, t float64, obs []Observation) (Solution, error) {
-	sp := trace.Start(ctx, SpanName(s), trace.Int("sats", len(obs)))
-	sol, err := s.Solve(t, obs)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr(trace.String("err", err.Error()))
-		} else {
-			sp.SetAttr(trace.Int("iterations", sol.Iterations),
-				trace.Float("clock_bias_m", sol.ClockBias))
-		}
-		sp.End()
-	}
-	return sol, err
 }
 
 // GLSMetrics counts which covariance path DLG solves take

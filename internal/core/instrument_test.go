@@ -25,57 +25,6 @@ func instrumentEpoch() (geo.ECEF, []Observation) {
 	return recv, obs
 }
 
-func TestInstrumentedSolverRecords(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	_, obs := instrumentEpoch()
-	s := Instrument(&NRSolver{}, reg)
-	sol, err := s.Solve(0, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := s.Metrics
-	if got := m.SolveSeconds.Count(); got != 1 {
-		t.Errorf("SolveSeconds count = %d, want 1", got)
-	}
-	if m.SolveSeconds.Sum() <= 0 {
-		t.Error("SolveSeconds sum not positive")
-	}
-	if got := m.Iterations.Value(); got != uint64(sol.Iterations) {
-		t.Errorf("Iterations = %d, want %d", got, sol.Iterations)
-	}
-	if got := m.NRIterations.Value(); got != uint64(sol.Iterations) {
-		t.Errorf("NRIterations = %d, want %d", got, sol.Iterations)
-	}
-	if m.Failures.Value() != 0 {
-		t.Errorf("Failures = %d, want 0", m.Failures.Value())
-	}
-
-	// A failing solve (too few satellites) counts a failure, not iterations.
-	if _, err := s.Solve(0, obs[:2]); err == nil {
-		t.Fatal("2-satellite solve succeeded")
-	}
-	if m.Failures.Value() != 1 {
-		t.Errorf("Failures = %d, want 1", m.Failures.Value())
-	}
-	if got := m.SolveSeconds.Count(); got != 2 {
-		t.Errorf("SolveSeconds count = %d, want 2 (failures are timed too)", got)
-	}
-}
-
-func TestInstrumentNilRegistryPassthrough(t *testing.T) {
-	_, obs := instrumentEpoch()
-	s := Instrument(&NRSolver{}, nil)
-	if s.Metrics != nil {
-		t.Fatal("nil registry produced metrics")
-	}
-	if _, err := s.Solve(0, obs); err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "NR" {
-		t.Errorf("Name() = %q", s.Name())
-	}
-}
-
 func TestNonNRSolverHasNoNRIterations(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewSolverMetrics(reg, "DLO")

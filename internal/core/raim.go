@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"gpsdl/internal/trace"
 )
 
 // RAIM (Receiver Autonomous Integrity Monitoring) detects and excludes a
@@ -114,23 +111,6 @@ func (r *RAIM) Check(t float64, obs []Observation) (RAIMResult, error) {
 	}
 	r.Metrics.countExclusion()
 	return best, nil
-}
-
-// CheckCtx is Check under a "raim/check" span on the context's active
-// trace, annotated with the excluded satellite (-1 when none) and the
-// final residual statistic. No trace in ctx → plain Check.
-func (r *RAIM) CheckCtx(ctx context.Context, t float64, obs []Observation) (RAIMResult, error) {
-	sp := trace.Start(ctx, "raim/check", trace.Int("sats", len(obs)))
-	res, err := r.Check(t, obs)
-	if sp != nil {
-		sp.SetAttr(trace.Int("excluded", res.Excluded),
-			trace.Float("stat_m", res.TestStatistic))
-		if err != nil {
-			sp.SetAttr(trace.String("err", err.Error()))
-		}
-		sp.End()
-	}
-	return res, err
 }
 
 // residualStat returns sqrt(RSS/(m−4)): the RMS of the pseudo-range

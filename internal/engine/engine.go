@@ -281,14 +281,15 @@ type Engine struct {
 }
 
 // chainMetrics bundles the engine-wide (cross-shard) fallback, RAIM,
-// DLG covariance-path and disruption counters shared by every session;
-// the underlying counters are atomic, so sharing across shard
-// goroutines is safe.
+// DLG covariance-path, disruption and clock-predictor counters shared by
+// every session; the underlying counters are atomic, so sharing across
+// shard goroutines is safe.
 type chainMetrics struct {
 	fallback *core.FallbackMetrics
 	raim     *core.RAIMMetrics
 	gls      *core.GLSMetrics
 	disrupt  *core.DisruptionMetrics
+	clock    *clock.Metrics
 }
 
 // New builds the engine: sessions, shards, queues and metrics. It
@@ -365,6 +366,7 @@ func New(cfg Config) (*Engine, error) {
 		raim:     core.NewRAIMMetrics(cfg.Registry),
 		gls:      core.NewGLSMetrics(cfg.Registry),
 		disrupt:  core.NewDisruptionMetrics(cfg.Registry),
+		clock:    clock.NewMetrics(cfg.Registry),
 	}
 	if !cfg.DisableEpochCache {
 		// One constellation, one snapshot ring, shared by every session.
@@ -490,6 +492,17 @@ func (e *Engine) Pregenerate(n int) error {
 		}
 	}
 	return nil
+}
+
+// Preload installs recorded epochs (a loaded dataset) in every session's
+// pregenerated-epoch slot, the one Pregenerate fills: runs then solve
+// epoch i from epochs[i] instead of generating it, and an index past the
+// end is an epoch error. Sessions share the slice read-only. Call it
+// before any run.
+func (e *Engine) Preload(epochs []scenario.Epoch) {
+	for _, s := range e.sessions {
+		s.pre = epochs
+	}
 }
 
 // Run processes epochs [0, epochs) on every receiver, returning when all

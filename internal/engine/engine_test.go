@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gpsdl/internal/clock"
+	"gpsdl/internal/telemetry"
 )
 
 // collect runs an engine over epochs and returns each receiver's output
@@ -198,5 +201,37 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 	if got := eng.Workers(); got != 3 {
 		t.Errorf("workers not clamped to receivers: %d", got)
+	}
+}
+
+// The engine exports the clock predictor's gps_clock_* counters: each
+// session's calibration is counted once, and a restored session keeps
+// counting into its own engine's registry.
+func TestEngineClockMetrics(t *testing.T) {
+	cfg := Config{Receivers: 2, Workers: 1, Seed: 3, Registry: telemetry.NewRegistry()}
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background(), 150); err != nil {
+		t.Fatal(err)
+	}
+	if got := clock.NewMetrics(cfg.Registry).Calibrations.Value(); got != 2 {
+		t.Errorf("gps_clock_calibrations_total = %d after 150 epochs, want one per session (2)", got)
+	}
+
+	cfg.Registry = telemetry.NewRegistry()
+	restored, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Restore(eng.SnapshotFinal()); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range restored.sessions {
+		lp, ok := s.pred.(*clock.LinearPredictor)
+		if !ok || lp.Metrics == nil || lp.Metrics != restored.cm.clock {
+			t.Errorf("receiver %d predictor %T does not count into the engine's clock metrics", s.recv, s.pred)
+		}
 	}
 }

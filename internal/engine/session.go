@@ -245,6 +245,11 @@ func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, c
 	if cfg.Disruption {
 		s.disrupt = &core.DisruptionDetector{Metrics: cm.disrupt}
 	}
+	if lp, ok := s.pred.(*clock.LinearPredictor); ok {
+		// Calibrations, threshold-clock resets and discarded outliers
+		// land in the engine-wide gps_clock_* counters.
+		lp.Metrics = cm.clock
+	}
 	if err := s.buildSolvers(); err != nil {
 		return nil, err
 	}

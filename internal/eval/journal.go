@@ -9,9 +9,8 @@ import (
 )
 
 // ReplayInputFromRecord lifts a journal record that captured its full
-// observation set (FlagObs) into the canonical ReplayInput schema, so
-// incident bundles and gpsinspect replay journal epochs through exactly
-// the machinery gpsrun -replay uses. The journal stores observation and
+// observation set (FlagObs) into a ReplayInput, which gpsinspect replay
+// re-solves for journals and incident bundles. The journal stores observation and
 // solution floats bit-exactly, so a successful replay must reproduce
 // rec.Pos bit-for-bit.
 func ReplayInputFromRecord(m *journal.Meta, rec *journal.Record) (*ReplayInput, error) {

@@ -1,41 +1,36 @@
 package eval
 
 import (
-	"encoding/json"
-	"fmt"
-	"time"
-
 	"gpsdl/internal/clock"
 	"gpsdl/internal/core"
 	"gpsdl/internal/geo"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/trace"
 )
 
-// ReplayInput is the canonical schema of a captured exemplar's Input
-// blob: everything needed to re-run one fix offline, deterministically.
-// The clock estimate is stored in seconds exactly as the live predictor
+// ReplayInput is everything needed to re-run one captured fix offline,
+// deterministically; ReplayInputFromRecord lifts it from a journal
+// record. The clock estimate is stored in seconds exactly as the live predictor
 // returned it, so a clock.Constant replay predictor reproduces the
 // range-domain correction bit-for-bit and direct-solver replays are
 // byte-identical to the captured solution.
 type ReplayInput struct {
 	// Station identifies the receiver (its Pos is the ground truth the
 	// residual was computed against).
-	Station scenario.Station `json:"station"`
+	Station scenario.Station
 	// EpochIndex is the epoch's position in the stream or dataset.
-	EpochIndex int `json:"epoch_index"`
+	EpochIndex int
 	// T is the receiver timestamp (seconds).
-	T float64 `json:"t"`
+	T float64
 	// Obs is the exact observation set the solver saw (post satellite
 	// selection), not the full epoch.
-	Obs []core.Observation `json:"obs"`
+	Obs []core.Observation
 	// Solver names the algorithm that produced the captured fix.
-	Solver string `json:"solver"`
+	Solver string
 	// ClockBias is the predicted clock bias Δt̂ (seconds) the direct
 	// solvers subtracted. Zero for NR, which estimates its own.
-	ClockBias float64 `json:"clock_bias_s"`
+	ClockBias float64
 	// Solution is the captured fix position, the replay reference.
-	Solution geo.ECEF `json:"solution"`
+	Solution geo.ECEF
 }
 
 // Solvers returns the solver configurations a replay runs the captured
@@ -53,35 +48,4 @@ func (in *ReplayInput) Solvers() []core.Solver {
 		&core.DLGSolver{Predictor: pred, Variant: core.VariantExplicit},
 		core.BancroftSolver{},
 	}
-}
-
-// CaptureExemplar marshals in and wraps it, with the fix's trace, into
-// a flight-recorder exemplar.
-func CaptureExemplar(reason string, tr *trace.Trace, solve time.Duration, residualM float64, in *ReplayInput) (*trace.Exemplar, error) {
-	raw, err := json.Marshal(in)
-	if err != nil {
-		return nil, fmt.Errorf("eval: marshal replay input: %w", err)
-	}
-	return &trace.Exemplar{
-		Reason:         reason,
-		SolveNanos:     solve.Nanoseconds(),
-		ResidualMeters: residualM,
-		Trace:          tr,
-		Input:          raw,
-	}, nil
-}
-
-// DecodeReplayInput parses an exemplar's Input blob.
-func DecodeReplayInput(ex *trace.Exemplar) (*ReplayInput, error) {
-	if ex == nil || len(ex.Input) == 0 {
-		return nil, fmt.Errorf("eval: exemplar carries no replay input")
-	}
-	var in ReplayInput
-	if err := json.Unmarshal(ex.Input, &in); err != nil {
-		return nil, fmt.Errorf("eval: decode replay input: %w", err)
-	}
-	if len(in.Obs) == 0 {
-		return nil, fmt.Errorf("eval: replay input has no observations")
-	}
-	return &in, nil
 }

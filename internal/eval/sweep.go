@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"gpsdl/internal/clock"
@@ -13,7 +12,6 @@ import (
 	"gpsdl/internal/mat"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
-	"gpsdl/internal/trace"
 )
 
 // SelectionMode chooses which m satellites are used when an epoch has more
@@ -77,11 +75,6 @@ type Sweep struct {
 	// observed from the already-measured per-solve nanos, outside the
 	// timed region, so instrumentation cannot skew the η/θ figures.
 	Registry *telemetry.Registry
-	// Recorder, when non-nil, records one trace per measured epoch
-	// (spans solve/nr, solve/dlo, solve/dlg rebuilt from the
-	// already-measured latencies, again outside the timed region) and
-	// captures slow/high-residual fixes as replayable exemplars.
-	Recorder *trace.Recorder
 }
 
 // ArmResult aggregates one algorithm's performance at one satellite count.
@@ -251,115 +244,38 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		// occasionally converges to a spurious root; without the gate a
 		// handful of 100 km outliers dominate a day's mean error.
 		nrSol, nrNanos, nrErr := timedSolve(&nr, e.T, obs, reps)
-		nrD := math.NaN()
 		recordArm(nrM, nrNanos, nrSol.Iterations, nrErr != nil || !plausibleFix(nrSol))
 		if nrErr != nil || !plausibleFix(nrSol) {
 			row.addFailure(&row.NR)
 		} else {
-			nrD = AbsoluteError(nrSol, truth)
+			nrD := AbsoluteError(nrSol, truth)
 			row.addFix(&row.NR, nrD, nrNanos)
 			quants[0].add(nrD, nrNanos)
 			pred.Observe(clock.Fix{T: e.T, Bias: nrSol.ClockBias / speedOfLight})
 		}
 		dloSol, dloNanos, dloErr := timedSolve(dlo, e.T, obs, reps)
-		dloD := math.NaN()
 		recordArm(dloM, dloNanos, dloSol.Iterations, dloErr != nil || !plausibleFix(dloSol))
 		if dloErr != nil || !plausibleFix(dloSol) {
 			row.addFailure(&row.DLO)
 		} else {
-			dloD = AbsoluteError(dloSol, truth)
+			dloD := AbsoluteError(dloSol, truth)
 			row.addFix(&row.DLO, dloD, dloNanos)
 			quants[1].add(dloD, dloNanos)
 		}
 		dlgSol, dlgNanos, dlgErr := timedSolve(dlg, e.T, obs, reps)
-		dlgD := math.NaN()
 		recordArm(dlgM, dlgNanos, dlgSol.Iterations, dlgErr != nil || !plausibleFix(dlgSol))
 		if dlgErr != nil || !plausibleFix(dlgSol) {
 			row.addFailure(&row.DLG)
 		} else {
-			dlgD = AbsoluteError(dlgSol, truth)
+			dlgD := AbsoluteError(dlgSol, truth)
 			row.addFix(&row.DLG, dlgD, dlgNanos)
 			quants[2].add(dlgD, dlgNanos)
-		}
-		if s.Recorder != nil {
-			s.recordTrace(i, e.T, obs, [3]armSample{
-				{"NR", nrSol, nrNanos, nrErr, nrD},
-				{"DLO", dloSol, dloNanos, dloErr, dloD},
-				{"DLG", dlgSol, dlgNanos, dlgErr, dlgD},
-			}, pred)
 		}
 	}
 	quants[0].finish(&row.NR)
 	quants[1].finish(&row.DLO)
 	quants[2].finish(&row.DLG)
 	return row, nil
-}
-
-// armSample carries one algorithm's measured solve for trace recording.
-type armSample struct {
-	name  string // solver name ("NR", "DLO", "DLG")
-	sol   core.Solution
-	nanos float64
-	err   error
-	d     float64 // position error vs truth; NaN for failed fixes
-}
-
-// recordTrace mirrors one measured epoch into the flight recorder. The
-// spans are rebuilt from the latencies the sweep already measured and
-// laid out back to back, so tracing adds no clock reads inside the
-// timed regions and cannot skew the η/θ figures. Fixes crossing the
-// recorder's thresholds are captured as replayable exemplars with the
-// exact observation subset and clock estimate the solver used.
-func (s *Sweep) recordTrace(epoch int, t float64, obs []core.Observation, arms [3]armSample, pred clock.Predictor) {
-	tb := s.Recorder.StartEpoch(epoch, t)
-	off := time.Duration(0)
-	for _, a := range arms {
-		attrs := []trace.Attr{trace.Int("sats", len(obs))}
-		switch {
-		case a.err != nil:
-			attrs = append(attrs, trace.String("err", a.err.Error()))
-		case math.IsNaN(a.d):
-			attrs = append(attrs, trace.String("err", "implausible fix"))
-		default:
-			attrs = append(attrs,
-				trace.Int("iterations", a.sol.Iterations),
-				trace.Float("error_m", a.d))
-		}
-		dur := time.Duration(a.nanos)
-		tb.AddSpan("solve/"+strings.ToLower(a.name), off, dur, attrs...)
-		off += dur
-	}
-	tr := tb.Finish()
-	for _, a := range arms {
-		if a.err != nil || math.IsNaN(a.d) {
-			continue
-		}
-		dur := time.Duration(a.nanos)
-		reason := s.Recorder.ExemplarReason(dur, a.d)
-		if reason == "" {
-			continue
-		}
-		var bias float64
-		if a.name != "NR" && pred != nil {
-			// No Observe has happened since the direct solves, so this
-			// returns exactly the estimate DLO/DLG subtracted.
-			if b, err := pred.PredictBias(t); err == nil {
-				bias = b
-			}
-		}
-		in := &ReplayInput{
-			Station:    s.Dataset.Station,
-			EpochIndex: epoch,
-			T:          t,
-			Obs:        append([]core.Observation(nil), obs...),
-			Solver:     a.name,
-			ClockBias:  bias,
-			Solution:   a.sol.Pos,
-		}
-		if ex, err := CaptureExemplar(reason, tr, dur, a.d, in); err == nil {
-			s.Recorder.AddExemplar(ex)
-		}
-	}
 }
 
 // armQuantiles holds one arm's streaming quantile trackers: error

@@ -1,8 +1,10 @@
 #!/bin/bash
 # Smoke test for the gpsserve admin endpoint, in two phases:
-#   1. single-receiver stream mode: scrape /metrics and /healthz and
-#      assert the key solver metric families are exposed
-#   2. engine mode with -journal and -incident-dir: assert the flight
+#   1. the default one-receiver server with -journal: scrape /metrics and
+#      /healthz, assert the key engine, clock and serving metric families
+#      are exposed, then stop it and require gpsinspect replay to re-solve
+#      the journal's captured epochs bit-identically
+#   2. two receivers with -journal and -incident-dir: assert the flight
 #      journal and incident counters are exported
 # Exits non-zero on any miss.
 set -euo pipefail
@@ -11,6 +13,7 @@ GO=${GO:-go}
 workdir=$(mktemp -d)
 log="$workdir/gpsserve.log"
 bin="$workdir/gpsserve"
+inspect="$workdir/gpsinspect"
 
 cleanup() {
     [ -n "${pid:-}" ] && kill "$pid" 2>/dev/null || true
@@ -19,6 +22,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 "$GO" build -o "$bin" ./cmd/gpsserve
+"$GO" build -o "$inspect" ./cmd/gpsinspect
 
 # wait_admin: poll the startup banner ("gpsserve: admin on http://ADDR")
 # for up to 5 s and echo the admin address.
@@ -40,15 +44,19 @@ wait_admin() {
 
 status=0
 
-# Phase 1: single-receiver stream mode.
-"$bin" -station YYR1 -rate 10 -addr 127.0.0.1:0 -admin 127.0.0.1:0 >"$log" 2>&1 &
+# Phase 1: the default one-receiver server, journaling. ~3 s at 50
+# epoch/s covers the journal's full-observation captures at epochs 0,
+# 64 and 128.
+"$bin" -station YYR1 -rate 50 -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
+    -journal "$workdir/single.gpsj" >"$log" 2>&1 &
 pid=$!
 addr=$(wait_admin)
+sleep 3
 
 metrics=$(curl -fsS "http://$addr/metrics")
 health=$(curl -sS "http://$addr/healthz")
 
-for name in gps_solve_seconds gps_solve_failures_total gps_nr_iterations_total \
+for name in engine_solve_seconds engine_solve_failures_total engine_fixes_total \
     gps_clock_resets_total gpsserve_clients gpsserve_epochs_total; do
     if ! printf '%s\n' "$metrics" | grep -q "$name"; then
         echo "FAIL: /metrics missing $name"
@@ -66,9 +74,20 @@ esac
 kill "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 pid=
+if ! grep -q '^gpsserve: journal closed:' "$log"; then
+    echo "FAIL: the one-receiver server did not close its journal on SIGTERM"
+    status=1
+fi
+if ! "$inspect" replay "$workdir/single.gpsj" >"$workdir/replay.log" 2>&1 ||
+    ! grep -q 'replayed bit-identically' "$workdir/replay.log"; then
+    echo "FAIL: gpsinspect replay of the one-receiver journal:"
+    cat "$workdir/replay.log"
+    status=1
+fi
 
-# Phase 2: engine mode with the flight journal and incident capture on;
-# the journal/incident counter families must register at startup.
+# Phase 2: several receivers with the flight journal and incident
+# capture on; the journal/incident counter families must register at
+# startup.
 : >"$log"
 "$bin" -receivers 2 -station all -rate 50 -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
     -journal "$workdir/flight.gpsj" -incident-dir "$workdir/incidents" >"$log" 2>&1 &
@@ -79,7 +98,7 @@ emetrics=$(curl -fsS "http://$addr/metrics")
 for name in gps_journal_bytes_written_total gps_journal_fsyncs_total \
     engine_incidents_captured_total engine_incidents_dropped_total; do
     if ! printf '%s\n' "$emetrics" | grep -q "^$name"; then
-        echo "FAIL: engine-mode /metrics missing $name"
+        echo "FAIL: multi-receiver /metrics missing $name"
         status=1
     fi
 done
@@ -89,6 +108,6 @@ if ! printf '%s\n' "$emetrics" | grep '^gps_journal_bytes_written_total' | grep 
 fi
 
 if [ "$status" -eq 0 ]; then
-    echo "metrics smoke OK ($addr; healthz: $health; journal+incident counters exported)"
+    echo "metrics smoke OK ($addr; healthz: $health; $(tail -1 "$workdir/replay.log"); journal+incident counters exported)"
 fi
 exit $status
