@@ -86,8 +86,9 @@ fault-determinism:
 	$(GO) test -run 'Determinism|Golden' ./internal/fault/ ./internal/engine/
 
 # Short native-fuzzing pass over every parser facing external input
-# (RINEX obs/nav, YUMA almanacs, NMEA sentences), plus the NMEA
-# fixed-point formatter against strconv. Each target gets
+# (RINEX obs/nav, YUMA almanacs, NMEA sentences, journals, checkpoint
+# files and cluster handoff bodies), plus the NMEA fixed-point
+# formatter against strconv. Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -97,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseGGA -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzAppendFixed -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzRankOneApplyInv -fuzztime=$(FUZZTIME) ./internal/lsq/
 
 # Regenerate every table and figure of the paper at full 24 h × 1 Hz

@@ -146,25 +146,6 @@ func BenchmarkFig52_AccuracySweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_GLSFastPath compares the three DLG covariance
-// implementations (A3 / Section 6 extension 3) at m = 10.
-func BenchmarkAblation_GLSFastPath(b *testing.B) {
-	variants := []core.DLGVariant{core.VariantPaper, core.VariantFast, core.VariantExplicit}
-	for _, v := range variants {
-		b.Run(v.String(), func(b *testing.B) {
-			obs, pred := benchEpoch(b, 10)
-			s := &core.DLGSolver{Predictor: pred, Variant: v}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Solve(4321, obs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_BaseSelection times DLO under each base-selection
 // strategy (A1 / Section 6 extension 1); the accuracy side is in
 // cmd/gpsbench -ablation base.

@@ -120,10 +120,11 @@ func clockArm(name string, p clock.Predictor) eval.ArmSpec {
 	}
 }
 
-// runAblationGLS is A3 (Section 6 extension 3): the three implementations
-// of the DLG covariance solve — dense Cholesky (paper cost profile),
-// Sherman-Morrison O(m) fast path, and the literal explicit-inverse
-// formula — compared on time at equal (verified) solutions.
+// runAblationGLS is A3 (Section 6 extension 3): the two implementations
+// of the DLG covariance solve — dense Cholesky (paper cost profile) and
+// the Sherman-Morrison O(m) fast path — compared on time at equal
+// (verified) solutions. The explicit-inverse oracle's row comes from
+// internal/core's BenchmarkAblation_GLSFastPath.
 func runAblationGLS(cfg benchConfig) error {
 	fmt.Println("Ablation A3 — GLS covariance implementation (Section 6 extension 3)")
 	st := scenario.Table51Stations()[1] // YYR1
@@ -131,10 +132,10 @@ func runAblationGLS(cfg benchConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-6s %-18s %-18s %-18s\n", "sats", "paper dense (ns)", "sherman-morrison", "explicit inverse")
+	fmt.Printf("%-6s %-18s %-18s\n", "sats", "paper dense (ns)", "sherman-morrison")
 	for _, m := range []int{4, 6, 8, 10} {
-		specs := make([]eval.ArmSpec, 0, 3)
-		for _, v := range []core.DLGVariant{core.VariantPaper, core.VariantFast, core.VariantExplicit} {
+		specs := make([]eval.ArmSpec, 0, 2)
+		for _, v := range []core.DLGVariant{core.VariantPaper, core.VariantFast} {
 			p := eval.DefaultPredictor(st.Clock)
 			specs = append(specs, eval.ArmSpec{
 				Name:      v.String(),
@@ -149,12 +150,11 @@ func runAblationGLS(cfg benchConfig) error {
 		if stats[0].Fixes == 0 {
 			continue
 		}
-		// The three variants must agree on accuracy; report if they drift.
+		// The two variants must agree on accuracy; report if they drift.
 		if d := stats[0].MeanError - stats[1].MeanError; d > 1e-3 || d < -1e-3 {
 			fmt.Fprintf(os.Stderr, "warning: variant accuracy drift at m=%d: %.6f m\n", m, d)
 		}
-		fmt.Printf("%-6d %-18.0f %-18.0f %-18.0f\n",
-			m, stats[0].MeanNanos, stats[1].MeanNanos, stats[2].MeanNanos)
+		fmt.Printf("%-6d %-18.0f %-18.0f\n", m, stats[0].MeanNanos, stats[1].MeanNanos)
 	}
 	fmt.Println()
 	return nil

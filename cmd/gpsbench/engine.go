@@ -31,8 +31,7 @@ type engineBenchConfig struct {
 	jsonPath  string
 
 	// Live-generation arms: epochs synthesized during the timed run
-	// (no pregeneration), with the shared epoch cache off and on, at
-	// GOMAXPROCS 1 and 4.
+	// (no pregeneration), at GOMAXPROCS 1 and 4.
 	live          bool
 	liveReceivers int
 	liveEpochs    int
@@ -49,16 +48,16 @@ type engineBenchPoint struct {
 	FixesPerSec   float64 `json:"fixes_per_sec"`
 }
 
-// engineLivePoint is one live-generation arm: scenario synthesis runs
-// inside the timed loop, isolating the epoch cache's effect on serving
-// throughput. Arm is the first field on purpose — scripts/bench_gate.sh
-// keys points by the "arm" value preceding their metrics.
+// engineLivePoint is one live-generation arm: scenario synthesis (read
+// through the shared epoch cache) runs inside the timed loop, measuring
+// serving throughput. Arm is the first field on purpose —
+// scripts/bench_gate.sh keys points by the "arm" value preceding their
+// metrics.
 type engineLivePoint struct {
 	Arm           string  `json:"arm"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	Receivers     int     `json:"receivers"`
 	Workers       int     `json:"workers"`
-	EpochCache    bool    `json:"epoch_cache"`
 	Fixes         uint64  `json:"fixes"`
 	SolveFailures uint64  `json:"solve_failures"`
 	EpochErrors   uint64  `json:"epoch_errors"`
@@ -125,33 +124,15 @@ func runEngineBench(cfg engineBenchConfig) error {
 	if cfg.live {
 		fmt.Printf("live generation: receivers=%d epochs/receiver=%d (no pregeneration)\n",
 			cfg.liveReceivers, cfg.liveEpochs)
-		fmt.Printf("%14s %6s %8s %12s %10s %14s\n", "arm", "procs", "cache", "fixes", "elapsed", "fixes/sec")
+		fmt.Printf("%14s %6s %12s %10s %14s\n", "arm", "procs", "fixes", "elapsed", "fixes/sec")
 		for _, procs := range []int{1, 4} {
-			for _, cache := range []bool{false, true} {
-				pt, err := benchEngineLiveOnce(cfg, procs, cache)
-				if err != nil {
-					return fmt.Errorf("live procs=%d cache=%v: %w", procs, cache, err)
-				}
-				report.LiveSeries = append(report.LiveSeries, pt)
-				fmt.Printf("%14s %6d %8v %12d %9.3fs %14.0f\n",
-					pt.Arm, pt.GOMAXPROCS, pt.EpochCache, pt.Fixes, pt.ElapsedSec, pt.FixesPerSec)
-			}
-		}
-	}
-	if cfg.live && cfg.solver == "dlg" {
-		// DLG covariance-route arms: pregenerated epochs, so the delta
-		// between the O(m) Sherman–Morrison fast path (the engine default)
-		// and the paper's dense-Cholesky route is the per-fix DLG cost.
-		fmt.Printf("DLG covariance routes: receivers=%d epochs/receiver=%d (pregenerated)\n",
-			cfg.liveReceivers, cfg.epochs)
-		fmt.Printf("%14s %12s %10s %14s\n", "arm", "fixes", "elapsed", "fixes/sec")
-		for _, variant := range []string{"fast", "paper"} {
-			pt, err := benchEngineVariantOnce(cfg, variant)
+			pt, err := benchEngineLiveOnce(cfg, procs)
 			if err != nil {
-				return fmt.Errorf("variant %s: %w", variant, err)
+				return fmt.Errorf("live procs=%d: %w", procs, err)
 			}
 			report.LiveSeries = append(report.LiveSeries, pt)
-			fmt.Printf("%14s %12d %9.3fs %14.0f\n", pt.Arm, pt.Fixes, pt.ElapsedSec, pt.FixesPerSec)
+			fmt.Printf("%14s %6d %12d %9.3fs %14.0f\n",
+				pt.Arm, pt.GOMAXPROCS, pt.Fixes, pt.ElapsedSec, pt.FixesPerSec)
 		}
 	}
 	if cfg.jsonPath != "" {
@@ -163,20 +144,18 @@ func runEngineBench(cfg engineBenchConfig) error {
 }
 
 // benchEngineLiveOnce measures one live-generation arm: no pregenerated
-// epochs, so each timed step pays constellation propagation, visibility,
-// light-time emission and noise synthesis before solving. Cache on vs
-// off isolates the shared per-epoch snapshot's contribution; GOMAXPROCS
-// is pinned per arm and restored afterwards.
-func benchEngineLiveOnce(cfg engineBenchConfig, procs int, cache bool) (engineLivePoint, error) {
+// epochs, so each timed step pays the shared epoch cache's constellation
+// propagation, visibility, light-time emission and noise synthesis
+// before solving. GOMAXPROCS is pinned per arm and restored afterwards.
+func benchEngineLiveOnce(cfg engineBenchConfig, procs int) (engineLivePoint, error) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	eng, err := engine.New(engine.Config{
-		Receivers:         cfg.liveReceivers,
-		Workers:           procs,
-		Solver:            cfg.solver,
-		Seed:              cfg.seed,
-		DisableEpochCache: !cache,
-		Sink:              func(engine.FixEvent) {},
+		Receivers: cfg.liveReceivers,
+		Workers:   procs,
+		Solver:    cfg.solver,
+		Seed:      cfg.seed,
+		Sink:      func(engine.FixEvent) {},
 	})
 	if err != nil {
 		return engineLivePoint{}, err
@@ -194,66 +173,10 @@ func benchEngineLiveOnce(cfg engineBenchConfig, procs int, cache bool) (engineLi
 	}
 	elapsed := time.Since(start).Seconds()
 	after := eng.Stats()
-	arm := fmt.Sprintf("live-p%d", procs)
-	if cache {
-		arm = fmt.Sprintf("live-cache-p%d", procs)
-	}
 	pt := engineLivePoint{
-		Arm:           arm,
+		// The arm name is the bench gate's key into BENCH_engine.json.
+		Arm:           fmt.Sprintf("live-cache-p%d", procs),
 		GOMAXPROCS:    procs,
-		Receivers:     cfg.liveReceivers,
-		Workers:       eng.Workers(),
-		EpochCache:    cache,
-		Fixes:         after.Fixes - before.Fixes,
-		SolveFailures: after.SolveFailures - before.SolveFailures,
-		EpochErrors:   after.EpochErrors - before.EpochErrors,
-		ElapsedSec:    elapsed,
-	}
-	if elapsed > 0 {
-		pt.FixesPerSec = float64(pt.Fixes) / elapsed
-	}
-	return pt, nil
-}
-
-// benchEngineVariantOnce measures one DLG covariance route over
-// pregenerated epochs, isolating the solver hot path exactly like the
-// main sweep; the series point reuses the live-arm JSON shape so the
-// bench gate keys it by its arm name ("dlg-fast", "dlg-paper").
-func benchEngineVariantOnce(cfg engineBenchConfig, variant string) (engineLivePoint, error) {
-	eng, err := engine.New(engine.Config{
-		Receivers:  cfg.liveReceivers,
-		Workers:    cfg.workers,
-		Solver:     cfg.solver,
-		DLGVariant: variant,
-		Seed:       cfg.seed,
-		Sink:       func(engine.FixEvent) {},
-	})
-	if err != nil {
-		return engineLivePoint{}, err
-	}
-	pre := cfg.epochs
-	if cfg.warmup > pre {
-		pre = cfg.warmup
-	}
-	if err := eng.Pregenerate(pre); err != nil {
-		return engineLivePoint{}, err
-	}
-	ctx := context.Background()
-	if cfg.warmup > 0 {
-		if err := eng.Run(ctx, cfg.warmup); err != nil {
-			return engineLivePoint{}, err
-		}
-	}
-	before := eng.Stats()
-	start := time.Now()
-	if err := eng.Run(ctx, cfg.epochs); err != nil {
-		return engineLivePoint{}, err
-	}
-	elapsed := time.Since(start).Seconds()
-	after := eng.Stats()
-	pt := engineLivePoint{
-		Arm:           "dlg-" + variant,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Receivers:     cfg.liveReceivers,
 		Workers:       eng.Workers(),
 		Fixes:         after.Fixes - before.Fixes,

@@ -72,7 +72,7 @@ func run(args []string) error {
 		engineSolver    = fs.String("engine-solver", "dlg", "solver for -engine: nr, dlo, dlg or bancroft")
 		engineWorkers   = fs.Int("engine-workers", 0, "engine shard count for -engine (0 = GOMAXPROCS)")
 		engineJSON      = fs.String("engine-json", "", "write the -engine throughput series as JSON to this file")
-		engineLive      = fs.Bool("engine-live", true, "also run the live-generation arms (epoch cache off/on at GOMAXPROCS 1 and 4) for -engine")
+		engineLive      = fs.Bool("engine-live", true, "also run the live-generation arms (GOMAXPROCS 1 and 4) for -engine")
 		engineLiveRecv  = fs.Int("engine-live-receivers", 8, "receiver count for the -engine live-generation arms")
 		engineLiveEp    = fs.Int("engine-live-epochs", 800, "timed epochs per receiver for the -engine live-generation arms")
 		faultsOn        = fs.Bool("faults", false, "run the fault-degradation sweep (availability and eta vs fault intensity)")

@@ -35,7 +35,6 @@ type engineParams struct {
 	sessions   []int  // explicit global session ids (cluster mode); empty uses receivers
 	wireAddr   string // binary fix-stream listener; "" disables the cluster tier
 	workers    int
-	epochCache bool // share per-epoch constellation snapshots across sessions
 	station    string
 	dataset    string // recorded dataset served once by one session; "" generates live
 	solver     string
@@ -59,9 +58,8 @@ type engineParams struct {
 	incidentDir string        // incident bundle directory; "" disables capture
 	incidentGap time.Duration // minimum wall-clock spacing between bundles
 
-	dlgVariant string // DLG covariance route: fast, paper or explicit
-	weighting  bool   // C/N0 → sigma weighting on the solve paths
-	disruption bool   // innovation-outlier down-weighting before RAIM
+	weighting  bool // C/N0 → sigma weighting on the solve paths
+	disruption bool // innovation-outlier down-weighting before RAIM
 
 	logs *telemetry.Logging
 }
@@ -72,7 +70,6 @@ type engineParams struct {
 type servingConfig struct {
 	Receivers     int     `json:"receivers"`
 	Workers       int     `json:"workers"`
-	EpochCache    bool    `json:"epoch_cache"`
 	Station       string  `json:"station"`
 	Dataset       string  `json:"dataset,omitempty"`
 	Solver        string  `json:"solver"`
@@ -87,7 +84,6 @@ type servingConfig struct {
 	Journal       string  `json:"journal,omitempty"`
 	JournalSync   int     `json:"journal_sync,omitempty"`
 	IncidentDir   string  `json:"incident_dir,omitempty"`
-	DLGVariant    string  `json:"dlg_variant,omitempty"`
 	Weights       bool    `json:"weights,omitempty"`
 	Disrupt       bool    `json:"disrupt,omitempty"`
 }
@@ -98,7 +94,6 @@ func configSnapshot(p engineParams) json.RawMessage {
 	raw, err := json.Marshal(servingConfig{
 		Receivers:     p.receivers,
 		Workers:       p.workers,
-		EpochCache:    p.epochCache,
 		Station:       p.station,
 		Dataset:       p.dataset,
 		Solver:        p.solver,
@@ -113,7 +108,6 @@ func configSnapshot(p engineParams) json.RawMessage {
 		Journal:       p.journalPath,
 		JournalSync:   p.journalSync,
 		IncidentDir:   p.incidentDir,
-		DLGVariant:    p.dlgVariant,
 		Weights:       p.weighting,
 		Disrupt:       p.disruption,
 	})
@@ -233,23 +227,21 @@ func runEngine(ctx context.Context, p engineParams) error {
 		onIncident = capturer.handle
 	}
 	ecfg := engine.Config{
-		Receivers:         p.receivers,
-		Workers:           p.workers,
-		DisableEpochCache: !p.epochCache,
-		Solver:            p.solver,
-		Seed:              p.seed,
-		Step:              step,
-		Faults:            prog,
-		FaultSeed:         p.faultSeed,
-		Stations:          stations,
-		Registry:          reg,
-		CheckpointEvery:   ckptEvery,
-		DLGVariant:        p.dlgVariant,
-		Weighting:         p.weighting,
-		Disruption:        p.disruption,
-		Quality:           qcfg,
-		OnIncident:        onIncident,
-		Sink:              tel.sink(b),
+		Receivers:       p.receivers,
+		Workers:         p.workers,
+		Solver:          p.solver,
+		Seed:            p.seed,
+		Step:            step,
+		Faults:          prog,
+		FaultSeed:       p.faultSeed,
+		Stations:        stations,
+		Registry:        reg,
+		CheckpointEvery: ckptEvery,
+		Weighting:       p.weighting,
+		Disruption:      p.disruption,
+		Quality:         qcfg,
+		OnIncident:      onIncident,
+		Sink:            tel.sink(b),
 	}
 	if len(p.sessions) > 0 {
 		ecfg.Receivers = 0

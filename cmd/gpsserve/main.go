@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string) error {
 		logFormat  = fs.String("log-format", "text", "log format: text or json")
 		receivers  = fs.Int("receivers", 1, "independent receiver sessions served by the sharded fix engine")
 		workers    = fs.Int("workers", 0, "engine shard count; 0 means GOMAXPROCS")
-		epochCache = fs.Bool("epoch-cache", true, "share one per-epoch constellation snapshot across receivers")
 		faults     = fs.String("faults", "", "fault-injection program, e.g. 'drop:prn=3,from=10,until=40;burst:sigma=8,from=60'")
 		faultSeed  = fs.Int64("fault-seed", 1, "fault-injector seed (burst noise stream) for -faults")
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: clock calibration, health state and last fix per session are saved here periodically and on shutdown")
@@ -71,7 +70,6 @@ func run(ctx context.Context, args []string) error {
 		jrnlSync   = fs.Int("journal-sync", 0, "record frames between journal sync points / fsyncs (with -journal; 0 uses the default, negative disables)")
 		incDir     = fs.String("incident-dir", "", "incident bundle directory: SLO pages, recovered panics and failed sessions are captured here as self-contained forensics bundles")
 		incGap     = fs.Duration("incident-interval", 30*time.Second, "minimum wall-clock spacing between incident bundles (with -incident-dir; 0 disables rate limiting)")
-		dlgVariant = fs.String("dlg-variant", "fast", "DLG covariance route: fast (O(m) Sherman-Morrison), paper (dense Cholesky) or explicit (eq. 4-21 reference)")
 		weights    = fs.Bool("weights", false, "map each satellite's C/N0 to a pseudo-range sigma and run the weighted solve paths")
 		disrupt    = fs.Bool("disrupt", false, "down-weight satellites whose pseudo-range innovations are robust outliers before RAIM excludes; implies weighted solving")
 		wireAddr   = fs.String("wire", "", "binary fix-stream listener address for cluster serving (resume tokens, delta frames)")
@@ -129,7 +127,6 @@ func run(ctx context.Context, args []string) error {
 		sessions:    sessionIDs,
 		wireAddr:    *wireAddr,
 		workers:     *workers,
-		epochCache:  *epochCache,
 		station:     strings.ToUpper(strings.TrimSpace(*stationID)),
 		dataset:     *dataset,
 		solver:      strings.ToLower(*solver),
@@ -151,7 +148,6 @@ func run(ctx context.Context, args []string) error {
 		journalSync: *jrnlSync,
 		incidentDir: *incDir,
 		incidentGap: *incGap,
-		dlgVariant:  *dlgVariant,
 		weighting:   *weights,
 		disruption:  *disrupt,
 		logs:        logs,

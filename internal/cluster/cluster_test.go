@@ -123,11 +123,13 @@ func TestMonitorThreshold(t *testing.T) {
 // server starting to 500 transitions down within a few intervals.
 func TestMonitorEndToEnd(t *testing.T) {
 	var sick atomic.Bool
+	var flakyProbes atomic.Uint64
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer healthy.Close()
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		flakyProbes.Add(1)
 		if sick.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
@@ -147,7 +149,7 @@ func TestMonitorEndToEnd(t *testing.T) {
 	go func() { defer close(done); m.Run(ctx) }()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Probes("bad") < 2 && time.Now().Before(deadline) {
+	for flakyProbes.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	sick.Store(true)

@@ -55,7 +55,6 @@ type Monitor struct {
 type nodeHealth struct {
 	failures int
 	down     bool
-	probes   uint64
 }
 
 // NewMonitor builds a Monitor over node → healthz-URL pairs. All nodes
@@ -90,16 +89,6 @@ func (m *Monitor) UpNodes() []string {
 	return out
 }
 
-// Probes returns the total probe count for node (test visibility).
-func (m *Monitor) Probes(node string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st, ok := m.state[node]; ok {
-		return st.probes
-	}
-	return 0
-}
-
 // probe performs one health check.
 func (m *Monitor) probe(ctx context.Context, node string) bool {
 	ctx, cancel := context.WithTimeout(ctx, m.cfg.Timeout)
@@ -126,7 +115,6 @@ func (m *Monitor) Observe(node string, ok bool) {
 		m.mu.Unlock()
 		return
 	}
-	st.probes++
 	var fire func(string)
 	if ok {
 		st.failures = 0

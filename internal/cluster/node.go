@@ -121,11 +121,6 @@ func (n *Node) Publish(e engine.FixEvent) {
 	n.Hub.Publish(&f)
 }
 
-// RecordRestoreFailure counts one failed restore on the shared
-// gps_restore_failures_total family (the startup -restore path reports
-// through this so node-local and handoff failures share one metric).
-func (n *Node) RecordRestoreFailure() { n.restoreFailures.Inc() }
-
 // Track registers an externally built engine (the primary) with the
 // node: its sessions are marked hosted on the hub and its state joins
 // the merged checkpoint.

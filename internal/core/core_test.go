@@ -172,7 +172,7 @@ func TestDLGExplicitMatchesFastPath(t *testing.T) {
 			obs[i].Pseudorange += rng.NormFloat64() * 3
 		}
 		fast := &DLGSolver{Predictor: oracle(bias), Variant: VariantFast}
-		slow := &DLGSolver{Predictor: oracle(bias), Variant: VariantExplicit}
+		slow := &explicitDLG{DLGSolver{Predictor: oracle(bias)}}
 		fs, err := fast.Solve(1234, obs)
 		if err != nil {
 			t.Fatal(err)

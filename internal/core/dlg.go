@@ -7,7 +7,6 @@ import (
 
 	"gpsdl/internal/clock"
 	"gpsdl/internal/geo"
-	"gpsdl/internal/lsq"
 	"gpsdl/internal/mat"
 )
 
@@ -23,12 +22,9 @@ const (
 	VariantPaper DLGVariant = iota
 	// VariantFast applies Ψ⁻¹ through the Sherman–Morrison identity in
 	// O(m), implementing Section 6 extension 3 ("optimize the matrix
-	// operations in the context of our problem"). Ablation A3.
+	// operations in the context of our problem"). Ablation A3; the route
+	// the serving engine runs.
 	VariantFast
-	// VariantExplicit computes eq. 4-21 literally — form Ψ, invert it,
-	// multiply through — with general matrix code. Slowest; kept as the
-	// reference implementation the others are verified against.
-	VariantExplicit
 )
 
 // String implements fmt.Stringer.
@@ -38,8 +34,6 @@ func (v DLGVariant) String() string {
 		return "paper"
 	case VariantFast:
 		return "fast"
-	case VariantExplicit:
-		return "explicit"
 	default:
 		return fmt.Sprintf("DLGVariant(%d)", int(v))
 	}
@@ -98,14 +92,10 @@ func NewDLGSolver(p clock.Predictor) *DLGSolver {
 // Name runs on the per-fix hot path (the fallback chain labels every
 // result with it), which must stay allocation-free.
 func (s *DLGSolver) Name() string {
-	switch s.Variant {
-	case VariantFast:
+	if s.Variant == VariantFast {
 		return "DLG-fast"
-	case VariantExplicit:
-		return "DLG-explicit"
-	default:
-		return "DLG"
 	}
+	return "DLG"
 }
 
 // scratch returns the workspace for this solve: the caller-provided
@@ -122,16 +112,64 @@ func (s *DLGSolver) scratch() *Scratch {
 
 // Solve implements Solver. It requires at least 4 satellites.
 func (s *DLGSolver) Solve(t float64, obs []Observation) (Solution, error) {
-	if err := checkMinObs("DLG", obs, 4); err != nil {
+	sc := s.scratch()
+	sys, err := s.system(sc, t, obs)
+	if err != nil {
 		return Solution{}, err
 	}
-	sc := s.scratch()
+	var x [3]float64
+	switch s.Variant {
+	case VariantFast:
+		x, err = solveGLSFast(sys.rows, sys.d, sys.diag, sys.shared)
+		if err != nil {
+			// The Sherman-Morrison identity needs every diagonal term
+			// positive; when an epoch violates that, retry through the
+			// dense Cholesky route before declaring the geometry
+			// degenerate. Ψ = diag + shared·𝟙𝟙ᵀ stays positive definite
+			// with one zero diagonal term as long as shared > 0.
+			s.Metrics.countFallback()
+			x, err = solveGLSPaper(sc, sys.rows, sys.d, sys.diag, sys.shared)
+		}
+	default:
+		x, err = solveGLSPaper(sc, sys.rows, sys.d, sys.diag, sys.shared)
+	}
+	if err != nil {
+		return Solution{}, fmt.Errorf("DLG GLS solve (%s): %w", s.Variant, ErrDegenerateGeometry)
+	}
+	s.Metrics.countPath(s.Variant)
+	return sys.solution(x), nil
+}
+
+// glsSystem is one epoch's DLG problem: the differenced rows and
+// right-hand side (eq. 4-11), the covariance terms of Ψ (eq. 4-26), and
+// the clock bias ε̂ᴿ that corrected the ranges.
+type glsSystem struct {
+	rows         [][3]float64
+	d, diag      []float64
+	shared, epsR float64
+}
+
+// solution packages a GLS position estimate x as DLG's fix.
+func (g glsSystem) solution(x [3]float64) Solution {
+	return Solution{
+		Pos:        geo.ECEF{X: x[0], Y: x[1], Z: x[2]},
+		ClockBias:  g.epsR,
+		Iterations: 1,
+	}
+}
+
+// system assembles the epoch's GLS problem from scratch buffers: clock
+// correction, base selection, differencing and covariance terms.
+func (s *DLGSolver) system(sc *Scratch, t float64, obs []Observation) (glsSystem, error) {
+	if err := checkMinObs("DLG", obs, 4); err != nil {
+		return glsSystem{}, err
+	}
 	rhoE, epsR, err := correctedRanges(sc, s.Predictor, t, obs)
 	if err != nil {
 		if errors.Is(err, clock.ErrNotCalibrated) {
-			return Solution{}, fmt.Errorf("DLG: %w", ErrNoClockPrediction)
+			return glsSystem{}, fmt.Errorf("DLG: %w", ErrNoClockPrediction)
 		}
-		return Solution{}, fmt.Errorf("DLG clock prediction: %w", err)
+		return glsSystem{}, fmt.Errorf("DLG clock prediction: %w", err)
 	}
 	base := 0
 	if s.Base != nil {
@@ -156,34 +194,7 @@ func (s *DLGSolver) Solve(t float64, obs []Observation) (Solution, error) {
 	if s.Weighted {
 		vb *= obsSigma(obs[base])
 	}
-	shared := vb * vb
-
-	var x [3]float64
-	switch s.Variant {
-	case VariantFast:
-		x, err = solveGLSFast(rows, d, diag, shared)
-		if err != nil {
-			// The Sherman-Morrison identity needs every diagonal term
-			// positive; when an epoch violates that, retry through the
-			// explicit eq. 4-21 reference before declaring the geometry
-			// degenerate.
-			s.Metrics.countFallback()
-			x, err = solveGLSExplicit(rows, d, diag, shared)
-		}
-	case VariantExplicit:
-		x, err = solveGLSExplicit(rows, d, diag, shared)
-	default:
-		x, err = solveGLSPaper(sc, rows, d, diag, shared)
-	}
-	if err != nil {
-		return Solution{}, fmt.Errorf("DLG GLS solve (%s): %w", s.Variant, ErrDegenerateGeometry)
-	}
-	s.Metrics.countPath(s.Variant)
-	return Solution{
-		Pos:        geo.ECEF{X: x[0], Y: x[1], Z: x[2]},
-		ClockBias:  epsR,
-		Iterations: 1,
-	}, nil
+	return glsSystem{rows: rows, d: d, diag: diag, shared: vb * vb, epsR: epsR}, nil
 }
 
 // solveGLSPaper whitens the system with an in-place Cholesky factorization
@@ -299,23 +310,4 @@ func solveGLSFast(rows [][3]float64, d, diag []float64, shared float64) ([3]floa
 	atb[2] -= gamma * q * p[2]
 	ata[3], ata[6], ata[7] = ata[1], ata[2], ata[5]
 	return mat.Solve3(ata, atb)
-}
-
-// solveGLSExplicit computes eq. 4-21 exactly as written, through the
-// general-purpose lsq/mat layers (forms Ψ, inverts it, multiplies
-// through). Reference implementation for the ablation.
-func solveGLSExplicit(rows [][3]float64, d, diag []float64, shared float64) ([3]float64, error) {
-	k := len(rows)
-	a := mat.NewDense(k, 3)
-	for i, r := range rows {
-		a.SetRow(i, r[:])
-	}
-	diagCopy := make([]float64, k)
-	copy(diagCopy, diag)
-	cov := lsq.RankOneCov{Diag: diagCopy, S: shared}
-	x, err := lsq.GLSExplicit(a, d, cov.Dense())
-	if err != nil {
-		return [3]float64{}, err
-	}
-	return [3]float64{x[0], x[1], x[2]}, nil
 }

@@ -216,16 +216,15 @@ func TestDLGSolverVariantsEquivalentEndToEnd(t *testing.T) {
 					}
 					obs[i].Pseudorange += rng.NormFloat64() * sigma
 				}
-				sols := map[DLGVariant]Solution{}
-				for _, v := range []DLGVariant{VariantPaper, VariantFast, VariantExplicit} {
-					s := &DLGSolver{Predictor: oracle(bias), Base: sel, Variant: v, Weighted: weighted}
+				sols := map[string]Solution{}
+				for v, s := range dlgRoutes(DLGSolver{Predictor: oracle(bias), Base: sel, Weighted: weighted}) {
 					sol, err := s.Solve(1000, obs)
 					if err != nil {
 						t.Fatalf("m=%d sel=%s weighted=%v %s: %v", m, selName, weighted, v, err)
 					}
 					sols[v] = sol
 				}
-				ref := sols[VariantExplicit]
+				ref := sols["explicit"]
 				for v, sol := range sols {
 					if d := sol.Pos.DistanceTo(ref.Pos); d > 1e-3 {
 						t.Errorf("m=%d sel=%s weighted=%v: %s and explicit fixes differ by %g m",
@@ -295,9 +294,9 @@ func TestDLGWeightedSigmaOneMatchesUnweighted(t *testing.T) {
 		for i := range obs {
 			obs[i].Pseudorange += rng.NormFloat64() * 4
 		}
-		for _, v := range []DLGVariant{VariantPaper, VariantFast, VariantExplicit} {
-			plain := &DLGSolver{Predictor: oracle(bias), Variant: v}
-			weighted := &DLGSolver{Predictor: oracle(bias), Variant: v, Weighted: true}
+		weightedRoutes := dlgRoutes(DLGSolver{Predictor: oracle(bias), Weighted: true})
+		for v, plain := range dlgRoutes(DLGSolver{Predictor: oracle(bias)}) {
+			weighted := weightedRoutes[v]
 			a, errA := plain.Solve(3000, obs)
 			b, errB := weighted.Solve(3000, obs)
 			if errA != nil || errB != nil {

@@ -64,14 +64,13 @@ func NewSolverMetrics(reg *telemetry.Registry, name string) *SolverMetrics {
 }
 
 // GLSMetrics counts which covariance path DLG solves take
-// (gps_dlg_solves_total{path="paper"|"fast"|"explicit"}) and how often
-// the Sherman-Morrison fast path had to fall back to the explicit
-// eq. 4-21 reference (gps_dlg_fast_fallbacks_total).
+// (gps_dlg_solves_total{path="paper"|"fast"}) and how often the
+// Sherman-Morrison fast path had to fall back to the dense Cholesky
+// route (gps_dlg_fast_fallbacks_total).
 type GLSMetrics struct {
-	PaperSolves    *telemetry.Counter
-	FastSolves     *telemetry.Counter
-	ExplicitSolves *telemetry.Counter
-	FastFallbacks  *telemetry.Counter
+	PaperSolves   *telemetry.Counter
+	FastSolves    *telemetry.Counter
+	FastFallbacks *telemetry.Counter
 }
 
 // NewGLSMetrics registers the DLG covariance-path counters. Nil
@@ -82,11 +81,10 @@ func NewGLSMetrics(reg *telemetry.Registry) *GLSMetrics {
 	}
 	path := func(v string) telemetry.Label { return telemetry.Label{Key: "path", Value: v} }
 	return &GLSMetrics{
-		PaperSolves:    reg.Counter(MetricDLGSolves, "DLG solves by covariance path.", path("paper")),
-		FastSolves:     reg.Counter(MetricDLGSolves, "DLG solves by covariance path.", path("fast")),
-		ExplicitSolves: reg.Counter(MetricDLGSolves, "DLG solves by covariance path.", path("explicit")),
+		PaperSolves: reg.Counter(MetricDLGSolves, "DLG solves by covariance path.", path("paper")),
+		FastSolves:  reg.Counter(MetricDLGSolves, "DLG solves by covariance path.", path("fast")),
 		FastFallbacks: reg.Counter(MetricDLGFallbacks,
-			"Sherman-Morrison fast-path failures retried through the explicit inverse."),
+			"Sherman-Morrison fast-path failures retried through the dense Cholesky route."),
 	}
 }
 
@@ -96,12 +94,9 @@ func (m *GLSMetrics) countPath(v DLGVariant) {
 	if m == nil {
 		return
 	}
-	switch v {
-	case VariantFast:
+	if v == VariantFast {
 		m.FastSolves.Inc()
-	case VariantExplicit:
-		m.ExplicitSolves.Inc()
-	default:
+	} else {
 		m.PaperSolves.Inc()
 	}
 }

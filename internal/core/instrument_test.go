@@ -43,7 +43,7 @@ func TestNonNRSolverHasNoNRIterations(t *testing.T) {
 func TestDLGPathCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, obs := instrumentEpoch()
-	for _, variant := range []DLGVariant{VariantPaper, VariantFast, VariantExplicit} {
+	for _, variant := range []DLGVariant{VariantPaper, VariantFast} {
 		s := &DLGSolver{
 			Predictor: oracle(0),
 			Variant:   variant,
@@ -54,9 +54,9 @@ func TestDLGPathCounters(t *testing.T) {
 		}
 	}
 	m := NewGLSMetrics(reg) // same instruments (idempotent registration)
-	if m.PaperSolves.Value() != 1 || m.FastSolves.Value() != 1 || m.ExplicitSolves.Value() != 1 {
-		t.Errorf("path counters = paper %d fast %d explicit %d, want 1 each",
-			m.PaperSolves.Value(), m.FastSolves.Value(), m.ExplicitSolves.Value())
+	if m.PaperSolves.Value() != 1 || m.FastSolves.Value() != 1 {
+		t.Errorf("path counters = paper %d fast %d, want 1 each",
+			m.PaperSolves.Value(), m.FastSolves.Value())
 	}
 	if m.FastFallbacks.Value() != 0 {
 		t.Errorf("fallbacks = %d on healthy epochs", m.FastFallbacks.Value())

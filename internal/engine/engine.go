@@ -17,18 +17,18 @@
 //
 // Constellation sharing: all sessions observe the same sky, so the engine
 // builds one constellation and one epochcache.Cache over the canonical
-// epoch grid (unless DisableEpochCache). Each epoch's satellite states are
-// propagated once, published as an immutable snapshot, and read by every
-// session on every shard; the per-receiver work (visibility mask,
-// light-time/Sagnac emission, noise, solve) stays in the sessions.
+// epoch grid. Each epoch's satellite states are propagated once,
+// published as an immutable snapshot, and read by every session on every
+// shard; the per-receiver work (visibility mask, light-time/Sagnac
+// emission, noise, solve) stays in the sessions.
 //
 // Determinism guarantee: every epoch is a pure function of (the receiver's
 // mixed seed, station, index·Step), each receiver's epochs are processed
 // in index order by exactly one shard, and batches only group consecutive
 // indices for scheduling. Per-receiver output sequences are therefore
-// identical for any Workers and BatchSize — and, because cached snapshots
-// hold exactly the state a lone generator computes, for the epoch cache
-// on or off; only interleaving across receivers varies.
+// identical for any Workers and BatchSize (cached snapshots hold exactly
+// the state a lone generator computes); only interleaving across
+// receivers varies.
 package engine
 
 import (
@@ -112,13 +112,6 @@ type Config struct {
 	// Solver selects the per-receiver solver: "nr", "dlo", "dlg" or
 	// "bancroft". Empty means "dlg" (the paper's headline algorithm).
 	Solver string
-	// DLGVariant selects the DLG covariance path: "fast" (Sherman–
-	// Morrison, O(m) per solve), "paper" (dense Cholesky, the paper's
-	// measured cost profile) or "explicit" (literal eq. 4-21 reference).
-	// Empty means "fast" — the default flipped once the differential
-	// harness proved the three routes numerically equivalent; "paper"
-	// restores the previous behavior.
-	DLGVariant string
 	// Weighting maps each observation's reported C/N0 to a per-satellite
 	// σ (core.SigmaFromCN0) and solves heteroscedastically: weighted
 	// rows in NR, σ-scaled covariance terms in DLG. Off by default;
@@ -144,8 +137,6 @@ type Config struct {
 	// BatchSize is the number of consecutive epochs per scheduled job;
 	// ≤ 0 means 32. It affects scheduling only, never results.
 	BatchSize int
-	// QueueDepth is each shard's job-channel capacity; ≤ 0 means 4.
-	QueueDepth int
 	// Stations supplies the receiver templates, assigned round-robin;
 	// nil means scenario.Table51Stations().
 	Stations []scenario.Station
@@ -154,9 +145,6 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Sink receives every fix event; nil discards.
 	Sink FixSink
-	// SessionOptions, when non-nil, returns extra generator options for
-	// receiver r (e.g. a trajectory). Must be deterministic in r.
-	SessionOptions func(r int) []scenario.Option
 	// Faults is an optional fault program applied to every receiver's
 	// epoch stream (see internal/fault). Empty means fault-free.
 	Faults fault.Program
@@ -170,14 +158,6 @@ type Config struct {
 	// program — chaos tests use it to panic one receiver while its shard
 	// neighbours run clean. Must be deterministic in r.
 	ReceiverFaults func(r int) fault.Program
-	// BreakerThreshold is the consecutive-failure count K that opens a
-	// session's circuit breaker; ≤ 0 means 8.
-	BreakerThreshold int
-	// BreakerProbeEvery paces half-open probes while a breaker is open:
-	// every Nth open epoch runs a cheap DLO probe and the full chain,
-	// the rest coast without solving. ≤ 0 means 1 (probe every epoch),
-	// which keeps the fix stream bit-identical to a breaker-free engine.
-	BreakerProbeEvery int
 	// RestartBudget is how many panic restarts a session gets before it
 	// is failed for the rest of the run; ≤ 0 means 8.
 	RestartBudget int
@@ -210,17 +190,10 @@ type Config struct {
 	// transitions, recovered panics, exhausted restart budgets). See
 	// Incident for the delivery contract.
 	OnIncident func(Incident)
-	// DisableEpochCache turns off the shared per-epoch constellation
-	// snapshot cache, making every session re-propagate the constellation
-	// itself (the pre-cache behavior). Output is bit-identical either
-	// way; disabling only costs throughput. Exists for benchmarking the
-	// cache and as an escape hatch.
-	DisableEpochCache bool
-	// EpochCacheSize overrides the snapshot ring capacity in epochs;
-	// ≤ 0 derives it from QueueDepth and BatchSize (the bound on how far
-	// shards can skew) with epochcache.DefaultCapacity as the floor.
-	EpochCacheSize int
 }
+
+// queueDepth is each shard's job-channel capacity.
+const queueDepth = 4
 
 // job is a half-open range of epoch indices [e0, e1) for one shard.
 type job struct {
@@ -234,10 +207,9 @@ type shard struct {
 	jobs     chan job
 	m        *shardMetrics
 
-	// cache is the engine's shared epoch cache (nil when disabled). The
-	// shard warms each epoch's snapshot once before stepping its live
-	// sessions, so same-epoch solves across the shard batch against one
-	// propagation.
+	// cache is the engine's shared epoch cache. The shard warms each
+	// epoch's snapshot once before stepping its live sessions, so
+	// same-epoch solves across the shard batch against one propagation.
 	cache *epochcache.Cache
 
 	// Shard-level quality window (nil when the quality layer is off).
@@ -269,7 +241,7 @@ type Engine struct {
 	shards   []*shard
 	sessions []*session // all sessions, indexed by receiver
 	cm       *chainMetrics
-	cache    *epochcache.Cache // shared snapshot cache (nil when disabled)
+	cache    *epochcache.Cache // shared snapshot cache
 	resume   int               // first epoch index for RunPaced, set by Restore
 
 	// Quality layer (nil when Config.Quality is nil).
@@ -333,15 +305,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 8
-	}
-	if cfg.BreakerProbeEvery <= 0 {
-		cfg.BreakerProbeEvery = 1
-	}
 	if cfg.RestartBudget <= 0 {
 		cfg.RestartBudget = 8
 	}
@@ -357,9 +320,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	if _, err := parseDLGVariant(cfg.DLGVariant); err != nil {
-		return nil, err
-	}
 	e := &Engine{cfg: cfg}
 	e.cm = &chainMetrics{
 		fallback: core.NewFallbackMetrics(cfg.Registry),
@@ -368,24 +328,19 @@ func New(cfg Config) (*Engine, error) {
 		disrupt:  core.NewDisruptionMetrics(cfg.Registry),
 		clock:    clock.NewMetrics(cfg.Registry),
 	}
-	if !cfg.DisableEpochCache {
-		// One constellation, one snapshot ring, shared by every session.
-		// Capacity covers the maximum epoch skew between shards (each can
-		// hold QueueDepth queued batches plus one in flight) with slack.
-		ccap := cfg.EpochCacheSize
-		if ccap <= 0 {
-			ccap = (cfg.QueueDepth + 2) * cfg.BatchSize
-			if ccap < epochcache.DefaultCapacity {
-				ccap = epochcache.DefaultCapacity
-			}
-		}
-		cache, err := epochcache.New(orbit.DefaultConstellation(), 0, cfg.Step,
-			epochcache.Options{Capacity: ccap, Registry: cfg.Registry})
-		if err != nil {
-			return nil, fmt.Errorf("engine: epoch cache: %w", err)
-		}
-		e.cache = cache
+	// One constellation, one snapshot ring, shared by every session.
+	// Capacity covers the maximum epoch skew between shards (each can
+	// hold queueDepth queued batches plus one in flight) with slack.
+	ccap := (queueDepth + 2) * cfg.BatchSize
+	if ccap < epochcache.DefaultCapacity {
+		ccap = epochcache.DefaultCapacity
 	}
+	cache, err := epochcache.New(orbit.DefaultConstellation(), 0, cfg.Step,
+		epochcache.Options{Capacity: ccap, Registry: cfg.Registry})
+	if err != nil {
+		return nil, fmt.Errorf("engine: epoch cache: %w", err)
+	}
+	e.cache = cache
 	e.shards = make([]*shard, cfg.Workers)
 	for i := range e.shards {
 		e.shards[i] = &shard{
@@ -583,7 +538,7 @@ loop:
 func (e *Engine) start(ctx context.Context) *sync.WaitGroup {
 	wg := &sync.WaitGroup{}
 	for _, sh := range e.shards {
-		sh.jobs = make(chan job, e.cfg.QueueDepth)
+		sh.jobs = make(chan job, queueDepth)
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
@@ -602,12 +557,10 @@ func (sh *shard) run(ctx context.Context) {
 	// generate live; pregenerated sessions never read it, and warming
 	// would then pay a propagation per epoch for nothing.
 	warm := false
-	if sh.cache != nil {
-		for _, s := range sh.sessions {
-			if s.pre == nil {
-				warm = true
-				break
-			}
+	for _, s := range sh.sessions {
+		if s.pre == nil {
+			warm = true
+			break
 		}
 	}
 	for jb := range sh.jobs {
@@ -761,8 +714,7 @@ type Stats struct {
 	Fallbacks, SuspectFixes, RAIMExclusions       uint64
 	Panics, Restarts                              uint64
 	QuarantinedEpochs, FailedEpochs               uint64
-	BreakerOpens, BreakerProbes, BreakerSkips     uint64
-	SLODowngrades                                 uint64
+	BreakerOpens, SLODowngrades                   uint64
 }
 
 // Stats sums the per-shard counters. Safe to call at any time; exact once
@@ -785,8 +737,6 @@ func (e *Engine) Stats() Stats {
 		st.QuarantinedEpochs += sh.m.quarantinedEpochs.Value()
 		st.FailedEpochs += sh.m.failedEpochs.Value()
 		st.BreakerOpens += sh.m.breakerOpens.Value()
-		st.BreakerProbes += sh.m.breakerProbes.Value()
-		st.BreakerSkips += sh.m.breakerSkips.Value()
 		st.SLODowngrades += sh.m.sloDowngrades.Value()
 	}
 	st.Fallbacks = e.cm.fallback.Fallbacks.Value()
@@ -856,28 +806,11 @@ func (e *Engine) SessionIDs() []int {
 var canonicalChain = [4]string{"nr", "dlg", "dlo", "bancroft"}
 
 // solverParams carries the session-wide solver options down through
-// chain construction: the DLG covariance path, whether solvers honor
-// per-observation σ, and the shared DLG path counters.
+// chain construction: whether solvers honor per-observation σ, and the
+// shared DLG path counters.
 type solverParams struct {
-	variant  core.DLGVariant
 	weighted bool
 	gls      *core.GLSMetrics
-}
-
-// parseDLGVariant resolves Config.DLGVariant. Empty means VariantFast:
-// the O(m) Sherman–Morrison route is the engine default now that the
-// differential harness pins it to the paper and explicit routes.
-func parseDLGVariant(name string) (core.DLGVariant, error) {
-	switch name {
-	case "", "fast":
-		return core.VariantFast, nil
-	case "paper":
-		return core.VariantPaper, nil
-	case "explicit":
-		return core.VariantExplicit, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown DLG variant %q (want fast, paper or explicit)", name)
-	}
 }
 
 // newChain builds the session's fallback chain: the primary solver
@@ -917,9 +850,12 @@ func newSolver(name string, pred clock.Predictor, sc *core.Scratch, sp solverPar
 		s.Scratch = sc
 		return s, nil
 	case "dlg":
+		// The O(m) Sherman–Morrison route (Section 6 extension 3); the
+		// differential harness in internal/core pins it to the paper's
+		// dense route and the explicit eq. 4-21 oracle.
 		s := core.NewDLGSolver(pred)
 		s.Scratch = sc
-		s.Variant = sp.variant
+		s.Variant = core.VariantFast
 		s.Weighted = sp.weighted
 		s.Metrics = sp.gls
 		return s, nil

@@ -12,15 +12,14 @@ import (
 // collectExact runs a live-generating engine and returns each receiver's
 // fix stream with full float64 bit fidelity (position and clock bias as
 // hex bit patterns), so comparisons detect even 1-ULP divergence.
-func collectExact(t *testing.T, receivers, workers, batch, epochs int, disableCache bool) [][]string {
+func collectExact(t *testing.T, receivers, workers, batch, epochs int) [][]string {
 	t.Helper()
 	out := make([][]string, receivers)
 	eng, err := New(Config{
-		Receivers:         receivers,
-		Workers:           workers,
-		BatchSize:         batch,
-		Seed:              42,
-		DisableEpochCache: disableCache,
+		Receivers: receivers,
+		Workers:   workers,
+		BatchSize: batch,
+		Seed:      42,
 		Sink: func(e FixEvent) {
 			if e.Err != nil {
 				out[e.Receiver] = append(out[e.Receiver], fmt.Sprintf("%d:err:%v", e.Epoch, e.Err))
@@ -41,29 +40,25 @@ func collectExact(t *testing.T, receivers, workers, batch, epochs int, disableCa
 	return out
 }
 
-// TestEngineEpochCacheDeterminism is the tentpole's acceptance test: a
-// live engine produces bit-identical per-receiver fix streams with the
-// epoch cache on and off, at every worker count and batch shape.
+// TestEngineEpochCacheDeterminism: a live engine, whose sessions share
+// one epoch cache that shards warm at different paces, produces
+// bit-identical per-receiver fix streams at every worker count and batch
+// shape. (Cached versus lone-generator bit identity is pinned in
+// internal/scenario.)
 func TestEngineEpochCacheDeterminism(t *testing.T) {
 	const receivers, epochs = 5, 70
-	ref := collectExact(t, receivers, 1, 32, epochs, true) // uncached reference
-	for _, alt := range []struct {
-		workers, batch int
-		disable        bool
-	}{
-		{1, 32, false}, {3, 32, false}, {3, 1, false}, {5, 7, false},
-		{3, 32, true}, // uncached at another worker count, for completeness
-	} {
-		got := collectExact(t, receivers, alt.workers, alt.batch, epochs, alt.disable)
+	ref := collectExact(t, receivers, 1, 32, epochs)
+	for _, alt := range []struct{ workers, batch int }{{3, 32}, {3, 1}, {5, 7}} {
+		got := collectExact(t, receivers, alt.workers, alt.batch, epochs)
 		for r := 0; r < receivers; r++ {
 			if len(got[r]) != len(ref[r]) {
-				t.Fatalf("workers=%d batch=%d cacheOff=%v receiver %d: %d events, want %d",
-					alt.workers, alt.batch, alt.disable, r, len(got[r]), len(ref[r]))
+				t.Fatalf("workers=%d batch=%d receiver %d: %d events, want %d",
+					alt.workers, alt.batch, r, len(got[r]), len(ref[r]))
 			}
 			for i := range ref[r] {
 				if got[r][i] != ref[r][i] {
-					t.Fatalf("workers=%d batch=%d cacheOff=%v receiver %d event %d:\n  got  %s\n  want %s",
-						alt.workers, alt.batch, alt.disable, r, i, got[r][i], ref[r][i])
+					t.Fatalf("workers=%d batch=%d receiver %d event %d:\n  got  %s\n  want %s",
+						alt.workers, alt.batch, r, i, got[r][i], ref[r][i])
 				}
 			}
 		}
@@ -77,9 +72,6 @@ func TestEngineEpochCacheUsed(t *testing.T) {
 	eng, err := New(Config{Receivers: 4, Workers: 1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.cache == nil {
-		t.Fatal("default engine has no epoch cache")
 	}
 	const epochs = 50
 	if err := eng.Run(context.Background(), epochs); err != nil {

@@ -89,7 +89,8 @@ const (
 
 // TestEngineFaultedGolden compares a digest of every receiver's GGA/RMC
 // and wire stream under faultedGoldenSpec with the committed pins, and
-// checks the program really drove a RAIM exclusion and a coast fix.
+// checks the program really drove a RAIM exclusion, a coast fix and an
+// open circuit breaker.
 func TestEngineFaultedGolden(t *testing.T) {
 	const receivers, epochs = 4, 150
 	prog, err := fault.ParseSpec(faultedGoldenSpec)
@@ -139,6 +140,9 @@ func TestEngineFaultedGolden(t *testing.T) {
 	}
 	if nCoast == 0 {
 		t.Error("fault program produced no QualityEstimated coast fix")
+	}
+	if eng.Stats().BreakerOpens == 0 {
+		t.Error("fault program never opened a circuit breaker")
 	}
 	if got := goldenDigest(nmeaOut); got != faultedGoldenNMEA {
 		t.Errorf("NMEA digest %s, want %s", got, faultedGoldenNMEA)

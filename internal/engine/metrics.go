@@ -29,8 +29,6 @@ type shardMetrics struct {
 	quarantinedEpochs   *telemetry.Counter
 	failedEpochs        *telemetry.Counter
 	breakerOpens        *telemetry.Counter
-	breakerProbes       *telemetry.Counter
-	breakerSkips        *telemetry.Counter
 	quarantinedSessions *telemetry.Gauge
 	failedSessions      *telemetry.Gauge
 	breakerOpenSessions *telemetry.Gauge
@@ -83,10 +81,6 @@ func newShardMetrics(reg *telemetry.Registry, shard string) *shardMetrics {
 			"Epochs skipped on sessions whose restart budget is exhausted", l),
 		breakerOpens: reg.Counter("engine_breaker_opens_total",
 			"Circuit-breaker open transitions (K consecutive chain failures)", l),
-		breakerProbes: reg.Counter("engine_breaker_probes_total",
-			"Half-open probe solves attempted while a breaker was open", l),
-		breakerSkips: reg.Counter("engine_breaker_skipped_solves_total",
-			"Open-breaker epochs that coasted without attempting a solve", l),
 		quarantinedSessions: reg.Gauge("engine_sessions_quarantined",
 			"Sessions in post-panic backoff", l),
 		failedSessions: reg.Gauge("engine_sessions_failed",

@@ -83,6 +83,10 @@ func plausible(p geo.ECEF) bool {
 	return n >= minPlausibleNorm && n <= maxPlausibleNorm
 }
 
+// breakerThreshold is the consecutive-failure count that opens a
+// session's circuit breaker.
+const breakerThreshold = 8
+
 // defaultJournalSigma is the χ² measurement sigma the flight journal
 // assumes when the quality layer is off (matches QualityConfig.Sigma's
 // default).
@@ -104,9 +108,8 @@ type session struct {
 	pred   clock.Predictor
 	warm   *core.NRSolver // feeds the predictor, warm-started from warmGuess
 	chain  *core.FallbackChain
-	probe  core.Solver  // cheap DLO used for half-open breaker probes
 	solver string       // primary solver name, kept for restart
-	sp     solverParams // DLG variant, weighting, shared path counters
+	sp     solverParams // weighting, shared path counters
 	cm     *chainMetrics
 	sink   FixSink
 	m      *shardMetrics
@@ -124,19 +127,14 @@ type session struct {
 	warmGuess core.Solution // the feed's NR start; zero is the cold start
 	feedIters int           // iterations of the last predictor-feed solve (0 = failed)
 
-	// Circuit breaker: consecFails counts consecutive full-chain
-	// failures; at breakerK the breaker opens. While open, every
-	// probeEvery-th epoch runs a cheap DLO probe (and still falls through
-	// to the full chain, so default-tuned output is bit-identical to an
-	// engine without a breaker); the other open epochs coast without
-	// solving. Any successful solve or probe closes the breaker. All
-	// bookkeeping is epoch-indexed, never wall-clock, so it is
+	// Circuit breaker: consecFail counts consecutive full-chain
+	// failures; at breakerThreshold the breaker opens, and the next
+	// successful chain solve closes it. Every epoch still runs the full
+	// chain, so the breaker only reports an outage, never changes a fix.
+	// All bookkeeping is epoch-indexed, never wall-clock, so it is
 	// deterministic for any worker count.
-	breakerK   int
-	probeEvery int
 	consecFail int
 	brkOpen    bool
-	openEpochs int
 
 	// Supervisor state: after a recovered panic the session is
 	// quarantined until epoch quarUntil (exponential backoff in epochs),
@@ -185,39 +183,25 @@ func sessionSeed(base int64, r int) int64 {
 // newSession builds receiver r's session. Station templates are assigned
 // round-robin and each receiver draws from its own mixed seed stream (see
 // sessionSeed); the fault injector's seed is mixed the same way so burst
-// noise is distinct but reproducible per receiver. When the engine runs a
-// shared epoch cache, its constellation and the cache itself are
-// prepended to the generator options; caller-supplied SessionOptions come
-// after, so a custom WithConstellation still wins (and, by pointer
-// mismatch, safely disables the cache for that session).
+// noise is distinct but reproducible per receiver. Every session's
+// generator reads the engine's shared epoch cache and its constellation.
 func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, cache *epochcache.Cache) (*session, error) {
 	st := cfg.Stations[r%len(cfg.Stations)]
 	gcfg := scenario.DefaultConfig(sessionSeed(cfg.Seed, r))
 	gcfg.Step = cfg.Step
 	gcfg.CodeOnly = true // the fix path needs pseudoranges only
-	var opts []scenario.Option
-	if cache != nil {
-		opts = append(opts,
-			scenario.WithConstellation(cache.Constellation()),
-			scenario.WithEpochCache(cache))
-	}
-	if cfg.SessionOptions != nil {
-		opts = append(opts, cfg.SessionOptions(r)...)
-	}
-	variant, err := parseDLGVariant(cfg.DLGVariant)
-	if err != nil {
-		return nil, err
-	}
+	gen := scenario.NewGenerator(st, gcfg,
+		scenario.WithConstellation(cache.Constellation()),
+		scenario.WithEpochCache(cache))
 	s := &session{
 		recv:    r,
 		shard:   shardID,
 		step_:   cfg.Step,
 		station: st.ID,
-		gen:     scenario.NewGenerator(st, gcfg, opts...),
+		gen:     gen,
 		pred:    eval.DefaultPredictor(st.Clock),
 		solver:  cfg.Solver,
 		sp: solverParams{
-			variant: variant,
 			// Disruption acts by inflating σ, so it needs the weighted
 			// solve paths even when C/N0 weighting itself is off.
 			weighted: cfg.Weighting || cfg.Disruption,
@@ -228,8 +212,6 @@ func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, c
 		sink:          cfg.Sink,
 		m:             m,
 		state:         StateHealthy,
-		breakerK:      cfg.BreakerThreshold,
-		probeEvery:    cfg.BreakerProbeEvery,
 		restartBudget: cfg.RestartBudget,
 		ckptEvery:     cfg.CheckpointEvery,
 	}
@@ -257,8 +239,8 @@ func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, c
 	return s, nil
 }
 
-// buildSolvers wires a fresh scratch, warm-start NR, fallback chain and
-// breaker probe. newSession calls it once; restart calls it again after
+// buildSolvers wires a fresh scratch, warm-start NR and fallback chain.
+// newSession calls it once; restart calls it again after
 // a panic, discarding any solver state the panic may have poisoned while
 // keeping the expensive-to-recalibrate predictor.
 func (s *session) buildSolvers() error {
@@ -276,9 +258,6 @@ func (s *session) buildSolvers() error {
 	chain.EnableRAIM(0, s.cm.raim)
 	chain.SetMetrics(s.cm.fallback)
 	s.chain = chain
-	dlo := core.NewDLOSolver(s.pred)
-	dlo.Scratch = sc
-	s.probe = dlo
 	return nil
 }
 
@@ -373,32 +352,12 @@ func (s *session) step(i int) {
 		s.pred.Observe(clock.Fix{T: ep.T, Bias: nrSol.ClockBias / geo.SpeedOfLight})
 	}
 	start := time.Now()
-	if s.brkOpen {
-		s.openEpochs++
-		if s.probeEvery > 1 && s.openEpochs%s.probeEvery != 0 {
-			// Open breaker, not a probe epoch: coast without burning a
-			// full fallback-chain attempt on a session that has failed
-			// breakerK times in a row.
-			s.m.breakerSkips.Inc()
-			s.coastOrFail(i, ep.T, len(obs), fev, errBreakerOpen)
-			return
-		}
-		// Half-open probe: one cheap DLO solve. Success closes the
-		// breaker; either way the epoch falls through to the full chain,
-		// so with the default probeEvery=1 the fix stream is bit-identical
-		// to an engine without a breaker.
-		s.m.breakerProbes.Inc()
-		if _, perr := s.probe.Solve(ep.T, obs); perr == nil {
-			s.closeBreaker()
-		}
-	}
 	res, err := s.chain.Solve(ep.T, obs)
 	s.m.solveSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.consecFail++
-		if !s.brkOpen && s.consecFail >= s.breakerK {
+		if !s.brkOpen && s.consecFail >= breakerThreshold {
 			s.brkOpen = true
-			s.openEpochs = 0
 			s.m.breakerOpens.Inc()
 			s.m.breakerOpenSessions.Inc()
 		}
@@ -599,7 +558,6 @@ func (s *session) restore(cs *checkpoint.Session) error {
 
 var (
 	errPastPregenerated   = fmt.Errorf("engine: epoch index past pregenerated range")
-	errBreakerOpen        = fmt.Errorf("engine: circuit breaker open, solve skipped")
 	errSessionQuarantined = fmt.Errorf("engine: session quarantined after panic")
 	errSessionFailed      = fmt.Errorf("engine: session failed, restart budget exhausted")
 )

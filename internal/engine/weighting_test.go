@@ -7,13 +7,15 @@ import (
 	"sync"
 	"testing"
 
+	"gpsdl/internal/core"
 	"gpsdl/internal/fault"
 	"gpsdl/internal/scenario"
 )
 
 // collectNMEA runs the engine and returns each receiver's NMEA output
 // (GGA+RMC per epoch) plus the set of solver names that produced fixes.
-func collectNMEA(t *testing.T, cfg Config, epochs int) ([][]string, map[string]int) {
+// A non-nil prep adjusts the built engine before it runs.
+func collectNMEA(t *testing.T, cfg Config, epochs int, prep func(*Engine)) ([][]string, map[string]int) {
 	t.Helper()
 	out := make([][]string, cfg.Receivers)
 	solvers := map[string]int{}
@@ -30,6 +32,9 @@ func collectNMEA(t *testing.T, cfg Config, epochs int) ([][]string, map[string]i
 	if err != nil {
 		t.Fatal(err)
 	}
+	if prep != nil {
+		prep(eng)
+	}
 	if err := eng.Run(context.Background(), epochs); err != nil {
 		t.Fatal(err)
 	}
@@ -38,32 +43,38 @@ func collectNMEA(t *testing.T, cfg Config, epochs int) ([][]string, map[string]i
 
 // TestEngineDefaultFlipNMEAIdentical is the flip acceptance test: with
 // weighting off (the default), the engine's NMEA output is byte-identical
-// whether the primary DLG runs the new default Sherman–Morrison fast
-// path, the paper's dense Cholesky, or the explicit eq. 4-21 reference —
-// the routes agree far below NMEA's coordinate quantization.
+// whether the primary DLG runs the engine's Sherman–Morrison fast path
+// or the paper's dense Cholesky — the routes agree far below NMEA's
+// coordinate quantization. (Both are pinned to the explicit eq. 4-21
+// oracle by internal/core's differential harness.)
 func TestEngineDefaultFlipNMEAIdentical(t *testing.T) {
 	const receivers, epochs = 3, 60
 	base := Config{Receivers: receivers, Workers: 2, Seed: 11}
-	ref, refSolvers := collectNMEA(t, base, epochs)
+	ref, refSolvers := collectNMEA(t, base, epochs, nil)
 	if refSolvers["DLG-fast"] == 0 {
 		t.Fatalf("default engine did not use the fast DLG path: %v", refSolvers)
 	}
-	for _, variant := range []string{"paper", "explicit"} {
-		cfg := base
-		cfg.DLGVariant = variant
-		got, gotSolvers := collectNMEA(t, cfg, epochs)
-		if variant == "paper" && gotSolvers["DLG"] == 0 {
-			t.Fatalf("paper arm did not use the paper DLG path: %v", gotSolvers)
-		}
-		for r := 0; r < receivers; r++ {
-			if len(got[r]) != len(ref[r]) {
-				t.Fatalf("variant %s receiver %d: %d epochs, want %d", variant, r, len(got[r]), len(ref[r]))
-			}
-			for i := range ref[r] {
-				if got[r][i] != ref[r][i] {
-					t.Fatalf("variant %s receiver %d epoch %d: NMEA differs\n  fast:  %q\n  %s: %q",
-						variant, r, i, ref[r][i], variant, got[r][i])
+	paperRoute := func(eng *Engine) {
+		for _, s := range eng.sessions {
+			for _, sv := range s.chain.Solvers() {
+				if dlg, ok := sv.(*core.DLGSolver); ok {
+					dlg.Variant = core.VariantPaper
 				}
+			}
+		}
+	}
+	got, gotSolvers := collectNMEA(t, base, epochs, paperRoute)
+	if gotSolvers["DLG"] == 0 {
+		t.Fatalf("paper arm did not use the paper DLG path: %v", gotSolvers)
+	}
+	for r := 0; r < receivers; r++ {
+		if len(got[r]) != len(ref[r]) {
+			t.Fatalf("receiver %d: %d epochs, want %d", r, len(got[r]), len(ref[r]))
+		}
+		for i := range ref[r] {
+			if got[r][i] != ref[r][i] {
+				t.Fatalf("receiver %d epoch %d: NMEA differs\n  fast:  %q\n  paper: %q",
+					r, i, ref[r][i], got[r][i])
 			}
 		}
 	}
@@ -198,13 +209,5 @@ func TestEngineWeightingDeterministic(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestEngineRejectsBadDLGVariant: config validation catches typos.
-func TestEngineRejectsBadDLGVariant(t *testing.T) {
-	_, err := New(Config{Receivers: 1, DLGVariant: "cholesky"})
-	if err == nil || !strings.Contains(err.Error(), "DLG variant") {
-		t.Fatalf("New accepted bad DLGVariant: %v", err)
 	}
 }

@@ -93,10 +93,11 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 	var nr core.NRSolver
 	truth := ds.Station.Pos
 	rng := rand.New(rand.NewSource(opt.Seed ^ int64(opt.M)))
-	feed := func(t float64, obs []core.Observation) {
+	// feed reports whether the epoch's NR fix was plausible and fed.
+	feed := func(t float64, obs []core.Observation) bool {
 		sol, err := nr.Solve(t, obs)
 		if err != nil || !plausibleFix(sol) {
-			return
+			return false
 		}
 		fix := clock.Fix{T: t, Bias: sol.ClockBias / speedOfLight}
 		for _, spec := range specs {
@@ -104,17 +105,19 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 				spec.Predictor.Observe(fix)
 			}
 		}
+		return true
 	}
 
-	// Calibration pass.
+	// Calibration pass: like Sweep, it counts only plausible NR fixes.
 	calibrated := 0
 	for i := 0; i < len(ds.Epochs) && calibrated < initEpochs; i++ {
 		obs := selectObs(ds.Epochs[i].Obs, opt.M, sel, rng, truth)
 		if obs == nil {
 			continue
 		}
-		feed(ds.Epochs[i].T, obs)
-		calibrated++
+		if feed(ds.Epochs[i].T, obs) {
+			calibrated++
+		}
 	}
 
 	stats := make([]ArmStats, len(specs))

@@ -145,3 +145,52 @@ func TestPlausibleFix(t *testing.T) {
 		t.Error("geocenter fix reported plausible")
 	}
 }
+
+// countingPredictor counts the clock fixes a harness feeds its predictor.
+type countingPredictor struct {
+	clock.Predictor
+	fed int
+}
+
+func (c *countingPredictor) Observe(f clock.Fix) {
+	c.fed++
+	c.Predictor.Observe(f)
+}
+
+// TestRunArmsCalibratesLikeSweep: when the first epochs' NR fixes are
+// implausible, RunArms must keep calibrating until it has InitEpochs
+// good fixes, exactly as the Fig. 5.1/5.2 sweep does, so an ablation
+// arm's predictor sees the same clock fixes as the sweep's.
+func TestRunArmsCalibratesLikeSweep(t *testing.T) {
+	const k, m, initEpochs = 5, 6, 60
+	ds := armsDataset(t)
+	// Scaling every pseudo-range drives NR far off the Earth's surface,
+	// which the calibration feed rejects as implausible.
+	for i := 0; i < k; i++ {
+		for j := range ds.Epochs[i].Obs {
+			ds.Epochs[i].Obs[j].Pseudorange *= 3
+		}
+	}
+
+	sweepPred := &countingPredictor{Predictor: DefaultPredictor(ds.Station.Clock)}
+	sweep := &Sweep{
+		Dataset: ds, SatCounts: []int{m}, InitEpochs: initEpochs,
+		Selection: SelectStratified, Seed: 1, TimingReps: 1,
+		NewPredictor: func() clock.Predictor { return sweepPred },
+	}
+	if _, err := sweep.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	armPred := &countingPredictor{Predictor: DefaultPredictor(ds.Station.Clock)}
+	specs := []ArmSpec{{Name: "DLG", Solver: core.NewDLGSolver(armPred), Predictor: armPred}}
+	if _, err := RunArms(ds, specs, ArmOptions{
+		M: m, InitEpochs: initEpochs, Selection: SelectStratified, Seed: 1, TimingReps: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	if sweepPred.fed == 0 || armPred.fed != sweepPred.fed {
+		t.Errorf("RunArms fed %d clock fixes, Sweep fed %d; want equal", armPred.fed, sweepPred.fed)
+	}
+}

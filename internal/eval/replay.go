@@ -34,7 +34,7 @@ type ReplayInput struct {
 }
 
 // Solvers returns the solver configurations a replay runs the captured
-// epoch through, all sharing the captured clock estimate. The three DLG
+// epoch through, all sharing the captured clock estimate. The two DLG
 // covariance paths are listed separately: they agree to numerical
 // precision but not bit for bit, so a replay must re-run the exact
 // variant the capture names to reproduce the fix byte-identically.
@@ -45,7 +45,6 @@ func (in *ReplayInput) Solvers() []core.Solver {
 		&core.DLOSolver{Predictor: pred},
 		&core.DLGSolver{Predictor: pred},
 		&core.DLGSolver{Predictor: pred, Variant: core.VariantFast},
-		&core.DLGSolver{Predictor: pred, Variant: core.VariantExplicit},
 		core.BancroftSolver{},
 	}
 }

@@ -3,8 +3,9 @@
 # compares fixes/sec per arm against the committed baseline
 # (BENCH_engine.json). Points are keyed "arm:receivers" — the
 # pregenerated sweep is arm "pregen", the live-generation arms carry
-# their own names ("live-p1", "live-cache-p4", ...), so cached and
-# uncached serving throughput are both gated. A fresh point more than
+# their own names ("live-cache-p1", "live-cache-p4"), so solver-path and
+# live serving throughput (synthesis through the shared epoch cache)
+# are both gated. A fresh point more than
 # TOLERANCE_PCT below its baseline fails the gate; faster is always
 # fine. The committed file is refreshed by `make bench-json` — run that
 # (on the reference machine) after a deliberate perf change, and commit
