@@ -87,8 +87,8 @@ fault-determinism:
 
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences, journals, checkpoint
-# files and cluster handoff bodies), plus the NMEA fixed-point
-# formatter against strconv. Each target gets
+# files and cluster handoff bodies, wire frames), plus the NMEA
+# fixed-point formatter against strconv. Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -99,7 +99,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzAppendFixed -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
-	$(GO) test -fuzz=FuzzRankOneApplyInv -fuzztime=$(FUZZTIME) ./internal/lsq/
+	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 
 # Regenerate every table and figure of the paper at full 24 h × 1 Hz
 # scale (a few minutes), plus the ablations.
@@ -113,13 +113,12 @@ cover:
 	$(GO) test ./... -cover
 
 # Full coverage profile with a per-function breakdown, plus hard floors
-# on the numerical packages the weighted solve paths lean on: a drop
-# below 85% statement coverage in internal/lsq or internal/core fails
-# the target.
+# on the numerical packages the solve paths lean on: a drop below 85%
+# statement coverage in internal/mat or internal/core fails the target.
 test-cover:
 	$(GO) test ./... -coverprofile=coverage.out
 	$(GO) tool cover -func=coverage.out | tail -n 20
-	@for pkg in gpsdl/internal/lsq gpsdl/internal/core; do \
+	@for pkg in gpsdl/internal/mat gpsdl/internal/core; do \
 		pct=$$($(GO) test -cover $$pkg | awk '{ for (i = 1; i <= NF; i++) if ($$i ~ /%$$/) { sub(/%/, "", $$i); print $$i } }'); \
 		echo "$$pkg coverage: $$pct% (floor 85%)"; \
 		awk -v p="$$pct" 'BEGIN { exit !(p < 85) }' && { echo "FAIL: $$pkg below the 85% coverage floor"; exit 1; } || true; \

@@ -10,9 +10,8 @@
 //	Fig 5.1    -> BenchmarkFig51_* (θ = ns/op ratios across solvers)
 //	Fig 5.2    -> BenchmarkFig52_AccuracySweep (reports η via custom metrics)
 //	Ablation A1 -> BenchmarkAblation_BaseSelection
-//	Ablation A3 -> BenchmarkAblation_GLSFastPath
+//	Ablation A3 -> BenchmarkAblation_GLSFastPath (in internal/core)
 //	Ablation A4 -> BenchmarkAblation_DirectBaselines, BenchmarkNR_WarmVsCold
-//	Design choice 1 -> BenchmarkOLS_NormalVsQR
 //	Receiver stack  -> BenchmarkSubsystems (Hatch, EKF, velocity, NMEA, RAIM)
 //	I/O substrate   -> BenchmarkRINEX, BenchmarkGeodesy
 package gpsdl_test
@@ -20,15 +19,12 @@ package gpsdl_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"gpsdl/internal/clock"
 	"gpsdl/internal/core"
 	"gpsdl/internal/eval"
 	"gpsdl/internal/geo"
-	"gpsdl/internal/lsq"
-	"gpsdl/internal/mat"
 	"gpsdl/internal/nmea"
 	"gpsdl/internal/rinex"
 	"gpsdl/internal/scenario"
@@ -213,36 +209,6 @@ func BenchmarkNR_WarmVsCold(b *testing.B) {
 		s := &core.NRSolver{InitialGuess: &core.Solution{Pos: st.Pos}}
 		for i := 0; i < b.N; i++ {
 			if _, err := s.Solve(4321, obs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkOLS_NormalVsQR is design choice 1 of DESIGN.md: normal
-// equations vs Householder QR for the over-determined least squares.
-func BenchmarkOLS_NormalVsQR(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	a := mat.NewDense(10, 4)
-	rhs := make([]float64, 10)
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 4; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-		rhs[i] = rng.NormFloat64()
-	}
-	b.Run("normal-equations", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lsq.OLS(a, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("householder-qr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lsq.OLSQR(a, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -184,7 +184,7 @@ func runAblationDirect(cfg benchConfig) error {
 		{Name: "TriSat [30]", Solver: &core.TriSatSolver{Predictor: triP}, Predictor: triP},
 	}
 	stats, err := eval.RunArms(ds, specs, eval.ArmOptions{
-		M: ablationM, MaxEpochs: cfg.epochs, Seed: cfg.seed, CollectErrors: true,
+		M: ablationM, MaxEpochs: cfg.epochs, Seed: cfg.seed,
 	})
 	if err != nil {
 		return err

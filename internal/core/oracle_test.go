@@ -5,29 +5,58 @@ import (
 	"fmt"
 	"testing"
 
-	"gpsdl/internal/lsq"
 	"gpsdl/internal/mat"
 	"gpsdl/internal/telemetry"
 )
 
 // solveGLSExplicit computes eq. 4-21 exactly as written, through the
-// general-purpose lsq/mat layers (forms Ψ, inverts it, multiplies
-// through). It is the test oracle the dense and Sherman–Morrison routes
-// are verified against.
+// dense reference routines of internal/mat: it forms
+// Ψ = diag(d) + s·𝟙𝟙ᵀ, inverts it, and multiplies through. It is the
+// test oracle the dense and Sherman–Morrison routes are verified against.
 func solveGLSExplicit(rows [][3]float64, d, diag []float64, shared float64) ([3]float64, error) {
 	k := len(rows)
 	a := mat.NewDense(k, 3)
 	for i, r := range rows {
 		a.SetRow(i, r[:])
 	}
-	diagCopy := make([]float64, k)
-	copy(diagCopy, diag)
-	cov := lsq.RankOneCov{Diag: diagCopy, S: shared}
-	x, err := lsq.GLSExplicit(a, d, cov.Dense())
+	psi := mat.NewDense(k, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			v := shared
+			if i == j {
+				v += diag[i]
+			}
+			psi.Set(i, j, v)
+		}
+	}
+	x, err := glsExplicit(a, d, psi)
 	if err != nil {
 		return [3]float64{}, err
 	}
 	return [3]float64{x[0], x[1], x[2]}, nil
+}
+
+// glsExplicit returns the GLS solution computed exactly as written in the
+// paper: form M⁻¹, then (AᵀM⁻¹A)⁻¹AᵀM⁻¹b.
+func glsExplicit(a *mat.Dense, b []float64, m *mat.Dense) ([]float64, error) {
+	rows, _ := a.Dims()
+	mr, mc := m.Dims()
+	if mr != rows || mc != rows || len(b) != rows {
+		return nil, fmt.Errorf("GLS covariance %dx%d, b(%d) for %d-row system", mr, mc, len(b), rows)
+	}
+	minv, err := mat.Inverse(m)
+	if err != nil {
+		return nil, fmt.Errorf("GLS explicit inverse: %w", err)
+	}
+	at := a.T()
+	atm := mat.Mul(at, minv)  // n×m
+	lhs := mat.Mul(atm, a)    // n×n
+	rhs := mat.MulVec(atm, b) // n
+	x, err := mat.SolveSPD(lhs, rhs)
+	if err != nil {
+		return nil, fmt.Errorf("GLS explicit solve: %w", err)
+	}
+	return x, nil
 }
 
 // explicitDLG is a DLGSolver whose GLS step is the explicit oracle: the

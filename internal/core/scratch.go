@@ -7,9 +7,9 @@ package core
 // count, the steady-state path linearize → solve allocates nothing.
 //
 // The pattern started life as the private psi/wl/ul/diag fields of
-// DLGSolver; hoisting it into a shared type lets NR, DLO, DLG, and the
-// batch API draw from the same arena, so a session carrying one solver
-// plus an NR warm-up solver still owns exactly one set of buffers.
+// DLGSolver; hoisting it into a shared type lets NR, DLO and DLG draw
+// from the same arena, so a session carrying one solver plus an NR
+// warm-up solver still owns exactly one set of buffers.
 //
 // A Scratch is not safe for concurrent use: give each goroutine (each
 // engine shard session) its own. The zero value is ready to use. Solvers

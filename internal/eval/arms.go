@@ -25,19 +25,20 @@ type ArmStats struct {
 	Name      string
 	MeanError float64
 	RMSError  float64
-	// MedianError and P95Error are streaming CEP50/CEP95 estimates.
+	// MedianError and P95Error are the exact nearest-rank CEP50/CEP95.
 	MedianError float64
 	P95Error    float64
 	MaxError    float64
 	MeanNanos   float64
-	MedianNanos float64 // P² median per-epoch solve time
+	MedianNanos float64 // nearest-rank median per-epoch solve time
 	Fixes       int
 	Failures    int
 	// MeanIterations is the average solver iteration count (1 for direct
 	// methods; interesting for NR arms).
 	MeanIterations float64
-	// Errors is the per-epoch error series (NaN = failed solve), present
-	// only when ArmOptions.CollectErrors is set.
+	// Errors is the per-epoch error series (NaN = failed solve), aligned
+	// across arms so paired statistics (BootstrapRatioCI) can be
+	// computed.
 	Errors []float64
 }
 
@@ -57,10 +58,6 @@ type ArmOptions struct {
 	TimingReps int
 	// MaxGDOP screens out bad-geometry epochs (0 = 20; negative disables).
 	MaxGDOP float64
-	// CollectErrors retains each arm's per-epoch error series in
-	// ArmStats.Errors (NaN for failed solves), aligned across arms so
-	// paired statistics (BootstrapRatioCI) can be computed.
-	CollectErrors bool
 }
 
 // RunArms runs each arm over the dataset under identical per-epoch
@@ -123,11 +120,14 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 	stats := make([]ArmStats, len(specs))
 	sumIter := make([]float64, len(specs))
 	sumSq := make([]float64, len(specs))
-	quants := newArmQuantiles(len(specs))
+	indices := sampleIndices(len(ds.Epochs), initEpochs, opt.MaxEpochs)
+	// Sized up front so appending never allocates between timed solves.
+	nanosByArm := make([][]float64, len(specs))
 	for i, spec := range specs {
 		stats[i].Name = spec.Name
+		stats[i].Errors = make([]float64, 0, len(indices))
+		nanosByArm[i] = make([]float64, 0, len(indices))
 	}
-	indices := sampleIndices(len(ds.Epochs), initEpochs, opt.MaxEpochs)
 	obsBuf := make([]core.Observation, 0, 16)
 	for _, idx := range indices {
 		e := &ds.Epochs[idx]
@@ -143,16 +143,12 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 			sol, nanos, err := timedSolve(spec.Solver, e.T, obs, reps)
 			if err != nil || !plausibleFix(sol) {
 				stats[i].Failures++
-				if opt.CollectErrors {
-					stats[i].Errors = append(stats[i].Errors, math.NaN())
-				}
+				stats[i].Errors = append(stats[i].Errors, math.NaN())
 				continue
 			}
 			d := AbsoluteError(sol, truth)
 			s := &stats[i]
-			if opt.CollectErrors {
-				s.Errors = append(s.Errors, d)
-			}
+			s.Errors = append(s.Errors, d)
 			n := float64(s.Fixes)
 			s.MeanError = (s.MeanError*n + d) / (n + 1)
 			s.MeanNanos = (s.MeanNanos*n + nanos) / (n + 1)
@@ -161,7 +157,7 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 			}
 			sumSq[i] += d * d
 			sumIter[i] += float64(sol.Iterations)
-			quants[i].add(d, nanos)
+			nanosByArm[i] = append(nanosByArm[i], nanos)
 			s.Fixes++
 		}
 	}
@@ -169,9 +165,8 @@ func RunArms(ds *scenario.Dataset, specs []ArmSpec, opt ArmOptions) ([]ArmStats,
 		if stats[i].Fixes > 0 {
 			stats[i].RMSError = sqrtNonNeg(sumSq[i] / float64(stats[i].Fixes))
 			stats[i].MeanIterations = sumIter[i] / float64(stats[i].Fixes)
-			stats[i].MedianError = quants[i].median.Value()
-			stats[i].P95Error = quants[i].p95.Value()
-			stats[i].MedianNanos = quants[i].nanos.Value()
+			stats[i].MedianError, stats[i].P95Error = medianP95(stats[i].Errors)
+			stats[i].MedianNanos, _ = medianP95(nanosByArm[i])
 		}
 	}
 	return stats, nil

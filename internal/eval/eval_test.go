@@ -47,32 +47,6 @@ func TestTimeRate(t *testing.T) {
 	}
 }
 
-func TestAccumulator(t *testing.T) {
-	var a Accumulator
-	a.AddFix(3, 100)
-	a.AddFix(5, 200)
-	a.AddFailure()
-	if a.Fixes() != 2 || a.Failures() != 1 {
-		t.Errorf("counts = %d/%d", a.Fixes(), a.Failures())
-	}
-	if got := a.MeanError(); got != 4 {
-		t.Errorf("MeanError = %v, want 4", got)
-	}
-	if got, want := a.RMSError(), math.Sqrt(17); math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSError = %v, want %v", got, want)
-	}
-	if got := a.MaxError(); got != 5 {
-		t.Errorf("MaxError = %v, want 5", got)
-	}
-	if got := a.MeanNanos(); got != 150 {
-		t.Errorf("MeanNanos = %v, want 150", got)
-	}
-	var empty Accumulator
-	if empty.MeanError() != 0 || empty.RMSError() != 0 || empty.MeanNanos() != 0 {
-		t.Error("empty accumulator not all-zero")
-	}
-}
-
 func TestSampleIndices(t *testing.T) {
 	if got := sampleIndices(10, 2, 0); len(got) != 8 || got[0] != 2 || got[7] != 9 {
 		t.Errorf("all-epoch sample = %v", got)
@@ -201,7 +175,7 @@ func TestFormatters(t *testing.T) {
 			},
 		},
 	}
-	var b51, b52, bsum, btab strings.Builder
+	var b51, b52, btab strings.Builder
 	if err := FormatFig51(&b51, res); err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +187,6 @@ func TestFormatters(t *testing.T) {
 	}
 	if !strings.Contains(b52.String(), "120.0") { // η_DLO = 6/5
 		t.Errorf("Fig 5.2 output missing accuracy rate:\n%s", b52.String())
-	}
-	if err := FormatSummary(&bsum, res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(bsum.String(), "SRZN") {
-		t.Errorf("summary missing station:\n%s", bsum.String())
 	}
 	if err := FormatTable51(&btab, scenario.Table51Stations()); err != nil {
 		t.Fatal(err)

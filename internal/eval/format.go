@@ -60,21 +60,3 @@ func FormatFig52(w io.Writer, r *Result) error {
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
-
-// FormatSummary renders a combined per-m table with both metrics plus fix
-// and failure counts — the harness's general-purpose report.
-func FormatSummary(w io.Writer, r *Result) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Sweep summary — station %s (%s clock)\n", r.Station.ID, r.Station.Clock)
-	sb.WriteString("sats  epochs  dopskip  satskip  avail_NR(%)  d_NR(m)  d_DLO(m)  d_DLG(m)  eta_DLO  eta_DLG  theta_DLO  theta_DLG  fail(NR/DLO/DLG)\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-5d %-7d %-8d %-8d %-12.1f %-8.3f %-9.3f %-9.3f %-8.1f %-8.1f %-10.1f %-10.1f %d/%d/%d\n",
-			row.M, row.Epochs, row.SkippedDOP, row.SkippedSats, row.Availability(row.NR),
-			row.NR.MeanError, row.DLO.MeanError, row.DLG.MeanError,
-			row.AccuracyRateDLO(), row.AccuracyRateDLG(),
-			row.TimeRateDLO(), row.TimeRateDLG(),
-			row.NR.Failures, row.DLO.Failures, row.DLG.Failures)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}

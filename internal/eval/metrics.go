@@ -6,8 +6,6 @@
 package eval
 
 import (
-	"math"
-
 	"gpsdl/internal/core"
 	"gpsdl/internal/geo"
 )
@@ -37,63 +35,4 @@ func TimeRate(tauO, tauNR float64) float64 {
 		return 0
 	}
 	return 100 * tauO / tauNR
-}
-
-// Accumulator collects streaming error/time statistics for one algorithm
-// over a run.
-type Accumulator struct {
-	n        int
-	sumErr   float64
-	sumSqErr float64
-	maxErr   float64
-	sumNanos float64
-	failures int
-}
-
-// AddFix records a successful fix with error d (meters) and solve time
-// nanos.
-func (a *Accumulator) AddFix(d, nanos float64) {
-	a.n++
-	a.sumErr += d
-	a.sumSqErr += d * d
-	if d > a.maxErr {
-		a.maxErr = d
-	}
-	a.sumNanos += nanos
-}
-
-// AddFailure records a solve failure.
-func (a *Accumulator) AddFailure() { a.failures++ }
-
-// Fixes returns the number of successful fixes.
-func (a *Accumulator) Fixes() int { return a.n }
-
-// Failures returns the number of failed solves.
-func (a *Accumulator) Failures() int { return a.failures }
-
-// MeanError returns the mean absolute error in meters (0 if no fixes).
-func (a *Accumulator) MeanError() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sumErr / float64(a.n)
-}
-
-// RMSError returns the root-mean-square error in meters.
-func (a *Accumulator) RMSError() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return math.Sqrt(a.sumSqErr / float64(a.n))
-}
-
-// MaxError returns the largest single-epoch error seen.
-func (a *Accumulator) MaxError() float64 { return a.maxErr }
-
-// MeanNanos returns the mean solve time in nanoseconds.
-func (a *Accumulator) MeanNanos() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sumNanos / float64(a.n)
 }

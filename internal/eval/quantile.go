@@ -1,119 +1,27 @@
 package eval
 
 import (
-	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
-// P2Quantile is the Jain–Chlamtac P² streaming quantile estimator: it
-// tracks a single quantile of an unbounded error stream in O(1) memory,
-// letting day-scale sweeps report CEP50/CEP95 without storing 86 400
-// samples per arm.
-type P2Quantile struct {
-	p       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64
-	desired [5]float64
-	incr    [5]float64
-	initial []float64
-}
-
-// NewP2Quantile returns an estimator for the p-quantile (0 < p < 1).
-func NewP2Quantile(p float64) (*P2Quantile, error) {
-	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("eval: quantile %v outside (0,1)", p)
-	}
-	q := &P2Quantile{p: p, initial: make([]float64, 0, 5)}
-	q.incr = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return q, nil
-}
-
-// Add feeds one observation.
-func (q *P2Quantile) Add(x float64) {
-	if q.n < 5 {
-		q.initial = append(q.initial, x)
-		q.n++
-		if q.n == 5 {
-			sort.Float64s(q.initial)
-			copy(q.heights[:], q.initial)
-			q.pos = [5]float64{1, 2, 3, 4, 5}
-			q.desired = [5]float64{1, 1 + 2*q.p, 1 + 4*q.p, 3 + 2*q.p, 5}
-		}
-		return
-	}
-	q.n++
-	// Find the cell k containing x and update extreme heights.
-	var k int
-	switch {
-	case x < q.heights[0]:
-		q.heights[0] = x
-		k = 0
-	case x >= q.heights[4]:
-		q.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < q.heights[k+1] {
-				break
-			}
+// medianP95 returns the nearest-rank median and 95th percentile of the
+// non-NaN values in xs: sorted[min(⌊p·n⌋, n−1)] for p = 0.5 and 0.95, and
+// (0, 0) when there are none. xs itself is left untouched, so an
+// epoch-aligned series (NaN = failed solve) can be passed as is.
+func medianP95(xs []float64) (median, p95 float64) {
+	sorted := make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			sorted = append(sorted, x)
 		}
 	}
-	for i := k + 1; i < 5; i++ {
-		q.pos[i]++
+	if len(sorted) == 0 {
+		return 0, 0
 	}
-	for i := 0; i < 5; i++ {
-		q.desired[i] += q.incr[i]
+	slices.Sort(sorted)
+	at := func(p float64) float64 {
+		return sorted[min(int(p*float64(len(sorted))), len(sorted)-1)]
 	}
-	// Adjust interior markers.
-	for i := 1; i <= 3; i++ {
-		d := q.desired[i] - q.pos[i]
-		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			h := q.parabolic(i, sign)
-			if q.heights[i-1] < h && h < q.heights[i+1] {
-				q.heights[i] = h
-			} else {
-				q.heights[i] = q.linear(i, sign)
-			}
-			q.pos[i] += sign
-		}
-	}
+	return at(0.5), at(0.95)
 }
-
-// parabolic is the P² piecewise-parabolic predictor.
-func (q *P2Quantile) parabolic(i int, d float64) float64 {
-	return q.heights[i] + d/(q.pos[i+1]-q.pos[i-1])*
-		((q.pos[i]-q.pos[i-1]+d)*(q.heights[i+1]-q.heights[i])/(q.pos[i+1]-q.pos[i])+
-			(q.pos[i+1]-q.pos[i]-d)*(q.heights[i]-q.heights[i-1])/(q.pos[i]-q.pos[i-1]))
-}
-
-// linear is the fallback linear predictor.
-func (q *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return q.heights[i] + d*(q.heights[j]-q.heights[i])/(q.pos[j]-q.pos[i])
-}
-
-// Value returns the current quantile estimate (exact for < 5 samples).
-func (q *P2Quantile) Value() float64 {
-	if q.n == 0 {
-		return 0
-	}
-	if q.n < 5 {
-		tmp := make([]float64, len(q.initial))
-		copy(tmp, q.initial)
-		sort.Float64s(tmp)
-		idx := int(q.p * float64(len(tmp)))
-		if idx >= len(tmp) {
-			idx = len(tmp) - 1
-		}
-		return tmp[idx]
-	}
-	return q.heights[2]
-}
-
-// Count returns the number of samples seen.
-func (q *P2Quantile) Count() int { return q.n }

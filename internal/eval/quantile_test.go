@@ -2,169 +2,48 @@ package eval
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
-func TestNewP2QuantileValidation(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 1.5} {
-		if _, err := NewP2Quantile(p); err == nil {
-			t.Errorf("NewP2Quantile(%v) succeeded", p)
+func TestMedianP95NearestRank(t *testing.T) {
+	// 1..20 shuffled, plus failed-solve NaNs that must be skipped:
+	// n = 20, median = sorted[10] = 11, p95 = sorted[19] = 20.
+	xs := []float64{7, 20, 3, math.NaN(), 15, 1, 12, 9, 18, 5, 11, 2, 19, 14, math.NaN(), 6, 17, 4, 10, 16, 8, 13}
+	orig := append([]float64(nil), xs...)
+	med, p95 := medianP95(xs)
+	if med != 11 || p95 != 20 {
+		t.Errorf("medianP95 = (%v, %v), want (11, 20)", med, p95)
+	}
+	for i := range xs {
+		if xs[i] != orig[i] && !(math.IsNaN(xs[i]) && math.IsNaN(orig[i])) {
+			t.Fatalf("medianP95 modified its input at %d: %v → %v", i, orig[i], xs[i])
 		}
 	}
-	if _, err := NewP2Quantile(0.5); err != nil {
-		t.Fatal(err)
-	}
-}
 
-func TestP2QuantileSmallSamples(t *testing.T) {
-	q, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name     string
+		xs       []float64
+		med, p95 float64
+	}{
+		{"empty", nil, 0, 0},
+		{"all failed", []float64{math.NaN(), math.NaN()}, 0, 0},
+		{"one", []float64{4}, 4, 4},
+		{"three", []float64{3, 1, 2}, 2, 3},
+		// n = 100: median = sorted[50], p95 = sorted[95].
+		{"hundred", ramp(100), 50, 95},
 	}
-	if q.Value() != 0 || q.Count() != 0 {
-		t.Error("empty estimator not zero")
-	}
-	q.Add(3)
-	q.Add(1)
-	q.Add(2)
-	// Exact median of {1,2,3}.
-	if got := q.Value(); got != 2 {
-		t.Errorf("median of 3 samples = %v, want 2", got)
-	}
-}
-
-func TestP2MedianUniform(t *testing.T) {
-	q, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100000; i++ {
-		q.Add(rng.Float64() * 10)
-	}
-	if got := q.Value(); math.Abs(got-5) > 0.1 {
-		t.Errorf("uniform median = %v, want ≈5", got)
-	}
-}
-
-func TestP2P95Normal(t *testing.T) {
-	q, err := NewP2Quantile(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100000; i++ {
-		q.Add(rng.NormFloat64())
-	}
-	// 95th percentile of N(0,1) = 1.6449.
-	if got := q.Value(); math.Abs(got-1.6449) > 0.05 {
-		t.Errorf("normal p95 = %v, want ≈1.645", got)
-	}
-}
-
-// Property: P² estimate lands within a few percent of the exact sample
-// quantile for moderately sized exponential samples (a shape similar to
-// position-error distributions).
-func TestPropP2MatchesExactQuantile(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := 0.3 + rng.Float64()*0.6
-		q, err := NewP2Quantile(p)
-		if err != nil {
-			return false
-		}
-		n := 2000 + rng.Intn(3000)
-		data := make([]float64, n)
-		for i := range data {
-			data[i] = rng.ExpFloat64()
-			q.Add(data[i])
-		}
-		sort.Float64s(data)
-		exact := data[int(p*float64(n))]
-		return math.Abs(q.Value()-exact) < 0.15*exact+0.05
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestP2MonotoneInput(t *testing.T) {
-	q, err := NewP2Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 1001; i++ {
-		q.Add(float64(i))
-	}
-	if got := q.Value(); math.Abs(got-501) > 20 {
-		t.Errorf("median of 1..1001 = %v, want ≈501", got)
-	}
-	if q.Count() != 1001 {
-		t.Errorf("Count = %d", q.Count())
-	}
-}
-
-func TestBootstrapRatioCIValidation(t *testing.T) {
-	if _, _, err := BootstrapRatioCI([]float64{1}, []float64{1, 2}, 100, 0.95, 1); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, _, err := BootstrapRatioCI(make([]float64, 20), make([]float64, 20), 100, 1.5, 1); err == nil {
-		t.Error("bad confidence accepted")
-	}
-	nan := make([]float64, 20)
-	for i := range nan {
-		nan[i] = math.NaN()
-	}
-	if _, _, err := BootstrapRatioCI(nan, nan, 100, 0.95, 1); err == nil {
-		t.Error("all-NaN pairs accepted")
-	}
-}
-
-func TestBootstrapRatioCICoversTruth(t *testing.T) {
-	// y ~ |N(0,1)|+1, x = 1.2·y + tiny noise: true ratio 120%.
-	rng := rand.New(rand.NewSource(6))
-	n := 2000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = 1 + math.Abs(rng.NormFloat64())
-		x[i] = 1.2*y[i] + 0.01*rng.NormFloat64()
-	}
-	lo, hi, err := BootstrapRatioCI(x, y, 2000, 0.95, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 120 || hi < 120 {
-		t.Errorf("CI [%.2f, %.2f] does not cover 120", lo, hi)
-	}
-	if hi-lo > 5 {
-		t.Errorf("CI [%.2f, %.2f] implausibly wide for paired data", lo, hi)
-	}
-	if lo >= hi {
-		t.Errorf("degenerate CI [%v, %v]", lo, hi)
-	}
-}
-
-func TestBootstrapSkipsNaNPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 500
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = 1 + rng.Float64()
-		x[i] = y[i] // ratio exactly 100%
-		if i%7 == 0 {
-			x[i] = math.NaN()
+	for _, tt := range tests {
+		if med, p95 := medianP95(tt.xs); med != tt.med || p95 != tt.p95 {
+			t.Errorf("%s: medianP95 = (%v, %v), want (%v, %v)", tt.name, med, p95, tt.med, tt.p95)
 		}
 	}
-	lo, hi, err := BootstrapRatioCI(x, y, 500, 0.9, 3)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// ramp returns 0, 1, …, n−1 in descending order.
+func ramp(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(n - 1 - i)
 	}
-	if lo > 100 || hi < 100 {
-		t.Errorf("CI [%v, %v] does not cover 100", lo, hi)
-	}
+	return out
 }

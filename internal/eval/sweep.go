@@ -81,12 +81,12 @@ type Sweep struct {
 type ArmResult struct {
 	MeanError float64 // meters
 	RMSError  float64
-	// MedianError and P95Error are streaming CEP50/CEP95 estimates
-	// (Jain-Chlamtac P²) of the per-epoch error distribution.
+	// MedianError and P95Error are the exact nearest-rank CEP50/CEP95
+	// of the per-epoch error distribution.
 	MedianError float64
 	P95Error    float64
 	MeanNanos   float64
-	MedianNanos float64 // P² median per-epoch solve time
+	MedianNanos float64 // nearest-rank median per-epoch solve time
 	Fixes       int
 	Failures    int
 }
@@ -186,7 +186,6 @@ func (s *Sweep) Run() (*Result, error) {
 func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float64) (Row, error) {
 	epochs := s.Dataset.Epochs
 	row := Row{M: m}
-	quants := newArmQuantiles(3) // NR, DLO, DLG
 	pred := s.makePredictor()
 	// One Scratch serves all three arms (they solve in turn), so no
 	// timed region allocates and GC cost lands on none of them.
@@ -222,6 +221,14 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 
 	// Measurement pass.
 	indices := sampleIndices(len(epochs), initEpochs, s.MaxEpochs)
+	// Per-epoch error and solve-time series of the accepted fixes (NR,
+	// DLO, DLG), for the exact quantiles. Sized up front so appending
+	// never allocates between timed solves.
+	var errs, nanos [3][]float64
+	for i := range errs {
+		errs[i] = make([]float64, 0, len(indices))
+		nanos[i] = make([]float64, 0, len(indices))
+	}
 	obsBuf := make([]core.Observation, 0, 16)
 	for _, i := range indices {
 		e := &epochs[i]
@@ -250,7 +257,7 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		} else {
 			nrD := AbsoluteError(nrSol, truth)
 			row.addFix(&row.NR, nrD, nrNanos)
-			quants[0].add(nrD, nrNanos)
+			errs[0], nanos[0] = append(errs[0], nrD), append(nanos[0], nrNanos)
 			pred.Observe(clock.Fix{T: e.T, Bias: nrSol.ClockBias / speedOfLight})
 		}
 		dloSol, dloNanos, dloErr := timedSolve(dlo, e.T, obs, reps)
@@ -260,7 +267,7 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		} else {
 			dloD := AbsoluteError(dloSol, truth)
 			row.addFix(&row.DLO, dloD, dloNanos)
-			quants[1].add(dloD, dloNanos)
+			errs[1], nanos[1] = append(errs[1], dloD), append(nanos[1], dloNanos)
 		}
 		dlgSol, dlgNanos, dlgErr := timedSolve(dlg, e.T, obs, reps)
 		recordArm(dlgM, dlgNanos, dlgSol.Iterations, dlgErr != nil || !plausibleFix(dlgSol))
@@ -269,43 +276,14 @@ func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float
 		} else {
 			dlgD := AbsoluteError(dlgSol, truth)
 			row.addFix(&row.DLG, dlgD, dlgNanos)
-			quants[2].add(dlgD, dlgNanos)
+			errs[2], nanos[2] = append(errs[2], dlgD), append(nanos[2], dlgNanos)
 		}
 	}
-	quants[0].finish(&row.NR)
-	quants[1].finish(&row.DLO)
-	quants[2].finish(&row.DLG)
-	return row, nil
-}
-
-// armQuantiles holds one arm's streaming quantile trackers: error
-// median and p95, and solve-time median.
-type armQuantiles struct {
-	median, p95, nanos *P2Quantile
-}
-
-func newArmQuantiles(n int) []armQuantiles {
-	out := make([]armQuantiles, n)
-	for i := range out {
-		// The quantile arguments are compile-time valid; errors cannot
-		// occur.
-		out[i].median, _ = NewP2Quantile(0.5)
-		out[i].p95, _ = NewP2Quantile(0.95)
-		out[i].nanos, _ = NewP2Quantile(0.5)
+	for i, a := range []*ArmResult{&row.NR, &row.DLO, &row.DLG} {
+		a.MedianError, a.P95Error = medianP95(errs[i])
+		a.MedianNanos, _ = medianP95(nanos[i])
 	}
-	return out
-}
-
-func (a armQuantiles) add(d, nanos float64) {
-	a.median.Add(d)
-	a.p95.Add(d)
-	a.nanos.Add(nanos)
-}
-
-func (a armQuantiles) finish(res *ArmResult) {
-	res.MedianError = a.median.Value()
-	res.P95Error = a.p95.Value()
-	res.MedianNanos = a.nanos.Value()
+	return row, nil
 }
 
 const speedOfLight = 299792458.0

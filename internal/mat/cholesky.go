@@ -44,9 +44,6 @@ func FactorizeCholesky(a *Dense) (*Cholesky, error) {
 	return &Cholesky{l: l}, nil
 }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Dense { return c.l.Clone() }
-
 // Solve solves A*x = b using the factorization: L*y = b, then Lᵀ*x = y.
 func (c *Cholesky) Solve(b []float64) []float64 {
 	n := c.l.rows
@@ -74,37 +71,6 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 		x[i] = (x[i] - s) / l.data[i*n+i]
 	}
 	return x
-}
-
-// SolveMat solves A*X = B column by column.
-func (c *Cholesky) SolveMat(b *Dense) *Dense {
-	n := c.l.rows
-	if b.rows != n {
-		panic(fmt.Sprintf("mat: Cholesky.SolveMat with %dx%d rhs for %dx%d system", b.rows, b.cols, n, n))
-	}
-	out := NewDense(n, b.cols)
-	col := make([]float64, n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		x := c.Solve(col)
-		for i := 0; i < n; i++ {
-			out.data[i*out.cols+j] = x[i]
-		}
-	}
-	return out
-}
-
-// Det returns the determinant of the factorized matrix.
-func (c *Cholesky) Det() float64 {
-	n := c.l.rows
-	det := 1.0
-	for i := 0; i < n; i++ {
-		d := c.l.data[i*n+i]
-		det *= d * d
-	}
-	return det
 }
 
 // SolveSPD solves the symmetric positive definite system a*x = b via

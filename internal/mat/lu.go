@@ -10,19 +10,17 @@ import (
 type LU struct {
 	lu    *Dense
 	pivot []int // row i of the factorization came from row pivot[i] of A
-	sign  int   // +1 or -1, parity of the permutation (for Det)
-	ok    bool
 }
 
 // FactorizeLU computes the LU factorization of the square matrix a.
 // It returns ErrSingular if a pivot is exactly zero; near-singular systems
-// succeed but produce large solution errors (check Cond if that matters).
+// succeed but produce large solution errors.
 func FactorizeLU(a *Dense) (*LU, error) {
 	if a.rows != a.cols {
 		panic(fmt.Sprintf("mat: FactorizeLU of non-square %dx%d matrix", a.rows, a.cols))
 	}
 	n := a.rows
-	f := &LU{lu: a.Clone(), pivot: make([]int, n), sign: 1}
+	f := &LU{lu: a.Clone(), pivot: make([]int, n)}
 	lu := f.lu
 	for i := range f.pivot {
 		f.pivot[i] = i
@@ -46,7 +44,6 @@ func FactorizeLU(a *Dense) (*LU, error) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			f.pivot[k], f.pivot[p] = f.pivot[p], f.pivot[k]
-			f.sign = -f.sign
 		}
 		pivotVal := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -61,7 +58,6 @@ func FactorizeLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	f.ok = true
 	return f, nil
 }
 
@@ -118,16 +114,6 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 	return out
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	det := float64(f.sign)
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
 // Inverse returns A⁻¹ computed from the factorization.
 func (f *LU) Inverse() *Dense {
 	return f.SolveMat(Identity(f.lu.rows))
@@ -149,25 +135,4 @@ func Inverse(a *Dense) (*Dense, error) {
 		return nil, err
 	}
 	return f.Inverse(), nil
-}
-
-// Det returns the determinant of the square matrix a. A singular matrix
-// has determinant 0 (no error is returned in that case).
-func Det(a *Dense) float64 {
-	f, err := FactorizeLU(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
-}
-
-// Cond1 returns the 1-norm condition number estimate ‖A‖₁·‖A⁻¹‖₁, or +Inf
-// if a is singular. Intended for diagnostics on the small systems this
-// package targets; it forms the inverse explicitly.
-func Cond1(a *Dense) float64 {
-	inv, err := Inverse(a)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return Norm1(a) * Norm1(inv)
 }

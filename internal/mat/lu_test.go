@@ -43,27 +43,6 @@ func TestLUNonSquarePanics(t *testing.T) {
 	_, _ = FactorizeLU(NewDense(2, 3))
 }
 
-func TestLUDet(t *testing.T) {
-	tests := []struct {
-		name string
-		a    *Dense
-		want float64
-	}{
-		{"identity", Identity(3), 1},
-		{"diag", Diag([]float64{2, 3, 4}), 24},
-		{"swap rows of identity", NewDenseData(2, 2, []float64{0, 1, 1, 0}), -1},
-		{"2x2", NewDenseData(2, 2, []float64{1, 2, 3, 4}), -2},
-		{"singular", NewDenseData(2, 2, []float64{1, 1, 1, 1}), 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Det(tt.a); math.Abs(got-tt.want) > 1e-10 {
-				t.Errorf("Det = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestLUInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 1; n <= 8; n++ {
@@ -108,37 +87,6 @@ func TestPropLURoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: det(A*B) = det(A)*det(B).
-func TestPropDetMultiplicative(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(5)
-		a := randomDense(r, n, n)
-		b := randomDense(r, n, n)
-		lhs := Det(Mul(a, b))
-		rhs := Det(a) * Det(b)
-		scale := math.Max(1, math.Abs(rhs))
-		return math.Abs(lhs-rhs) < 1e-8*scale
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCond1(t *testing.T) {
-	if got := Cond1(Identity(4)); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Cond1(I) = %v, want 1", got)
-	}
-	if got := Cond1(NewDenseData(2, 2, []float64{1, 1, 1, 1})); !math.IsInf(got, 1) {
-		t.Errorf("Cond1(singular) = %v, want +Inf", got)
-	}
-	// An ill-conditioned matrix should have a big condition number.
-	ill := NewDenseData(2, 2, []float64{1, 1, 1, 1 + 1e-10})
-	if got := Cond1(ill); got < 1e9 {
-		t.Errorf("Cond1(ill) = %v, want >= 1e9", got)
 	}
 }
 

@@ -1,7 +1,14 @@
-// Package mat implements the dense linear algebra needed by the GPS solvers:
-// matrix arithmetic, LU/Cholesky/QR factorizations, linear solves, inverses
-// and norms. It is deliberately small, allocation-conscious and written
-// against the standard library only.
+// Package mat holds the linear algebra behind the GPS solvers, in two
+// parts:
+//
+//   - small.go: the fixed-size kernels the solvers run — unrolled 3×3 and
+//     4×4 solves, the 4×4 inverse and the normal-equation builders over
+//     [3]/[4]float64 rows. They allocate nothing.
+//   - mat.go, lu.go, cholesky.go: a small dense matrix type with LU and
+//     Cholesky factorizations. No binary calls this code; it is the
+//     reference the kernels and the DLG covariance routes are tested
+//     against (the explicit eq. 4-21 oracle in internal/core builds on
+//     it).
 //
 // Conventions:
 //   - Matrices are dense, row-major, float64.
@@ -14,8 +21,6 @@ package mat
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Numerical failure modes reported by factorizations and solvers.
@@ -25,9 +30,6 @@ var (
 	// ErrNotSPD is returned by Cholesky when the input is not symmetric
 	// positive definite.
 	ErrNotSPD = errors.New("mat: matrix is not symmetric positive definite")
-	// ErrUnderdetermined is returned by least-squares solvers when the
-	// system has fewer rows than columns.
-	ErrUnderdetermined = errors.New("mat: system is underdetermined (rows < cols)")
 )
 
 // Dense is a dense, row-major matrix of float64 values.
@@ -44,17 +46,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseData returns a rows×cols matrix initialized with a copy of data,
-// which must have exactly rows*cols elements in row-major order.
-func NewDenseData(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: NewDenseData with %d elements for %dx%d matrix", len(data), rows, cols))
-	}
-	m := NewDense(rows, cols)
-	copy(m.data, data)
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Dense {
 	m := NewDense(n, n)
@@ -64,24 +55,8 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Dims returns the number of rows and columns.
 func (m *Dense) Dims() (rows, cols int) { return m.rows, m.cols }
-
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
@@ -104,28 +79,6 @@ func (m *Dense) checkIndex(i, j int) {
 // rawRow returns the i-th row as a slice aliasing the matrix storage.
 func (m *Dense) rawRow(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.rawRow(i))
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := range out {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
 }
 
 // SetRow copies v into row i.
@@ -153,41 +106,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return out
-}
-
-// Add returns a+b. Panics if shapes differ.
-func Add(a, b *Dense) *Dense {
-	checkSameShape("Add", a, b)
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v + b.data[i]
-	}
-	return out
-}
-
-// Sub returns a-b. Panics if shapes differ.
-func Sub(a, b *Dense) *Dense {
-	checkSameShape("Sub", a, b)
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v - b.data[i]
-	}
-	return out
-}
-
-// Scale returns s*a.
-func Scale(s float64, a *Dense) *Dense {
-	out := NewDense(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = s * v
-	}
-	return out
-}
-
-func checkSameShape(op string, a, b *Dense) {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d vs %dx%d", op, a.rows, a.cols, b.rows, b.cols))
-	}
 }
 
 // Mul returns the matrix product a*b. Panics if a.cols != b.rows.
@@ -271,49 +189,4 @@ func MulATA(a *Dense) *Dense {
 		}
 	}
 	return out
-}
-
-// EqualApprox reports whether a and b have the same shape and all elements
-// within tol of each other.
-func EqualApprox(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.data[i*m.cols+j]-m.data[j*m.cols+i]) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.rows; i++ {
-		sb.WriteString("[")
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				sb.WriteString(" ")
-			}
-			fmt.Fprintf(&sb, "%.6g", m.data[i*m.cols+j])
-		}
-		sb.WriteString("]\n")
-	}
-	return sb.String()
 }

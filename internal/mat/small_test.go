@@ -85,6 +85,41 @@ func TestSolve4Identity(t *testing.T) {
 	}
 }
 
+func TestInv4MatchesLU(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var a [16]float64
+		for i := range a {
+			a[i] = r.NormFloat64()
+		}
+		got, err4 := Inv4(a)
+		want, errg := Inverse(NewDenseData(4, 4, a[:]))
+		if err4 != nil || errg != nil {
+			return true // near-singular draws may disagree; accept
+		}
+		return EqualApprox(NewDenseData(4, 4, got[:]), want, 1e-6*(1+VecNorm2(want.data)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestInv4Singular(t *testing.T) {
+	a := [16]float64{
+		1, 2, 3, 4,
+		2, 4, 6, 8,
+		0, 1, 0, 1,
+		1, 0, 1, 0,
+	}
+	if _, err := Inv4(a); !errors.Is(err, ErrSingular) {
+		t.Errorf("error = %v, want ErrSingular", err)
+	}
+	a[0] = math.NaN()
+	if _, err := Inv4(a); !errors.Is(err, ErrSingular) {
+		t.Errorf("NaN input: error = %v, want ErrSingular", err)
+	}
+}
+
 func TestNormalEq3MatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := 7
@@ -138,33 +173,5 @@ func TestNormalEq4MatchesDense(t *testing.T) {
 		if math.Abs(atb[i]-wantATb[i]) > 1e-10 {
 			t.Errorf("atb[%d] = %v, want %v", i, atb[i], wantATb[i])
 		}
-	}
-}
-
-func TestVecHelpers(t *testing.T) {
-	if got := VecDot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("VecDot = %v, want 32", got)
-	}
-	if got := VecNorm2([]float64{3, 4}); got != 5 {
-		t.Errorf("VecNorm2 = %v, want 5", got)
-	}
-	if got := VecNormInf([]float64{1, -7, 3}); got != 7 {
-		t.Errorf("VecNormInf = %v, want 7", got)
-	}
-	if got := VecAdd([]float64{1, 2}, []float64{3, 4}); got[0] != 4 || got[1] != 6 {
-		t.Errorf("VecAdd = %v, want [4 6]", got)
-	}
-}
-
-func TestNorms(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, -2, 3, -4})
-	if got := Norm1(a); got != 6 {
-		t.Errorf("Norm1 = %v, want 6", got)
-	}
-	if got := NormInf(a); got != 7 {
-		t.Errorf("NormInf = %v, want 7", got)
-	}
-	if got, want := NormFrob(a), math.Sqrt(30); math.Abs(got-want) > 1e-12 {
-		t.Errorf("NormFrob = %v, want %v", got, want)
 	}
 }

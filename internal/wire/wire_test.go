@@ -152,7 +152,7 @@ func TestDecoderFromAnyKeyframe(t *testing.T) {
 	}
 }
 
-func payloadOf(t *testing.T, frame []byte) []byte {
+func payloadOf(t testing.TB, frame []byte) []byte {
 	t.Helper()
 	fr := NewFrameReader(bytes.NewReader(frame))
 	p, err := fr.Next()
