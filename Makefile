@@ -87,8 +87,10 @@ fault-determinism:
 
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences, journals, checkpoint
-# files and cluster handoff bodies, wire frames), plus the NMEA
-# fixed-point formatter against strconv. Each target gets
+# files and cluster handoff bodies, wire frames) or an operator (the
+# -faults fault-program spec and the -slo objective spec grammars), plus
+# the NMEA fixed-point formatter against strconv and the one-pass
+# GGA+RMC pair against the two sentence encoders. Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -97,6 +99,9 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzParseGGA -fuzztime=$(FUZZTIME) ./internal/nmea/
 	$(GO) test -fuzz=FuzzAppendFixed -fuzztime=$(FUZZTIME) ./internal/nmea/
+	$(GO) test -fuzz=FuzzAppendFixPair -fuzztime=$(FUZZTIME) ./internal/nmea/
+	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -fuzz=FuzzParseObjectives -fuzztime=$(FUZZTIME) ./internal/slo/
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/

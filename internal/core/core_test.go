@@ -9,6 +9,7 @@ import (
 
 	"gpsdl/internal/clock"
 	"gpsdl/internal/geo"
+	"gpsdl/internal/mat"
 	"gpsdl/internal/orbit"
 )
 
@@ -438,7 +439,8 @@ func TestComputeDOPErrors(t *testing.T) {
 
 // TestDOPFromObsLLAMatchesDOPFromObs: handing DOPFromObsLLA the
 // receiver's own ToLLA changes nothing, bit for bit, across epochs,
-// satellite counts and receiver positions off the station.
+// satellite counts and receiver positions off the station; handing it
+// ToLLAFast moves the factors by no more than rounding.
 func TestDOPFromObsLLAMatchesDOPFromObs(t *testing.T) {
 	for _, recv := range []geo.ECEF{yyr1(), {X: -2.7e6, Y: -4.3e6, Z: 3.85e6}, {X: 6.37e6, Y: 1, Z: -2}} {
 		for _, epoch := range []float64{0, 3000, 40000} {
@@ -449,6 +451,12 @@ func TestDOPFromObsLLAMatchesDOPFromObs(t *testing.T) {
 				got, gerr := DOPFromObsLLA(p, p.ToLLA(), obs)
 				if got != want || (werr == nil) != (gerr == nil) {
 					t.Errorf("recv %v epoch %v m %d: DOPFromObsLLA %+v (%v), DOPFromObs %+v (%v)", recv, epoch, m, got, gerr, want, werr)
+				}
+				// The fix path's conversion orients the frame just as well.
+				fast, ferr := DOPFromObsLLA(p, p.ToLLAFast(), obs)
+				if (werr == nil) != (ferr == nil) || math.Abs(fast.GDOP-want.GDOP) > 1e-12*want.GDOP ||
+					math.Abs(fast.HDOP-want.HDOP) > 1e-12*want.HDOP {
+					t.Errorf("recv %v epoch %v m %d: DOPFromObsLLA with ToLLAFast %+v (%v), DOPFromObs %+v (%v)", recv, epoch, m, fast, ferr, want, werr)
 				}
 			}
 		}
@@ -476,6 +484,125 @@ func BenchmarkDOPFromObs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DOPFromObs(recv, obs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDOPMatchesDenseInverse checks the Cholesky DOP against the diagonal
+// of the dense LU inverse of the same normal matrix, over real
+// geometries: a day of the default constellation seen from receivers at
+// the equator, mid and high latitudes and near a pole, all in view and
+// the 4- and 5-satellite prefixes of each view.
+func TestDOPMatchesDenseInverse(t *testing.T) {
+	cons := orbit.DefaultConstellation()
+	var checked int
+	for _, ll := range [][2]float64{{0, 0}, {53.3, -60.4}, {-33.9, 151.2}, {78.2, 15.6}, {-89.99, 0}} {
+		recv := geo.FromDegrees(ll[0], ll[1], 35).ToECEF()
+		f := newENUFrame(recv.ToLLA())
+		for epoch := 0.0; epoch < 86400; epoch += 900 {
+			vis, err := cons.Visible(recv, epoch, 5*math.Pi/180)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{4, 5, len(vis)} {
+				if m > len(vis) {
+					continue
+				}
+				var ata [16]float64
+				dense := mat.NewDense(4, 4)
+				for _, v := range vis[:m] {
+					row, ok := f.row(recv, v.State.Pos)
+					if !ok {
+						t.Fatal("satellite at receiver")
+					}
+					accumulateDOPRow(&ata, row)
+					for i := 0; i < 4; i++ {
+						for j := 0; j < 4; j++ {
+							dense.Set(i, j, dense.At(i, j)+row[i]*row[j])
+						}
+					}
+				}
+				inv, err := mat.Inverse(dense)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dopFromNormal(ata)
+				if err != nil {
+					t.Fatalf("%v epoch %v m %d: %v", ll, epoch, m, err)
+				}
+				qe, qn, qu, qt := inv.At(0, 0), inv.At(1, 1), inv.At(2, 2), inv.At(3, 3)
+				want := DOP{
+					GDOP: math.Sqrt(qe + qn + qu + qt), PDOP: math.Sqrt(qe + qn + qu),
+					HDOP: math.Sqrt(qe + qn), VDOP: math.Sqrt(qu), TDOP: math.Sqrt(qt),
+				}
+				if want.GDOP >= 50 {
+					continue // near-singular subset: both sides lose digits
+				}
+				checked++
+				for _, pair := range [][2]float64{{got.GDOP, want.GDOP}, {got.PDOP, want.PDOP},
+					{got.HDOP, want.HDOP}, {got.VDOP, want.VDOP}, {got.TDOP, want.TDOP}} {
+					if rel := math.Abs(pair[0]-pair[1]) / pair[1]; !(rel <= 1e-11) {
+						t.Errorf("%v epoch %v m %d: Cholesky DOP %+v, LU %+v", ll, epoch, m, got, want)
+						break
+					}
+				}
+			}
+		}
+	}
+	if checked < 1000 {
+		t.Errorf("only %d geometries checked", checked)
+	}
+}
+
+// TestDOPFromNormalDegenerate: a normal matrix that is not positive
+// definite — rank deficient, zero, indefinite or carrying NaN —
+// fails with ErrDegenerateGeometry instead of yielding dilution factors.
+func TestDOPFromNormalDegenerate(t *testing.T) {
+	cases := map[string][16]float64{
+		// Rows e1+e4, e2+e4, e3+e4: rank 3, the last pivot is exactly 0.
+		"rank 3":     {1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 3},
+		"zero":       {},
+		"indefinite": {1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1},
+		"NaN":        {math.NaN(), 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1},
+		"NaN late":   {1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, math.NaN(), 0, 0, 0, 1},
+	}
+	for name, ata := range cases {
+		if d, err := dopFromNormal(ata); !errors.Is(err, ErrDegenerateGeometry) {
+			t.Errorf("%s: DOP %+v, error %v, want ErrDegenerateGeometry", name, d, err)
+		}
+	}
+	if d, err := dopFromNormal([16]float64{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}); err != nil || d.GDOP != 2 || d.HDOP != math.Sqrt2 {
+		t.Errorf("identity: DOP %+v, error %v, want GDOP 2, HDOP √2", d, err)
+	}
+}
+
+// BenchmarkDOPFromNormal is the 4×4 inversion alone, on an 8-satellite
+// geometry.
+func BenchmarkDOPFromNormal(b *testing.B) {
+	recv := yyr1()
+	obs := scene(b, recv, 3000, 0, 8)
+	f := newENUFrame(recv.ToLLA())
+	var ata [16]float64
+	for i := range obs {
+		row, _ := f.row(recv, obs[i].Pos)
+		accumulateDOPRow(&ata, row)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dopFromNormal(ata); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFinite pins the one-subtraction finiteness check to the truth
+// table of !IsNaN && !IsInf.
+func TestFinite(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -2.5, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		want := !math.IsNaN(v) && !math.IsInf(v, 0)
+		if got := finite(v); got != want {
+			t.Errorf("finite(%v) = %v, want %v", v, got, want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"gpsdl/internal/geo"
-	"gpsdl/internal/mat"
 )
 
 // DOP holds the dilution-of-precision factors of a satellite geometry:
@@ -50,19 +49,46 @@ func (f enuFrame) row(recv, sat geo.ECEF) (row [4]float64, ok bool) {
 	return row, true
 }
 
-// dopFromNormal inverts the accumulated 4×4 ENU normal matrix and reads
-// the dilution factors off its diagonal.
+// errDegenerateDOP is dopFromNormal's error for a normal matrix that is
+// not positive definite.
+var errDegenerateDOP = fmt.Errorf("DOP covariance: %w", ErrDegenerateGeometry)
+
+// dopFromNormal reads the dilution factors off the diagonal of N⁻¹, N
+// the accumulated 4×4 ENU normal matrix (upper triangle only). N is
+// symmetric positive definite for any usable geometry, so it factors as
+// N = LLᵀ and N⁻¹ = L⁻ᵀL⁻¹, whose diagonal is (N⁻¹)ᵢᵢ = Σₖ (L⁻¹)ₖᵢ²:
+// one unrolled Cholesky factor and its triangular inverse, no pivoting.
+// A pivot that is not positive (NaN included) means the geometry is
+// degenerate.
 func dopFromNormal(ata [16]float64) (DOP, error) {
-	for i := 0; i < 4; i++ {
-		for j := 0; j < i; j++ {
-			ata[i*4+j] = ata[j*4+i]
-		}
+	// L, row by row. A non-positive pivot turns every later term into
+	// NaN or ±Inf rather than panicking, so one check at the end serves.
+	d0 := ata[0]
+	l00 := math.Sqrt(d0)
+	l10, l20, l30 := ata[1]/l00, ata[2]/l00, ata[3]/l00
+	d1 := ata[5] - l10*l10
+	l11 := math.Sqrt(d1)
+	l21, l31 := (ata[6]-l20*l10)/l11, (ata[7]-l30*l10)/l11
+	d2 := ata[10] - l20*l20 - l21*l21
+	l22 := math.Sqrt(d2)
+	l32 := (ata[11] - l30*l20 - l31*l21) / l22
+	d3 := ata[15] - l30*l30 - l31*l31 - l32*l32
+	if !(d0 > 0 && d1 > 0 && d2 > 0 && d3 > 0) {
+		return DOP{}, errDegenerateDOP
 	}
-	q, err := mat.Inv4(ata)
-	if err != nil {
-		return DOP{}, fmt.Errorf("DOP covariance: %w", ErrDegenerateGeometry)
-	}
-	qe, qn, qu, qt := q[0], q[5], q[10], q[15]
+	l33 := math.Sqrt(d3)
+	// M = L⁻¹, lower triangular, by forward substitution.
+	m00, m11, m22, m33 := 1/l00, 1/l11, 1/l22, 1/l33
+	m10 := -l10 * m00 * m11
+	m21 := -l21 * m11 * m22
+	m20 := -(l20*m00 + l21*m10) * m22
+	m32 := -l32 * m22 * m33
+	m31 := -(l31*m11 + l32*m21) * m33
+	m30 := -(l30*m00 + l31*m10 + l32*m20) * m33
+	qe := m00*m00 + m10*m10 + m20*m20 + m30*m30
+	qn := m11*m11 + m21*m21 + m31*m31
+	qu := m22*m22 + m32*m32
+	qt := m33 * m33
 	return DOP{
 		GDOP: math.Sqrt(qe + qn + qu + qt),
 		PDOP: math.Sqrt(qe + qn + qu),
@@ -111,7 +137,9 @@ func DOPFromObs(recv geo.ECEF, obs []Observation) (DOP, error) {
 }
 
 // DOPFromObsLLA is DOPFromObs for a caller that already holds the
-// receiver's geodetic position: lla must equal recv.ToLLA(). A fix
+// receiver's geodetic position: lla must be recv.ToLLA() or
+// recv.ToLLAFast(). The two differ only in the last bits of latitude, so
+// either orients the ENU frame; DOPFromObs itself uses ToLLA. A fix
 // pipeline that converts the solved position once for its NMEA output
 // passes that conversion here instead of paying for a second one.
 func DOPFromObsLLA(recv geo.ECEF, lla geo.LLA, obs []Observation) (DOP, error) {

@@ -15,7 +15,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"gpsdl/internal/geo"
 )
@@ -97,6 +96,8 @@ func checkMinObs(name string, obs []Observation, minimum int) error {
 	return nil
 }
 
+// finite reports whether v is neither NaN nor ±Inf, in one subtraction:
+// v−v is 0 for every finite v and NaN otherwise.
 func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return v-v == 0
 }

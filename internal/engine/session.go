@@ -379,7 +379,7 @@ func (s *session) step(i int) {
 		s.setState(StateHealthy)
 	}
 	// One geodetic conversion serves both the DOP frame and the NMEA fix.
-	lla := res.Solution.Pos.ToLLA()
+	lla := res.Solution.Pos.ToLLAFast()
 	hdop, pdop, dopOK := 0.0, 0.0, false
 	if dop, derr := core.DOPFromObsLLA(res.Solution.Pos, lla, obs); derr == nil {
 		hdop, pdop, dopOK = dop.HDOP, dop.PDOP, true
@@ -428,9 +428,7 @@ func (s *session) step(i int) {
 		NumSats:   len(obs),
 		HDOP:      hdop,
 	}
-	buf := nmea.AppendGGA(s.buf[:0], fix)
-	ggaLen := len(buf)
-	buf = nmea.AppendRMC(buf, fix)
+	buf, ggaLen := nmea.AppendFixPair(s.buf[:0], fix)
 	s.buf = buf
 	s.m.fixes.Inc()
 	s.emit(FixEvent{
@@ -467,13 +465,11 @@ func (s *session) coastOrFail(i int, t float64, sats int, fev []fault.Event, err
 	}
 	fix := nmea.Fix{
 		TimeOfDay: t,
-		Pos:       sol.Pos.ToLLA(),
+		Pos:       sol.Pos.ToLLAFast(),
 		Quality:   nmea.QualityEstimated,
 		NumSats:   sats,
 	}
-	buf := nmea.AppendGGA(s.buf[:0], fix)
-	ggaLen := len(buf)
-	buf = nmea.AppendRMC(buf, fix)
+	buf, ggaLen := nmea.AppendFixPair(s.buf[:0], fix)
 	s.buf = buf
 	s.m.coastFixes.Inc()
 	s.journalCoast(i, sol)

@@ -93,6 +93,11 @@ func (l LLA) ToECEF() ECEF {
 // ToLLA converts an ECEF position to geodetic coordinates using Bowring's
 // closed-form approximation followed by two fixed-point refinements, giving
 // sub-millimeter accuracy for terrestrial and orbital altitudes.
+//
+// ToLLA is the reference conversion: station set-up, satellite
+// visibility and ENUFrame go through it, and the scenario and fault
+// golden pins hold its exact bits. ToLLAFast runs the same iteration
+// with fewer trigonometric calls for the per-fix output path.
 func (p ECEF) ToLLA() LLA {
 	lon := math.Atan2(p.Y, p.X)
 	rho := math.Hypot(p.X, p.Y)
@@ -112,12 +117,10 @@ func (p ECEF) ToLLA() LLA {
 	// Two refinement passes.
 	for iter := 0; iter < 2; iter++ {
 		sinL, cosL := math.Sincos(lat)
-		n := SemiMajorAxis / math.Sqrt(1-ecc2*sinL*sinL)
 		beta = math.Atan2((1-Flattening)*sinL, cosL)
 		sinB, cosB = math.Sincos(beta)
 		lat = math.Atan2(p.Z+eccPrime2*semiMinorAxis*sinB*sinB*sinB,
 			rho-ecc2*SemiMajorAxis*cosB*cosB*cosB)
-		_ = n
 	}
 	sinL, cosL := math.Sincos(lat)
 	n := SemiMajorAxis / math.Sqrt(1-ecc2*sinL*sinL)
@@ -128,6 +131,58 @@ func (p ECEF) ToLLA() LLA {
 		alt = math.Abs(p.Z)/math.Abs(sinL) - n*(1-ecc2)
 	}
 	return LLA{Lat: lat, Lon: lon, Alt: alt}
+}
+
+// ToLLAFast is ToLLA for a fix's output path: the same Bowring start and
+// the same two refinement passes, but every sine/cosine pair of an angle
+// given as Atan2(y, x) is read as (y, x)/√(x²+y²) instead of being
+// round-tripped through Atan2 and Sincos, so the whole conversion costs
+// two Atan2 calls (latitude and longitude) and no Sincos. Against ToLLA,
+// latitude differs by at most 4.4e-16 rad, altitude by at most 1.5e-8 m
+// at the surface (2e-15 of the radius above it), and longitude not at
+// all (TestToLLAFastMatchesToLLA). Positions outside the shell
+// 1000 km < |p| < 1e100 m, and the polar axis, take ToLLA itself, so the
+// squared terms can neither overflow nor meet Bowring's degenerate
+// region near the Earth's centre.
+//
+// Two conversions exist because ToLLA's exact bits are pinned by
+// station set-up, satellite visibility and the golden outputs built on
+// them, while a fix's latitude, longitude and altitude are only rendered
+// to NMEA precision or used to orient a DOP frame. There a difference
+// that small changes a printed digit only for a value within it of a
+// rounding boundary.
+func (p ECEF) ToLLAFast() LLA {
+	rho2 := p.X*p.X + p.Y*p.Y
+	if r2 := rho2 + p.Z*p.Z; !(r2 > 1e12 && r2 < 1e200) || rho2 == 0 {
+		return p.ToLLA()
+	}
+	rho := math.Sqrt(rho2)
+	// Bowring's parametric latitude β: tan β = Z·a / (ρ·b).
+	u, v := p.Z*SemiMajorAxis, rho*semiMinorAxis
+	h := math.Sqrt(u*u + v*v)
+	sinB, cosB := u/h, v/h
+	// Latitude φ = atan2(num, den), kept as its (num, den) pair.
+	num := p.Z + eccPrime2*semiMinorAxis*sinB*sinB*sinB
+	den := rho - ecc2*SemiMajorAxis*cosB*cosB*cosB
+	for iter := 0; iter < 2; iter++ {
+		// tan β = (1−f)·tan φ; scaling (num, den) by a positive factor
+		// leaves the angle unchanged.
+		u, v = (1-Flattening)*num, den
+		h = math.Sqrt(u*u + v*v)
+		sinB, cosB = u/h, v/h
+		num = p.Z + eccPrime2*semiMinorAxis*sinB*sinB*sinB
+		den = rho - ecc2*SemiMajorAxis*cosB*cosB*cosB
+	}
+	h = math.Sqrt(num*num + den*den)
+	sinL, cosL := num/h, den/h
+	n := SemiMajorAxis / math.Sqrt(1-ecc2*sinL*sinL)
+	var alt float64
+	if math.Abs(cosL) > 1e-10 {
+		alt = rho/cosL - n
+	} else {
+		alt = math.Abs(p.Z)/math.Abs(sinL) - n*(1-ecc2)
+	}
+	return LLA{Lat: math.Atan2(num, den), Lon: math.Atan2(p.Y, p.X), Alt: alt}
 }
 
 // ENU is a local East-North-Up offset in meters relative to some origin.

@@ -78,58 +78,6 @@ func Solve4(a [16]float64, b [4]float64) ([4]float64, error) {
 	return x, nil
 }
 
-// Inv4 inverts the 4×4 matrix a (row-major) with Gauss–Jordan elimination
-// over fixed storage — no heap allocation, for hot paths that need the
-// full inverse (DOP covariance diagonals). It returns ErrSingular when a
-// pivot vanishes or the input carries NaNs.
-func Inv4(a [16]float64) ([16]float64, error) {
-	var m [4][8]float64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			m[i][j] = a[i*4+j]
-		}
-		m[i][4+i] = 1
-	}
-	for k := 0; k < 4; k++ {
-		p := k
-		maxAbs := math.Abs(m[k][k])
-		for i := k + 1; i < 4; i++ {
-			if v := math.Abs(m[i][k]); v > maxAbs {
-				maxAbs, p = v, i
-			}
-		}
-		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return [16]float64{}, ErrSingular
-		}
-		if p != k {
-			m[k], m[p] = m[p], m[k]
-		}
-		inv := 1 / m[k][k]
-		for j := 0; j < 8; j++ {
-			m[k][j] *= inv
-		}
-		for i := 0; i < 4; i++ {
-			if i == k {
-				continue
-			}
-			f := m[i][k]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < 8; j++ {
-				m[i][j] -= f * m[k][j]
-			}
-		}
-	}
-	var out [16]float64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			out[i*4+j] = m[i][4+j]
-		}
-	}
-	return out, nil
-}
-
 // NormalEq3 forms the 3×3 normal-equation system (AᵀA, Aᵀb) for an m×3
 // design matrix given as row slices, without allocating Dense matrices.
 func NormalEq3(rows [][3]float64, b []float64) (ata [9]float64, atb [3]float64) {

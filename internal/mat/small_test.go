@@ -85,41 +85,6 @@ func TestSolve4Identity(t *testing.T) {
 	}
 }
 
-func TestInv4MatchesLU(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var a [16]float64
-		for i := range a {
-			a[i] = r.NormFloat64()
-		}
-		got, err4 := Inv4(a)
-		want, errg := Inverse(NewDenseData(4, 4, a[:]))
-		if err4 != nil || errg != nil {
-			return true // near-singular draws may disagree; accept
-		}
-		return EqualApprox(NewDenseData(4, 4, got[:]), want, 1e-6*(1+VecNorm2(want.data)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInv4Singular(t *testing.T) {
-	a := [16]float64{
-		1, 2, 3, 4,
-		2, 4, 6, 8,
-		0, 1, 0, 1,
-		1, 0, 1, 0,
-	}
-	if _, err := Inv4(a); !errors.Is(err, ErrSingular) {
-		t.Errorf("error = %v, want ErrSingular", err)
-	}
-	a[0] = math.NaN()
-	if _, err := Inv4(a); !errors.Is(err, ErrSingular) {
-		t.Errorf("NaN input: error = %v, want ErrSingular", err)
-	}
-}
-
 func TestNormalEq3MatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := 7

@@ -4,27 +4,62 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
+
+	"gpsdl/internal/geo"
 )
 
 // Allocation-free sentence encoders. AppendGGA/AppendRMC write into a
 // caller-supplied buffer (append-style, like strconv.Append*); GGA and
 // RMC are thin string wrappers around them. With a reused buffer the
 // steady-state cost is zero allocations per sentence, which is what puts
-// NMEA output on the fix engine's hot path.
+// NMEA output on the fix engine's hot path. AppendFixPair renders a fix's
+// GGA+RMC pair in one pass: the two sentences share their time and
+// latitude/longitude fields, so RMC copies the bytes GGA just rendered.
+// All three are built from appendGGA and appendRMC, so each sentence
+// layout is written once.
 
 const hexUpper = "0123456789ABCDEF"
 
 // AppendGGA appends a $GPGGA sentence for f to dst and returns the
 // extended buffer.
 func AppendGGA(dst []byte, f Fix) []byte {
+	dst, _, _ = appendGGA(dst, f)
+	return dst
+}
+
+// AppendRMC appends a $GPRMC sentence for f to dst and returns the
+// extended buffer (date fields blank: the simulation clock carries
+// seconds of day, not calendar dates).
+func AppendRMC(dst []byte, f Fix) []byte {
+	var fields [64]byte
+	b := appendTimeField(fields[:0], f.TimeOfDay)
+	n := len(b)
+	b = appendLatLon(b, f.Pos)
+	return appendRMC(dst, f, b[:n], b[n:])
+}
+
+// AppendFixPair appends f's GGA sentence and then its RMC sentence to dst,
+// byte for byte what AppendRMC(AppendGGA(dst, f), f) appends, and
+// returns the extended buffer and the offset at which RMC begins.
+func AppendFixPair(dst []byte, f Fix) (out []byte, rmc int) {
+	dst, tm, ll := appendGGA(dst, f)
+	rmc = len(dst)
+	return appendRMC(dst, f, dst[tm[0]:tm[1]], dst[ll[0]:ll[1]]), rmc
+}
+
+// appendGGA appends the GGA sentence and reports the byte ranges of its
+// time field and of its latitude/longitude fields in the returned buffer.
+func appendGGA(dst []byte, f Fix) (out []byte, tm, ll [2]int) {
 	dst = append(dst, '$')
 	body := len(dst)
 	dst = append(dst, "GPGGA,"...)
+	tm[0] = len(dst)
 	dst = appendTimeField(dst, f.TimeOfDay)
+	tm[1] = len(dst)
 	dst = append(dst, ',')
-	dst = appendAngle(dst, f.Pos.Lat, 2, 'N', 'S')
-	dst = append(dst, ',')
-	dst = appendAngle(dst, f.Pos.Lon, 3, 'E', 'W')
+	ll[0] = len(dst)
+	dst = appendLatLon(dst, f.Pos)
+	ll[1] = len(dst)
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(f.Quality), 10)
 	dst = append(dst, ',')
@@ -37,31 +72,38 @@ func AppendGGA(dst []byte, f Fix) []byte {
 	dst = append(dst, ',')
 	dst = appendFixed(dst, f.Pos.Alt, 1)
 	dst = append(dst, ",M,0.0,M,,"...)
-	return appendChecksum(dst, body)
+	return appendChecksum(dst, body), tm, ll
 }
 
-// AppendRMC appends a $GPRMC sentence for f to dst and returns the
-// extended buffer (date fields blank: the simulation clock carries
-// seconds of day, not calendar dates).
-func AppendRMC(dst []byte, f Fix) []byte {
+// appendRMC appends the RMC sentence for f with its time field and its
+// latitude/longitude fields already rendered as tm and ll. Either may
+// alias dst's backing array below len(dst): append copies from it
+// before (or without) overwriting anything it holds.
+func appendRMC(dst []byte, f Fix, tm, ll []byte) []byte {
 	dst = append(dst, '$')
 	body := len(dst)
 	dst = append(dst, "GPRMC,"...)
-	dst = appendTimeField(dst, f.TimeOfDay)
+	dst = append(dst, tm...)
 	if f.Quality == QualityInvalid {
 		dst = append(dst, ",V,"...)
 	} else {
 		dst = append(dst, ",A,"...)
 	}
-	dst = appendAngle(dst, f.Pos.Lat, 2, 'N', 'S')
-	dst = append(dst, ',')
-	dst = appendAngle(dst, f.Pos.Lon, 3, 'E', 'W')
+	dst = append(dst, ll...)
 	dst = append(dst, ',')
 	dst = appendFixed(dst, f.SpeedKnots, 1)
 	dst = append(dst, ',')
 	dst = appendFixed(dst, f.CourseDeg, 1)
 	dst = append(dst, ",,,"...)
 	return appendChecksum(dst, body)
+}
+
+// appendLatLon renders the latitude and longitude fields of p, four
+// comma-separated fields: ddmm.mmmm,H,dddmm.mmmm,H.
+func appendLatLon(dst []byte, p geo.LLA) []byte {
+	dst = appendAngle(dst, p.Lat, 2, 'N', 'S')
+	dst = append(dst, ',')
+	return appendAngle(dst, p.Lon, 3, 'E', 'W')
 }
 
 // appendChecksum XORs dst[body:] and appends *HH.

@@ -271,6 +271,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		buf = AppendGGA(buf[:0], f)
 		buf = AppendRMC(buf[:0], f)
+		buf, _ = AppendFixPair(buf[:0], f)
 	}); n != 0 {
 		t.Errorf("Append encoders allocate %v times per sentence pair, want 0", n)
 	}
@@ -287,14 +288,13 @@ func BenchmarkAppendGGA(b *testing.B) {
 }
 
 // BenchmarkAppendFix is one fix's NMEA output, a GGA+RMC pair into one
-// buffer, as the engine renders it.
+// buffer, as the engine renders it (AppendFixPair).
 func BenchmarkAppendFix(b *testing.B) {
 	f := sampleFix()
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = AppendGGA(buf[:0], f)
-		buf = AppendRMC(buf, f)
+		buf, _ = AppendFixPair(buf[:0], f)
 	}
 	_ = buf
 }

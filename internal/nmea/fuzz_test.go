@@ -73,3 +73,25 @@ func FuzzAppendFixed(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendFixPair checks the one-pass pair encoder against the two
+// sentence encoders for arbitrary fixes, non-finite fields included:
+// the pair must be exactly AppendGGA's bytes followed by AppendRMC's,
+// split at the returned offset, appended after existing content.
+func FuzzAppendFixPair(f *testing.F) {
+	for _, fx := range trickyFixes() {
+		f.Add(fx.TimeOfDay, fx.Pos.Lat, fx.Pos.Lon, fx.Pos.Alt, int(fx.Quality), fx.NumSats, fx.HDOP, fx.SpeedKnots, fx.CourseDeg)
+	}
+	f.Add(math.NaN(), math.Inf(-1), 1e300, -1e-320, -7, -3, math.Inf(1), math.NaN(), -1e20)
+	f.Fuzz(func(t *testing.T, tod, lat, lon, alt float64, q, sats int, hdop, speed, course float64) {
+		fx := Fix{TimeOfDay: tod, Pos: geo.LLA{Lat: lat, Lon: lon, Alt: alt}, Quality: FixQuality(q),
+			NumSats: sats, HDOP: hdop, SpeedKnots: speed, CourseDeg: course}
+		prefix := []byte("prior")
+		gga := AppendGGA(nil, fx)
+		want := AppendRMC(append(append([]byte{}, prefix...), gga...), fx)
+		got, rmc := AppendFixPair(append([]byte{}, prefix...), fx)
+		if string(got) != string(want) || rmc != len(prefix)+len(gga) {
+			t.Fatalf("AppendFixPair(%+v) = %q split at %d, want %q split at %d", fx, got, rmc, want, len(prefix)+len(gga))
+		}
+	})
+}

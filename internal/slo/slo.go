@@ -27,6 +27,7 @@ package slo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -152,12 +153,12 @@ func (o Objective) classify(s *quality.Sample) (applicable, bad bool) {
 func (o Objective) validate() error {
 	switch o.Kind {
 	case KindAvailability, KindChi2PassRate:
-		if o.Target <= 0 || o.Target >= 100 {
+		if !(o.Target > 0 && o.Target < 100) { // NaN included
 			return fmt.Errorf("slo %q: target %.4g%% outside (0,100)", o.Name, o.Target)
 		}
 	case KindRMSQuantile:
-		if o.Target <= 0 {
-			return fmt.Errorf("slo %q: rms target %.4g m must be positive", o.Name, o.Target)
+		if !(o.Target > 0 && o.Target <= math.MaxFloat64) { // NaN and +Inf included
+			return fmt.Errorf("slo %q: rms target %.4g m must be positive and finite", o.Name, o.Target)
 		}
 		if o.Quantile <= 0 || o.Quantile >= 1 {
 			return fmt.Errorf("slo %q: quantile %.4g outside (0,1)", o.Name, o.Quantile)

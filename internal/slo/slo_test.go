@@ -231,6 +231,10 @@ func TestParseObjectives(t *testing.T) {
 		"chi2>=abc@600",         // unparsable target
 		",",                     // empty clauses only
 		"availability>99.9@600", // wrong operator
+		"availability>=NaN@600", // NaN target: a NaN error budget
+		"chi2>=nan@600",         // likewise
+		"p99_rms<=NaN@600",      // NaN threshold: never bad
+		"p99_rms<=+Inf@600",     // infinite threshold: never bad
 	} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted", bad)
