@@ -87,8 +87,9 @@ fault-determinism:
 
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences, journals, checkpoint
-# files and cluster handoff bodies, wire frames) or an operator (the
-# -faults fault-program spec and the -slo objective spec grammars), plus
+# files and cluster handoff bodies, wire frames) or an operator (dataset
+# files in both the JSON-lines and binary formats, the -faults
+# fault-program spec and the -slo objective spec grammars), plus
 # the NMEA fixed-point formatter against strconv and the one-pass
 # GGA+RMC pair against the two sentence encoders. Each target gets
 # FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzReadDataset -fuzztime=$(FUZZTIME) ./internal/scenario/
 
 # Regenerate every table and figure of the paper at full 24 h × 1 Hz
 # scale (a few minutes), plus the ablations.

@@ -12,7 +12,7 @@
 //	Ablation A1 -> BenchmarkAblation_BaseSelection
 //	Ablation A3 -> BenchmarkAblation_GLSFastPath (in internal/core)
 //	Ablation A4 -> BenchmarkAblation_DirectBaselines, BenchmarkNR_WarmVsCold
-//	Receiver stack  -> BenchmarkSubsystems (Hatch, EKF, velocity, NMEA, RAIM)
+//	Receiver stack  -> BenchmarkSubsystems (NMEA, RAIM)
 //	I/O substrate   -> BenchmarkRINEX, BenchmarkGeodesy
 package gpsdl_test
 
@@ -28,8 +28,6 @@ import (
 	"gpsdl/internal/nmea"
 	"gpsdl/internal/rinex"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/smoothing"
-	"gpsdl/internal/tracking"
 )
 
 // benchEpoch builds one epoch with exactly m satellites at a Table 5.1
@@ -243,45 +241,6 @@ func BenchmarkSubsystems(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("HatchSmooth", func(b *testing.B) {
-		h := smoothing.NewHatch(100)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = h.Smooth(epoch)
-		}
-	})
-	b.Run("EKFStep", func(b *testing.B) {
-		f := tracking.NewFilter(tracking.Config{})
-		var nr core.NRSolver
-		obs := make([]core.Observation, 0, len(epoch.Obs))
-		for _, o := range epoch.Obs {
-			obs = append(obs, core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange})
-		}
-		sol, err := nr.Solve(epoch.T, obs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.Init(sol, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.Step(float64(i+1), obs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("VelocitySolve", func(b *testing.B) {
-		vel := make([]core.VelObservation, 0, len(epoch.Obs))
-		for _, o := range epoch.Obs {
-			vel = append(vel, core.VelObservation{Pos: o.Pos, Vel: o.Vel, RangeRate: o.Doppler})
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveVelocity(st.Pos, vel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("NMEARender", func(b *testing.B) {
 		fix := nmea.Fix{TimeOfDay: 3723.5, Pos: st.Pos.ToLLA(), Quality: nmea.QualityGPS, NumSats: 9, HDOP: 1.2}
 		b.ReportAllocs()

@@ -10,7 +10,6 @@ import (
 	"gpsdl/internal/eval"
 	"gpsdl/internal/geo"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/smoothing"
 )
 
 // ablationM is the satellite count the single-m ablations run at; 8 is the
@@ -325,100 +324,6 @@ func runAblationDGPS(cfg benchConfig) error {
 	fmt.Printf("  %-24s %8.3f m\n", "NR without corrections", sumPlain/float64(n))
 	fmt.Printf("  %-24s %8.3f m\n", "NR with DGPS", sumCorr/float64(n))
 	fmt.Printf("  improvement              %7.1f%%\n", 100*(1-sumCorr/sumPlain))
-	fmt.Println()
-	return nil
-}
-
-// runAblationSmoothing is A6: carrier-smoothed (Hatch-filtered)
-// pseudo-ranges under the paper's algorithms. Smoothing is a
-// measurement-layer upgrade, so every solver benefits while the paper's
-// relative ordering (η, θ) is preserved.
-func runAblationSmoothing(cfg benchConfig) error {
-	fmt.Println("Ablation A6 — carrier smoothing (Hatch filter) under NR/DLO/DLG")
-	st := scenario.Table51Stations()[0] // SRZN
-	gcfg := scenario.DefaultConfig(cfg.seed)
-	gcfg.Step = cfg.step
-	g := scenario.NewGenerator(st, gcfg)
-
-	hatch := smoothing.NewHatch(100)
-	pRawDLO := eval.DefaultPredictor(st.Clock)
-	pRawDLG := eval.DefaultPredictor(st.Clock)
-	pSmDLO := eval.DefaultPredictor(st.Clock)
-	pSmDLG := eval.DefaultPredictor(st.Clock)
-	var nrRaw, nrSm core.NRSolver
-	dloRaw := &core.DLOSolver{Predictor: pRawDLO}
-	dlgRaw := &core.DLGSolver{Predictor: pRawDLG}
-	dloSm := &core.DLOSolver{Predictor: pSmDLO}
-	dlgSm := &core.DLGSolver{Predictor: pSmDLG}
-
-	type acc struct {
-		sum float64
-		n   int
-	}
-	var stats [6]acc // nrRaw, dloRaw, dlgRaw, nrSm, dloSm, dlgSm
-	record := func(i int, sol core.Solution, err error) {
-		if err != nil {
-			return
-		}
-		stats[i].sum += sol.Pos.DistanceTo(st.Pos)
-		stats[i].n++
-	}
-	end := cfg.duration
-	if end > 14400 {
-		end = 14400
-	}
-	warmup := 300.0
-	if warmup > end/3 {
-		warmup = end / 3
-	}
-	for t := 0.0; t < end; t += cfg.step {
-		epoch, err := g.EpochAt(t)
-		if err != nil {
-			return err
-		}
-		smoothed := hatch.Smooth(epoch)
-		rawObs := firstM(epoch, ablationM)
-		smObs := firstM(smoothed, ablationM)
-		if rawObs == nil || smObs == nil {
-			continue
-		}
-		// NR drives both predictor chains (fed from its own stream).
-		nrRawSol, err1 := nrRaw.Solve(t, rawObs)
-		if err1 == nil {
-			fix := clock.Fix{T: t, Bias: nrRawSol.ClockBias / geo.SpeedOfLight}
-			pRawDLO.Observe(fix)
-			pRawDLG.Observe(fix)
-		}
-		nrSmSol, err2 := nrSm.Solve(t, smObs)
-		if err2 == nil {
-			fix := clock.Fix{T: t, Bias: nrSmSol.ClockBias / geo.SpeedOfLight}
-			pSmDLO.Observe(fix)
-			pSmDLG.Observe(fix)
-		}
-		if t < warmup {
-			continue // filter + predictor warm-up
-		}
-		record(0, nrRawSol, err1)
-		record(3, nrSmSol, err2)
-		sol, err := dloRaw.Solve(t, rawObs)
-		record(1, sol, err)
-		sol, err = dlgRaw.Solve(t, rawObs)
-		record(2, sol, err)
-		sol, err = dloSm.Solve(t, smObs)
-		record(4, sol, err)
-		sol, err = dlgSm.Solve(t, smObs)
-		record(5, sol, err)
-	}
-	names := [3]string{"NR", "DLO", "DLG"}
-	fmt.Printf("%-6s %-14s %-16s %-12s\n", "algo", "raw err (m)", "smoothed err (m)", "reduction")
-	for i := 0; i < 3; i++ {
-		if stats[i].n == 0 || stats[i+3].n == 0 {
-			continue
-		}
-		raw := stats[i].sum / float64(stats[i].n)
-		sm := stats[i+3].sum / float64(stats[i+3].n)
-		fmt.Printf("%-6s %-14.3f %-16.3f %.1f%%\n", names[i], raw, sm, 100*(1-sm/raw))
-	}
 	fmt.Println()
 	return nil
 }

@@ -11,7 +11,6 @@
 //	gpsbench -ablation gls       # A3: GLS covariance fast paths
 //	gpsbench -ablation direct    # A4: direct baselines + NR robustness
 //	gpsbench -ablation dgps      # A5: differential corrections (§3.3)
-//	gpsbench -ablation smoothing # A6: Hatch carrier smoothing
 //	gpsbench -ablation noise     # A7: noise sensitivity of eta
 //	gpsbench -ablation selection # A8: satellite-subset policy
 //	gpsbench -ablation all
@@ -58,7 +57,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("gpsbench", flag.ContinueOnError)
 	var (
 		fig             = fs.String("fig", "", "figure to reproduce: table, 5.1, 5.2 or all")
-		ablation        = fs.String("ablation", "", "ablation to run: base, clock, gls, direct, dgps, smoothing, noise, selection or all")
+		ablation        = fs.String("ablation", "", "ablation to run: base, clock, gls, direct, dgps, noise, selection or all")
 		duration        = fs.Float64("duration", 7200, "seconds of data per station")
 		step            = fs.Float64("step", 5, "epoch spacing in seconds")
 		seed            = fs.Int64("seed", 2009, "generation seed")
@@ -274,7 +273,7 @@ func run(args []string) error {
 	}
 	single := map[string]func(benchConfig) error{
 		"base": runAblationBase, "clock": runAblationClock, "gls": runAblationGLS,
-		"direct": runAblationDirect, "dgps": runAblationDGPS, "smoothing": runAblationSmoothing,
+		"direct": runAblationDirect, "dgps": runAblationDGPS,
 		"noise": runAblationNoise, "selection": runAblationSelection,
 	}
 	switch {
@@ -282,7 +281,7 @@ func run(args []string) error {
 	case *ablation == "all":
 		for _, f := range []func(benchConfig) error{
 			runAblationBase, runAblationClock, runAblationGLS, runAblationDirect,
-			runAblationDGPS, runAblationSmoothing, runAblationNoise, runAblationSelection,
+			runAblationDGPS, runAblationNoise, runAblationSelection,
 		} {
 			if err := f(cfg); err != nil {
 				return err
@@ -369,12 +368,9 @@ func writeCSV(dir string, res *eval.Result) error {
 }
 
 // generate builds the dataset for one station under the bench config.
-// Code-only generation halves the cost; pseudoranges are identical to the
-// full-observable datasets (verified by TestCodeOnlyPseudorangesIdentical).
 func generate(cfg benchConfig, st scenario.Station) (*scenario.Dataset, error) {
 	gcfg := scenario.DefaultConfig(cfg.seed)
 	gcfg.Step = cfg.step
-	gcfg.CodeOnly = true
 	g := scenario.NewGenerator(st, gcfg)
 	return g.GenerateRangeParallel(0, cfg.duration, 0)
 }

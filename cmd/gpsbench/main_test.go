@@ -27,7 +27,7 @@ func TestRunAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gpsbench end-to-end runs take seconds")
 	}
-	for _, abl := range []string{"base", "clock", "gls", "direct", "dgps", "smoothing", "noise", "selection"} {
+	for _, abl := range []string{"base", "clock", "gls", "direct", "dgps", "noise", "selection"} {
 		t.Run(abl, func(t *testing.T) {
 			if err := run([]string{"-ablation", abl, "-duration", "900", "-step", "10"}); err != nil {
 				t.Errorf("run(-ablation %s): %v", abl, err)

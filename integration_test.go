@@ -4,19 +4,17 @@ package gpsdl_test
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"gpsdl/internal/clock"
 	"gpsdl/internal/core"
 	"gpsdl/internal/dgps"
 	"gpsdl/internal/eval"
+	"gpsdl/internal/fault"
 	"gpsdl/internal/geo"
 	"gpsdl/internal/orbit"
 	"gpsdl/internal/rinex"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/smoothing"
-	"gpsdl/internal/tracking"
 )
 
 // Pipeline 1: generate → RINEX → reload → position. The solution from the
@@ -65,7 +63,7 @@ func TestPipelineRINEXRoundTripPositioning(t *testing.T) {
 }
 
 // Pipeline 2: RAIM on top of injected faults — the integrity stack finds
-// the faulty satellite the generator corrupted.
+// the satellite a fault-program step clause corrupted.
 func TestPipelineFaultInjectionRAIM(t *testing.T) {
 	st, err := scenario.StationByID("SRZN")
 	if err != nil {
@@ -78,14 +76,10 @@ func TestPipelineFaultInjectionRAIM(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := e.Obs[2].PRN
-	g := scenario.NewGenerator(st, scenario.DefaultConfig(3),
-		scenario.WithFaults([]scenario.Fault{{PRN: victim, From: 900, Until: 1100, Bias: 400}}))
+	inj := fault.NewInjector(fault.Program{{Kind: fault.KindStep, PRN: victim, From: 900, Until: 1100, Bias: 400}}, 0)
 	r := &core.RAIM{Solver: &core.NRSolver{}}
 
-	inFault, err := g.EpochAt(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inFault, _ := inj.ApplyEpoch(e)
 	res, err := r.Check(1000, adaptEpoch(inFault))
 	if err != nil {
 		t.Fatalf("RAIM in fault window: %v", err)
@@ -97,10 +91,11 @@ func TestPipelineFaultInjectionRAIM(t *testing.T) {
 		t.Errorf("post-exclusion error %v m", d)
 	}
 
-	afterFault, err := g.EpochAt(1200)
+	clean, err := probe.EpochAt(1200)
 	if err != nil {
 		t.Fatal(err)
 	}
+	afterFault, _ := inj.ApplyEpoch(clean)
 	res, err = r.Check(1200, adaptEpoch(afterFault))
 	if err != nil {
 		t.Fatalf("RAIM after fault window: %v", err)
@@ -110,9 +105,11 @@ func TestPipelineFaultInjectionRAIM(t *testing.T) {
 	}
 }
 
-// Pipeline 3: DGPS + Hatch smoothing + DLG stack — all three layers
-// compose and each one helps.
-func TestPipelineDGPSSmoothedDLG(t *testing.T) {
+// Pipeline 3: DGPS + DLG stack — differential corrections (paper §3.3)
+// compose with the paper's solver: DLG on corrected rover epochs beats
+// DLG on the same epochs uncorrected. Each DLG's clock predictor is fed
+// by NR on its own epoch stream.
+func TestPipelineDGPSDLG(t *testing.T) {
 	st, err := scenario.StationByID("YYR1")
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +123,13 @@ func TestPipelineDGPSSmoothedDLG(t *testing.T) {
 	roverGen := scenario.NewGenerator(rover, cfg)
 
 	ref := dgps.NewReference(st.Pos)
-	hatch := smoothing.NewHatch(100)
-	pred := eval.DefaultPredictor(st.Clock)
+	plainPred := eval.DefaultPredictor(st.Clock)
+	corrPred := eval.DefaultPredictor(st.Clock)
 	var nr core.NRSolver
-	dlg := core.NewDLGSolver(pred)
+	plainDLG := core.NewDLGSolver(plainPred)
+	corrDLG := core.NewDLGSolver(corrPred)
 
-	var sumPlain, sumStacked float64
+	var sumPlain, sumCorr float64
 	var n int
 	for i := 0; i < 900; i++ {
 		tt := float64(i)
@@ -147,95 +145,33 @@ func TestPipelineDGPSSmoothedDLG(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		stackedEpoch := hatch.Smooth(dgps.Apply(roverEpoch, corr))
-		if nrSol, err := nr.Solve(tt, adaptEpoch(stackedEpoch)); err == nil {
-			pred.Observe(clock.Fix{T: tt, Bias: nrSol.ClockBias / geo.SpeedOfLight})
+		plainObs := adaptEpoch(roverEpoch)
+		corrObs := adaptEpoch(dgps.Apply(roverEpoch, corr))
+		if sol, err := nr.Solve(tt, plainObs); err == nil {
+			plainPred.Observe(clock.Fix{T: tt, Bias: sol.ClockBias / geo.SpeedOfLight})
+		}
+		if sol, err := nr.Solve(tt, corrObs); err == nil {
+			corrPred.Observe(clock.Fix{T: tt, Bias: sol.ClockBias / geo.SpeedOfLight})
 		}
 		if i < 400 {
-			continue // smoother + predictor warm-up
+			continue // correction-smoother + predictor warm-up
 		}
-		plainSol, err1 := nr.Solve(tt, adaptEpoch(roverEpoch))
-		stackSol, err2 := dlg.Solve(tt, adaptEpoch(stackedEpoch))
+		plainSol, err1 := plainDLG.Solve(tt, plainObs)
+		corrSol, err2 := corrDLG.Solve(tt, corrObs)
 		if err1 != nil || err2 != nil {
 			continue
 		}
 		sumPlain += plainSol.Pos.DistanceTo(rover.Pos)
-		sumStacked += stackSol.Pos.DistanceTo(rover.Pos)
+		sumCorr += corrSol.Pos.DistanceTo(rover.Pos)
 		n++
 	}
 	if n < 300 {
 		t.Fatalf("only %d epochs", n)
 	}
-	plain, stacked := sumPlain/float64(n), sumStacked/float64(n)
-	t.Logf("rover error: raw NR %.3f m, DGPS+Hatch+DLG %.3f m over %d epochs", plain, stacked, n)
-	if stacked > plain*0.5 {
-		t.Errorf("stacked pipeline %.3f m did not halve raw %.3f m", stacked, plain)
-	}
-}
-
-// Pipeline 4: DLG snapshot → EKF with Doppler → velocity solver cross
-// check. The two independent velocity estimates must agree.
-func TestPipelineVelocityConsistency(t *testing.T) {
-	st, err := scenario.StationByID("KYCP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj := scenario.LinearTrajectory(st.Pos, geo.ENU{E: 25, N: -10})
-	g := scenario.NewGenerator(st, scenario.DefaultConfig(66), scenario.WithTrajectory(traj))
-	f := tracking.NewFilter(tracking.Config{})
-	var nr core.NRSolver
-
-	epoch0, err := g.EpochAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol0, err := nr.Solve(0, adaptEpoch(epoch0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Init(sol0, 0)
-	var lastEpoch scenario.Epoch
-	for i := 1; i <= 90; i++ {
-		tt := float64(i)
-		epoch, err := g.EpochAt(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Step(tt, adaptEpoch(epoch)); err != nil {
-			t.Fatal(err)
-		}
-		vel := make([]core.VelObservation, 0, len(epoch.Obs))
-		for _, o := range epoch.Obs {
-			vel = append(vel, core.VelObservation{Pos: o.Pos, Vel: o.Vel, RangeRate: o.Doppler})
-		}
-		if err := f.UpdateDoppler(vel); err != nil {
-			t.Fatal(err)
-		}
-		lastEpoch = epoch
-	}
-	ekfState, err := f.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent snapshot velocity from the same last epoch.
-	nrSol, err := nr.Solve(90, adaptEpoch(lastEpoch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vel := make([]core.VelObservation, 0, len(lastEpoch.Obs))
-	for _, o := range lastEpoch.Obs {
-		vel = append(vel, core.VelObservation{Pos: o.Pos, Vel: o.Vel, RangeRate: o.Doppler})
-	}
-	snap, err := core.SolveVelocity(nrSol.Pos, vel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := ekfState.Vel.Sub(snap.Vel).Norm(); d > 0.5 {
-		t.Errorf("EKF and snapshot velocities differ by %v m/s", d)
-	}
-	truthSpeed := math.Hypot(25, 10)
-	if d := math.Abs(ekfState.Vel.Norm() - truthSpeed); d > 0.5 {
-		t.Errorf("EKF speed %.2f, truth %.2f", ekfState.Vel.Norm(), truthSpeed)
+	plain, corrected := sumPlain/float64(n), sumCorr/float64(n)
+	t.Logf("rover DLG error: uncorrected %.3f m, DGPS-corrected %.3f m over %d epochs", plain, corrected, n)
+	if corrected >= plain {
+		t.Errorf("DGPS-corrected DLG %.3f m does not beat uncorrected DLG %.3f m", corrected, plain)
 	}
 }
 

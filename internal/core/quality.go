@@ -37,19 +37,14 @@ type FixQuality struct {
 	Chi2Valid bool
 }
 
-// AssessFix computes the fix-quality evidence for sol against the
-// observations that produced it. sigma is the assumed 1σ measurement
-// noise in meters for the chi-square test (≤ 0 disables the test but
-// still reports the residual RMS). Allocation-free.
-func AssessFix(sol Solution, obs []Observation, sigma float64) FixQuality {
-	return AssessFixExcluding(sol, obs, -1, sigma)
-}
-
-// AssessFixExcluding is AssessFix skipping the observation at index
+// AssessFixExcluding computes the fix-quality evidence for sol against
+// the observations that produced it, skipping the observation at index
 // excluded (the satellite RAIM removed before re-solving; −1 skips
-// none). The residuals must be evaluated against the observation set
-// the solver actually used, or one excluded fault would dominate the
-// statistic of an otherwise clean fix.
+// none). sigma is the assumed 1σ measurement noise in meters for the
+// chi-square test (≤ 0 disables the test but still reports the residual
+// RMS). The residuals must be evaluated against the observation set the
+// solver actually used, or one excluded fault would dominate the
+// statistic of an otherwise clean fix. Allocation-free.
 func AssessFixExcluding(sol Solution, obs []Observation, excluded int, sigma float64) FixQuality {
 	m := len(obs)
 	if excluded >= 0 && excluded < m {

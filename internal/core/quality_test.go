@@ -46,7 +46,7 @@ func TestAssessFixCleanNoise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		q := AssessFix(sol, obs, sigma)
+		q := AssessFixExcluding(sol, obs, -1, sigma)
 		if !q.RMSValid || !q.Chi2Valid {
 			t.Fatalf("valid flags false for dof=%d", q.DOF)
 		}
@@ -72,7 +72,7 @@ func TestAssessFixDetectsBias(t *testing.T) {
 		}
 		return 0
 	})
-	q := AssessFix(sol, obs, sigma)
+	q := AssessFixExcluding(sol, obs, -1, sigma)
 	if q.Chi2Pass {
 		t.Errorf("chi2 passed with a 60 m fault: stat %.1f limit %.1f", q.Chi2, q.Chi2Limit)
 	}
@@ -94,7 +94,7 @@ func TestAssessFixDetectsBias(t *testing.T) {
 
 func TestAssessFixDegenerate(t *testing.T) {
 	sol, obs := qualScene(4, 0, func(int) float64 { return 0 })
-	q := AssessFix(sol, obs, 3)
+	q := AssessFixExcluding(sol, obs, -1, 3)
 	if q.RMSValid || q.Chi2Valid {
 		t.Errorf("4-satellite fix (dof 0) must be invalid: %+v", q)
 	}
@@ -108,12 +108,12 @@ func TestAssessFixDegenerate(t *testing.T) {
 	}
 	// sigma <= 0 disables the chi-square test but keeps the RMS.
 	sol8, obs8 := qualScene(8, 0, func(int) float64 { return 1 })
-	q8 := AssessFix(sol8, obs8, 0)
+	q8 := AssessFixExcluding(sol8, obs8, -1, 0)
 	if !q8.RMSValid || q8.Chi2Valid {
 		t.Errorf("sigma=0: want RMS only, got %+v", q8)
 	}
 	// Out-of-range excluded index behaves like no exclusion.
-	if a, b := AssessFix(sol8, obs8, 3), AssessFixExcluding(sol8, obs8, 99, 3); a != b {
+	if a, b := AssessFixExcluding(sol8, obs8, -1, 3), AssessFixExcluding(sol8, obs8, 99, 3); a != b {
 		t.Errorf("excluded=99 diverged from no exclusion: %+v vs %+v", a, b)
 	}
 }

@@ -8,16 +8,8 @@ import "gpsdl/internal/atmosphere"
 // zenith open-sky signal and a low-elevation multipath-contaminated one.
 // The C/N0 ↔ σ mapping itself lives in internal/atmosphere (shared with
 // the scenario generator, which synthesizes consistent C/N0 values);
-// these aliases re-export it at the layer the solvers live on, next to
+// these wrappers re-export it at the layer the solvers live on, next to
 // the Observation.Sigma field the weighted solve paths consume.
-const (
-	// CN0RefDBHz is the carrier-to-noise density of a nominal open-sky
-	// signal near zenith.
-	CN0RefDBHz = atmosphere.CN0RefDBHz
-	// SigmaAtRefM is the 1σ pseudo-range noise (meters) such a signal
-	// produces.
-	SigmaAtRefM = atmosphere.SigmaAtRefM
-)
 
 // SigmaFromCN0 maps a reported carrier-to-noise density (dB-Hz) to the
 // 1σ pseudo-range noise in meters; see atmosphere.SigmaFromCN0.

@@ -189,7 +189,6 @@ func newSession(cfg Config, r, shardID int, m *shardMetrics, cm *chainMetrics, c
 	st := cfg.Stations[r%len(cfg.Stations)]
 	gcfg := scenario.DefaultConfig(sessionSeed(cfg.Seed, r))
 	gcfg.Step = cfg.Step
-	gcfg.CodeOnly = true // the fix path needs pseudoranges only
 	gen := scenario.NewGenerator(st, gcfg,
 		scenario.WithConstellation(cache.Constellation()),
 		scenario.WithEpochCache(cache))

@@ -11,28 +11,29 @@ import (
 
 // Compact binary dataset format: a fixed header, then per epoch a
 // timestamp + observation count + fixed-width observation records. A full
-// 24 h × 1 Hz dataset is ~4× smaller than the JSON-lines form and
+// 24 h × 1 Hz dataset is ~3× smaller than the JSON-lines form and
 // proportionally faster to load. Little-endian throughout.
 //
-// Layout:
+// Layout (version 3):
 //
 //	magic    [8]byte  "GPSDLBIN"
-//	version  uint16   (currently 1)
+//	version  uint16   3
 //	station  ID (uint8 length + bytes), pos (3×float64),
 //	         date (uint8 length + bytes), clock type (uint8)
 //	config   seed int64, elevMask, noise, iono, tropo float64,
-//	         multipath uint8, step float64, codeOnly uint8
+//	         multipath uint8, step float64
 //	epochs   uint32 count, then per epoch:
 //	           t float64, n uint16, n × obsRecord
-//	obsRecord prn uint16, pos 3×float64, pr, pr2, carrier, doppler,
-//	           vel 3×float64, elev float64, cn0 float64 (version ≥ 2)
+//	obsRecord prn uint16, pos 3×float64, pr, elev, cn0 float64
 //
-// Version history: v1 lacked the trailing cn0 field; ReadBinary still
-// accepts v1 files (CN0 loads as 0 = unknown) while WriteBinary always
-// emits the current version.
+// Versions 1 and 2 also stored L2 code, carrier phase, Doppler and
+// satellite velocity per observation (v1 without cn0), a codeOnly config
+// byte, and the seed as a float64. The generator no longer synthesizes
+// those observables, so ReadBinary rejects both versions; regenerate such
+// files with gpsgen -format bin.
 const (
 	binaryMagic   = "GPSDLBIN"
-	binaryVersion = 2
+	binaryVersion = 3
 )
 
 // WriteBinary writes the dataset in the compact binary format.
@@ -52,11 +53,12 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 		le.PutUint32(b[:], v)
 		bw.Write(b[:]) //nolint:errcheck
 	}
-	writeF := func(v float64) {
+	writeU64 := func(v uint64) {
 		var b [8]byte
-		le.PutUint64(b[:], math.Float64bits(v))
+		le.PutUint64(b[:], v)
 		bw.Write(b[:]) //nolint:errcheck
 	}
+	writeF := func(v float64) { writeU64(math.Float64bits(v)) }
 	writeStr := func(s string) error {
 		if len(s) > 255 {
 			return fmt.Errorf("scenario: string field %q too long", s)
@@ -75,15 +77,17 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 	if err := writeStr(d.Station.Date); err != nil {
 		return err
 	}
+	if d.Station.Clock < 0 || d.Station.Clock > math.MaxUint8 {
+		return fmt.Errorf("scenario: clock type %d does not fit the binary format", d.Station.Clock)
+	}
 	bw.WriteByte(byte(d.Station.Clock)) //nolint:errcheck
-	writeF(float64(d.Config.Seed))
+	writeU64(uint64(d.Config.Seed))
 	writeF(d.Config.ElevMaskDeg)
 	writeF(d.Config.NoiseSigma)
 	writeF(d.Config.IonoRemainder)
 	writeF(d.Config.TropoRemainder)
 	bw.WriteByte(boolByte(d.Config.Multipath)) //nolint:errcheck
 	writeF(d.Config.Step)
-	bw.WriteByte(boolByte(d.Config.CodeOnly)) //nolint:errcheck
 	writeU32(uint32(len(d.Epochs)))
 	for i := range d.Epochs {
 		e := &d.Epochs[i]
@@ -93,17 +97,14 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 		writeF(e.T)
 		writeU16(uint16(len(e.Obs)))
 		for _, o := range e.Obs {
+			if o.PRN < 0 || o.PRN > math.MaxUint16 {
+				return fmt.Errorf("scenario: epoch %d: PRN %d does not fit the binary format", i, o.PRN)
+			}
 			writeU16(uint16(o.PRN))
 			writeF(o.Pos.X)
 			writeF(o.Pos.Y)
 			writeF(o.Pos.Z)
 			writeF(o.Pseudorange)
-			writeF(o.Pseudorange2)
-			writeF(o.Carrier)
-			writeF(o.Doppler)
-			writeF(o.Vel.X)
-			writeF(o.Vel.Y)
-			writeF(o.Vel.Z)
 			writeF(o.Elevation)
 			writeF(o.CN0)
 		}
@@ -139,12 +140,16 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		}
 		return le.Uint32(b[:]), nil
 	}
-	readF := func() (float64, error) {
+	readU64 := func() (uint64, error) {
 		var b [8]byte
 		if _, err := io.ReadFull(br, b[:]); err != nil {
 			return 0, err
 		}
-		return math.Float64frombits(le.Uint64(b[:])), nil
+		return le.Uint64(b[:]), nil
+	}
+	readF := func() (float64, error) {
+		v, err := readU64()
+		return math.Float64frombits(v), err
 	}
 	readStr := func() (string, error) {
 		n, err := br.ReadByte()
@@ -164,7 +169,10 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return fail("version", err)
 	}
-	if version < 1 || version > binaryVersion {
+	if version == 1 || version == 2 {
+		return nil, fmt.Errorf("scenario: binary dataset version %d carries the retired carrier/L2/Doppler records; regenerate it with gpsgen -format bin", version)
+	}
+	if version != binaryVersion {
 		return nil, fmt.Errorf("scenario: unsupported binary version %d", version)
 	}
 	ds := &Dataset{}
@@ -188,11 +196,11 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		return fail("clock type", err)
 	}
 	ds.Station.Clock = ClockType(clockByte)
-	seedF, err := readF()
+	seed, err := readU64()
 	if err != nil {
 		return fail("seed", err)
 	}
-	ds.Config.Seed = int64(seedF)
+	ds.Config.Seed = int64(seed)
 	if ds.Config.ElevMaskDeg, err = readF(); err != nil {
 		return fail("elev mask", err)
 	}
@@ -213,11 +221,6 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if ds.Config.Step, err = readF(); err != nil {
 		return fail("step", err)
 	}
-	co, err := br.ReadByte()
-	if err != nil {
-		return fail("codeonly", err)
-	}
-	ds.Config.CodeOnly = co != 0
 	count, err := readU32()
 	if err != nil {
 		return fail("epoch count", err)
@@ -226,7 +229,7 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if count > maxEpochs {
 		return nil, fmt.Errorf("scenario: implausible epoch count %d", count)
 	}
-	ds.Epochs = make([]Epoch, 0, count)
+	ds.Epochs = make([]Epoch, 0, min(count, maxPreallocEpochs))
 	for i := uint32(0); i < count; i++ {
 		var e Epoch
 		if e.T, err = readF(); err != nil {
@@ -236,27 +239,20 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if err != nil {
 			return fail("obs count", err)
 		}
-		e.Obs = make([]SatObs, n)
-		for j := range e.Obs {
-			o := &e.Obs[j]
+		e.Obs = make([]SatObs, 0, min(n, maxPreallocObs))
+		for j := uint16(0); j < n; j++ {
+			var o SatObs
 			prn, err := readU16()
 			if err != nil {
 				return fail("prn", err)
 			}
 			o.PRN = int(prn)
-			fields := []*float64{
-				&o.Pos.X, &o.Pos.Y, &o.Pos.Z,
-				&o.Pseudorange, &o.Pseudorange2, &o.Carrier, &o.Doppler,
-				&o.Vel.X, &o.Vel.Y, &o.Vel.Z, &o.Elevation,
-			}
-			if version >= 2 {
-				fields = append(fields, &o.CN0)
-			}
-			for _, f := range fields {
+			for _, f := range [...]*float64{&o.Pos.X, &o.Pos.Y, &o.Pos.Z, &o.Pseudorange, &o.Elevation, &o.CN0} {
 				if *f, err = readF(); err != nil {
 					return fail("obs field", err)
 				}
 			}
+			e.Obs = append(e.Obs, o)
 		}
 		ds.Epochs = append(ds.Epochs, e)
 	}

@@ -2,8 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+
+	"gpsdl/internal/geo"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -106,63 +111,101 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestBinaryReadsVersion1 checks backward compatibility: a version-1
-// file (no CN0 field in the observation records) still loads, with CN0
-// reported as 0 = unknown.
-func TestBinaryReadsVersion1(t *testing.T) {
-	st, _ := StationByID("SRZN")
-	g := NewGenerator(st, DefaultConfig(7))
-	ds, err := g.GenerateRange(0, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestBinaryRejectsRetiredVersions checks that version 1 and 2 files,
+// which carry the retired carrier/L2/Doppler records, fail with an error
+// that names the version and says how to regenerate the file.
+func TestBinaryRejectsRetiredVersions(t *testing.T) {
+	for _, version := range []byte{1, 2} {
+		in := binaryMagic + string([]byte{version, 0}) + "rest of an old header"
+		_, err := ReadBinary(strings.NewReader(in))
+		if err == nil {
+			t.Fatalf("version %d accepted", version)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", version), "gpsgen -format bin"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: error %q does not mention %q", version, err, want)
+			}
+		}
 	}
-	// Re-encode as v1 by stripping the trailing CN0 float from each
-	// observation record and patching the version field.
+}
+
+// allocatedBy returns the bytes f allocates, and fails the test if f
+// panics.
+func allocatedBy(t *testing.T, f func()) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("decoder panicked: %v", r)
+			}
+		}()
+		f()
+	}()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decoderAllocBudget bounds what a decoder may allocate for a short
+// input whose header claims far more epochs than follow.
+const decoderAllocBudget = 1 << 20
+
+// TestReadBinaryTrustsNoEpochCount feeds a header that claims 10 million
+// epochs and carries none: the decoder must fail with an error, not size
+// its epoch slice by the claim.
+func TestReadBinaryTrustsNoEpochCount(t *testing.T) {
+	st, _ := StationByID("SRZN")
+	ds := &Dataset{Station: st, Config: DefaultConfig(1)}
 	var buf bytes.Buffer
 	if err := ds.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v2 := buf.Bytes()
-	v1 := make([]byte, 0, len(v2))
-	// Header: magic(8) + version(2) + station id + pos + date + clock +
-	// config block. Easiest robust approach: walk the same layout.
-	idLen := int(v2[10])
-	dateOff := 11 + idLen + 24
-	dateLen := int(v2[dateOff])
-	epochCountOff := dateOff + 1 + dateLen + 1 + 8*6 + 2 // config: seed+5 floats interleaved with 2 bool bytes
-	headerEnd := epochCountOff + 4
-	v1 = append(v1, v2[:headerEnd]...)
-	v1[8], v1[9] = 1, 0 // version 1, little-endian
-	off := headerEnd
-	for e := 0; e < ds.Len(); e++ {
-		v1 = append(v1, v2[off:off+8]...) // t
-		n := int(v2[off+8]) | int(v2[off+9])<<8
-		v1 = append(v1, v2[off+8:off+10]...)
-		off += 10
-		for j := 0; j < n; j++ {
-			const v2Rec = 2 + 11*8 + 8 // prn + 11 floats + cn0
-			v1 = append(v1, v2[off:off+v2Rec-8]...)
-			off += v2Rec
-		}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[len(data)-4:], 10_000_000) // the epoch count ends the header
+	var err error
+	alloc := allocatedBy(t, func() { _, err = ReadBinary(bytes.NewReader(data)) })
+	if err == nil {
+		t.Error("ReadBinary accepted a file missing its epochs")
 	}
-	back, err := ReadBinary(bytes.NewReader(v1))
+	if alloc > decoderAllocBudget {
+		t.Errorf("ReadBinary allocated %d B for a %d B file", alloc, len(data))
+	}
+}
+
+// TestReadJSONTrustsNoEpochCount is the JSON-lines counterpart: an epoch
+// count beyond any slice capacity must give an error, not a panic.
+func TestReadJSONTrustsNoEpochCount(t *testing.T) {
+	in := `{"station":{},"config":{},"epochs":9223372036854775807}`
+	var err error
+	alloc := allocatedBy(t, func() { _, err = ReadJSON(strings.NewReader(in)) })
+	if err == nil {
+		t.Error("ReadJSON accepted a file missing its epochs")
+	}
+	if alloc > decoderAllocBudget {
+		t.Errorf("ReadJSON allocated %d B for a %d B file", alloc, len(in))
+	}
+}
+
+// TestReadJSONIgnoresRetiredKeys checks that JSON-lines datasets written
+// before the generator dropped the carrier, L2 and Doppler observables
+// (keys pr2, cp, dop, vel and the config's CodeOnly) still load, with
+// every surviving field intact.
+func TestReadJSONIgnoresRetiredKeys(t *testing.T) {
+	in := `{"station":{"id":"SRZN","pos":{"X":1,"Y":2,"Z":3},"date":"2009/08/12","clock":1},` +
+		`"config":{"Seed":7,"ElevMaskDeg":7,"NoiseSigma":2,"IonoRemainder":0.3,"TropoRemainder":0.1,"Multipath":true,"Step":1,"CodeOnly":true},"epochs":1}
+{"t":5,"obs":[{"prn":12,"pos":{"X":4,"Y":5,"Z":6},"pr":2.1e7,"pr2":2.1e7,"cp":2.2e7,"dop":-310.5,"vel":{"X":1,"Y":2,"Z":3},"elev":0.7,"cn0":44.5}]}
+`
+	ds, err := ReadJSON(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != ds.Len() {
-		t.Fatalf("epochs: %d vs %d", back.Len(), ds.Len())
+	if ds.Station.ID != "SRZN" || ds.Config.Seed != 7 || ds.Config.Step != 1 || ds.Len() != 1 {
+		t.Fatalf("header: %+v %+v, %d epochs", ds.Station, ds.Config, ds.Len())
 	}
-	for i := range ds.Epochs {
-		for j, o := range back.Epochs[i].Obs {
-			if o.CN0 != 0 {
-				t.Fatalf("epoch %d obs %d: v1 read produced CN0 %v, want 0", i, j, o.CN0)
-			}
-			want := ds.Epochs[i].Obs[j]
-			want.CN0 = 0
-			if o != want {
-				t.Fatalf("epoch %d obs %d mismatch:\n  %+v\n  %+v", i, j, o, want)
-			}
-		}
+	want := SatObs{PRN: 12, Pos: geo.ECEF{X: 4, Y: 5, Z: 6}, Pseudorange: 2.1e7, Elevation: 0.7, CN0: 44.5}
+	if e := ds.Epochs[0]; e.T != 5 || len(e.Obs) != 1 || e.Obs[0] != want {
+		t.Errorf("epoch: %+v, want one obs %+v", e, want)
 	}
 }
 

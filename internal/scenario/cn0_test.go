@@ -68,19 +68,18 @@ func TestCN0Deterministic(t *testing.T) {
 	}
 }
 
-// TestCN0IndependentOfCodeOnly checks the stream-separation property:
-// the environment stream (C/N0 flutter, canyon draws) never touches the
-// error stream, so pseudorange and CN0 are identical whether or not the
-// auxiliary observables are generated.
+// TestCN0IndependentOfCodeOnly checks that the deprecated CodeOnly field
+// is inert: every observable, C/N0 included, is identical whichever way
+// it is set.
 func TestCN0IndependentOfCodeOnly(t *testing.T) {
 	st, err := StationByID("FAI1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := DefaultConfig(5)
-	codeOnly := full
+	plain := DefaultConfig(5)
+	codeOnly := plain
 	codeOnly.CodeOnly = true
-	a, err := NewGenerator(st, full).EpochAt(42)
+	a, err := NewGenerator(st, plain).EpochAt(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +91,8 @@ func TestCN0IndependentOfCodeOnly(t *testing.T) {
 		t.Fatalf("size mismatch: %d vs %d", len(a.Obs), len(b.Obs))
 	}
 	for i := range a.Obs {
-		if a.Obs[i].PRN != b.Obs[i].PRN ||
-			a.Obs[i].Pseudorange != b.Obs[i].Pseudorange ||
-			a.Obs[i].CN0 != b.Obs[i].CN0 {
-			t.Fatalf("obs %d differs across CodeOnly: pr %v vs %v, cn0 %v vs %v",
-				i, a.Obs[i].Pseudorange, b.Obs[i].Pseudorange, a.Obs[i].CN0, b.Obs[i].CN0)
+		if a.Obs[i] != b.Obs[i] {
+			t.Fatalf("obs %d differs across CodeOnly:\n  %+v\n  %+v", i, a.Obs[i], b.Obs[i])
 		}
 	}
 }

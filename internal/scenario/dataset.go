@@ -16,6 +16,15 @@ type Dataset struct {
 	Epochs  []Epoch `json:"epochs"`
 }
 
+// Preallocation caps for the decoders: a header's epoch or observation
+// count is only a claim until the records behind it have been read, so
+// ReadJSON and ReadBinary size their slices by at most these and let
+// append grow them.
+const (
+	maxPreallocEpochs = 1 << 12
+	maxPreallocObs    = 32
+)
+
 // Len returns the number of epochs.
 func (d *Dataset) Len() int { return len(d.Epochs) }
 
@@ -87,7 +96,7 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	ds := &Dataset{
 		Station: header.Station,
 		Config:  header.Config,
-		Epochs:  make([]Epoch, 0, header.Epochs),
+		Epochs:  make([]Epoch, 0, min(header.Epochs, maxPreallocEpochs)),
 	}
 	for i := 0; i < header.Epochs; i++ {
 		var e Epoch

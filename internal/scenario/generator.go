@@ -34,11 +34,11 @@ type Config struct {
 	Multipath bool
 	// Step is the epoch spacing in seconds (the paper uses 1 s).
 	Step float64
-	// CodeOnly skips the carrier, L2 and Doppler observables (they stay
-	// zero), roughly halving generation cost. Pseudoranges are identical
-	// either way: the code noise stream is drawn before the auxiliary
-	// observables'. Use for code-only experiments like the paper's.
-	CodeOnly bool
+	// CodeOnly has no effect: the generator synthesizes pseudo-range
+	// observables only. No dataset format writes or reads it.
+	//
+	// Deprecated: kept only so that code assigning it still compiles.
+	CodeOnly bool `json:"-"`
 }
 
 // DefaultConfig returns the configuration used for the paper-reproduction
@@ -57,30 +57,12 @@ func DefaultConfig(seed int64) Config {
 
 // SatObs is one satellite's contribution to an epoch: its ECEF coordinates
 // at signal emission (expressed in the reception-time frame) and the
-// measured pseudo-range — exactly the per-satellite payload of the
-// paper's "data items" (Section 5.2.1) — plus the carrier-phase and
-// Doppler observables a full receiver also tracks.
+// measured L1 code pseudo-range — exactly the per-satellite payload of
+// the paper's "data items" (Section 5.2.1).
 type SatObs struct {
 	PRN         int      `json:"prn"`
 	Pos         geo.ECEF `json:"pos"`
 	Pseudorange float64  `json:"pr"`
-	// Pseudorange2 is the L2 code measurement: same geometry and clock,
-	// ionospheric delay scaled by (f1/f2)² ≈ 1.6469 (dispersion), and
-	// somewhat noisier tracking. Dual-frequency receivers combine L1/L2
-	// into the ionosphere-free observable (see IonoFreeEpoch).
-	Pseudorange2 float64 `json:"pr2"`
-	// Carrier is the L1 carrier-phase measurement expressed in meters
-	// (λ·φ): the same geometry and clock terms as the pseudo-range, an
-	// unknown integer-ambiguity offset per satellite pass, mm-level
-	// noise, and the ionospheric term with *opposite sign* (phase
-	// advance vs group delay).
-	Carrier float64 `json:"cp"`
-	// Doppler is the measured range rate in m/s (satellite motion plus
-	// receiver motion plus receiver clock drift).
-	Doppler float64 `json:"dop"`
-	// Vel is the satellite ECEF velocity from the ephemeris, needed by
-	// velocity solvers.
-	Vel geo.ECEF `json:"vel"`
 	// Elevation (radians) is carried for satellite-selection strategies
 	// and diagnostics; real receivers compute it from the fix anyway.
 	Elevation float64 `json:"elev"`
@@ -112,7 +94,6 @@ type Generator struct {
 	clk       clock.Model
 	posAt     func(t float64) geo.ECEF
 	visible   func(elev, azim float64) bool
-	faults    []Fault
 	canyon    *UrbanCanyon
 	canyonLOS func(elev, azim float64) bool
 
@@ -160,22 +141,6 @@ func WithClockModel(m clock.Model) Option {
 // than serving another constellation's geometry.
 func WithEpochCache(c *epochcache.Cache) Option {
 	return func(g *Generator) { g.cache = c }
-}
-
-// Fault describes an injected gross pseudo-range error: PRN gets Bias
-// meters added to its code measurement for t in [From, Until). Used to
-// exercise integrity monitoring (RAIM) end to end.
-type Fault struct {
-	PRN         int
-	From, Until float64
-	Bias        float64
-}
-
-// WithFaults injects gross errors into the matching observations.
-func WithFaults(faults []Fault) Option {
-	owned := make([]Fault, len(faults))
-	copy(owned, faults)
-	return func(g *Generator) { g.faults = owned }
 }
 
 // WithVisibility installs an extra sky mask: a satellite above the global
@@ -302,9 +267,6 @@ func defaultClockModel(station Station, seed int64) clock.Model {
 // Station returns the generated station.
 func (g *Generator) Station() Station { return g.station }
 
-// Config returns the generator configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // ClockModel exposes the receiver-clock truth model (for predictor
 // evaluation and the clockcal example).
 func (g *Generator) ClockModel() clock.Model { return g.clk }
@@ -352,12 +314,6 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 	var visBuf [24]orbit.InView
 	vis := orbit.AppendVisible(visBuf[:0], st, frame, mask)
 	biasSec := g.clk.BiasAt(t)
-	var driftMPS float64
-	var recvVel geo.ECEF
-	if !g.cfg.CodeOnly {
-		driftMPS = g.clockDrift(t) * geo.SpeedOfLight
-		recvVel = g.receiverVelocity(t)
-	}
 	epoch := Epoch{T: t, Obs: make([]SatObs, 0, len(vis))}
 	for _, v := range vis {
 		if g.visible != nil && !g.visible(v.Elevation, v.Azimuth) {
@@ -366,7 +322,7 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		// Environment stream: canyon reflection draws and C/N0 flutter.
 		// Independent of the error stream (separate tag in the seed mix)
 		// so pseudo-range noise is byte-identical with and without the
-		// C/N0 model, and identical across CodeOnly modes.
+		// C/N0 model.
 		sat := &v.State.Sat
 		env := rng.New(obsSeed(g.stationSeed^envStreamTag, sat.PRN, t))
 		nlos := false
@@ -382,47 +338,18 @@ func (g *Generator) EpochAt(t float64) (Epoch, error) {
 		// expressing the satellite position in the reception-time frame
 		// (Sagnac correction).
 		emitPos, dist := v.State.Emission(recv, t)
-		eps, iono, tropo, obsRng := g.satelliteErrorParts(sat.PRN, t, v.Elevation)
-		pr := dist + geo.SpeedOfLight*biasSec + eps + nlosBias
-		for _, f := range g.faults {
-			if f.PRN == sat.PRN && t >= f.From && t < f.Until {
-				pr += f.Bias
-			}
-		}
+		pr := dist + geo.SpeedOfLight*biasSec + g.satelliteError(sat.PRN, t, v.Elevation) + nlosBias
 		cn0 := g.nominalCN0(v.Elevation) + (env.Float64()*2-1)*cn0FlutterDB
 		if nlos {
 			cn0 -= g.canyon.CN0LossDB
 		}
-		obsOut := SatObs{
+		epoch.Obs = append(epoch.Obs, SatObs{
 			PRN:         sat.PRN,
 			Pos:         emitPos,
 			Pseudorange: pr,
 			Elevation:   v.Elevation,
 			CN0:         cn0,
-		}
-		if !g.cfg.CodeOnly {
-			// Carrier phase: same geometry/clock/troposphere, opposite-
-			// sign ionosphere, a per-pass ambiguity, and millimeter noise
-			// — the code's thermal noise and multipath do NOT appear on
-			// the carrier (that asymmetry is what makes Hatch smoothing
-			// work).
-			obsOut.Carrier = dist + geo.SpeedOfLight*biasSec + tropo - iono +
-				g.carrierAmbiguity(sat.PRN) + 0.003*obsRng.NormFloat64()
-			// Doppler: projected relative velocity plus clock drift.
-			satVel, verr := sat.Orbit.VelocityECEF(t)
-			if verr == nil {
-				// Range rate: positive when the range is growing. u
-				// points from receiver to satellite.
-				los := emitPos.Sub(recv)
-				u := los.Scale(1 / los.Norm())
-				obsOut.Doppler = satVel.Sub(recvVel).Dot(u) + driftMPS + 0.05*obsRng.NormFloat64()
-				obsOut.Vel = satVel
-			}
-			// L2 code: dispersion scales the iono term by γ; tracking
-			// noise is ~1.5× L1 (semi-codeless tracking).
-			obsOut.Pseudorange2 = pr + (GammaL1L2-1)*iono + 0.5*g.cfg.NoiseSigma*obsRng.NormFloat64()
-		}
-		epoch.Obs = append(epoch.Obs, obsOut)
+		})
 	}
 	return epoch, nil
 }
@@ -452,50 +379,19 @@ func (g *Generator) nominalCN0(elev float64) float64 {
 	return atmosphere.CN0FromSigma(math.Sqrt(variance))
 }
 
-// clockDrift numerically differentiates the receiver clock bias (s/s).
-func (g *Generator) clockDrift(t float64) float64 {
-	const h = 0.5
-	return (g.clk.BiasAt(t+h) - g.clk.BiasAt(t-h)) / (2 * h)
-}
-
-// receiverVelocity numerically differentiates the trajectory (m/s).
-func (g *Generator) receiverVelocity(t float64) geo.ECEF {
-	const h = 0.5
-	return g.posAt(t + h).Sub(g.posAt(t - h)).Scale(1 / (2 * h))
-}
-
-// carrierAmbiguity returns the per-pass carrier ambiguity in meters
-// (λ·N with N an integer, λ = 19.03 cm for L1), fixed for the day.
-func (g *Generator) carrierAmbiguity(prn int) float64 {
-	const lambdaL1 = 0.1903
-	s := rng.New(obsSeed(g.stationSeed, prn, -2))
-	n := s.Intn(2_000_000) - 1_000_000
-	return lambdaL1 * float64(n)
-}
-
 // satelliteError draws the satellite-dependent error εᵢˢ for one
 // observation: thermal noise, multipath, and atmospheric residuals. All
 // draws are deterministic functions of (Seed, station, PRN, t). The
 // station identity enters the receiver-local noise stream (thermal,
 // multipath) but not the per-pass atmospheric factors, so two receivers
 // observing the same satellite share its atmospheric residual — the
-// property differential GPS exploits.
+// property differential GPS exploits. Streams are rng.Stream rather than
+// math/rand: seeding the latter runs a 607-word lagged-Fibonacci warm-up
+// that dominated live generation cost (each epoch seeds ~2 streams per
+// visible satellite).
 func (g *Generator) satelliteError(prn int, t, elev float64) float64 {
-	eps, _, _, _ := g.satelliteErrorParts(prn, t, elev)
-	return eps
-}
-
-// satelliteErrorParts draws εᵢˢ and separately reports its ionospheric
-// component (which enters the carrier phase with opposite sign) and
-// tropospheric component (non-dispersive: same sign on the carrier). The
-// returned stream continues the observation's deterministic draws so
-// callers can synthesize further per-observation noise. Streams are
-// rng.Stream rather than math/rand: seeding the latter runs a 607-word
-// lagged-Fibonacci warm-up that dominated live generation cost (each
-// epoch seeds ~2 streams per visible satellite).
-func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tropo float64, obs rng.Stream) {
-	obs = rng.New(obsSeed(g.stationSeed, prn, t))
-	eps = g.cfg.NoiseSigma * obs.NormFloat64()
+	obs := rng.New(obsSeed(g.stationSeed, prn, t))
+	eps := g.cfg.NoiseSigma * obs.NormFloat64()
 	if g.cfg.Multipath {
 		eps += atmosphere.MultipathSigma(elev) * obs.NormFloat64()
 	}
@@ -507,11 +403,10 @@ func (g *Generator) satelliteErrorParts(prn int, t, elev float64) (eps, iono, tr
 		uIono := pass.Float64()*2 - 1
 		uTropo := pass.Float64()*2 - 1
 		localTime := localSolarTime(g.lon, t)
-		iono = atmosphere.ResidualIono(elev, localTime, g.cfg.IonoRemainder, uIono)
-		tropo = atmosphere.ResidualTropo(elev, g.alt, g.cfg.TropoRemainder, uTropo)
-		eps += iono + tropo
+		eps += atmosphere.ResidualIono(elev, localTime, g.cfg.IonoRemainder, uIono) +
+			atmosphere.ResidualTropo(elev, g.alt, g.cfg.TropoRemainder, uTropo)
 	}
-	return eps, iono, tropo, obs
+	return eps
 }
 
 // EpochTime is the canonical timebase: epoch i of a run starting at t0
@@ -567,34 +462,6 @@ func (g *Generator) GenerateRange(t0, t1 float64) (*Dataset, error) {
 		ds.Epochs = append(ds.Epochs, e)
 	}
 	return ds, nil
-}
-
-// GammaL1L2 is (f_L1/f_L2)² = (1575.42/1227.60)², the dispersion ratio
-// between the two GPS frequencies.
-const GammaL1L2 = 1.6469444840261036
-
-// IonoFreeEpoch returns a copy of the epoch with each pseudo-range
-// replaced by the dual-frequency ionosphere-free combination
-//
-//	PR_IF = (γ·PR1 − PR2) / (γ − 1)
-//
-// which cancels the first-order ionospheric delay exactly (the L2 term
-// carries γ× the L1 delay) at the cost of amplifying the uncorrelated
-// tracking noise by roughly 3×. Worth it when the ionosphere dominates
-// (uncorrected single-frequency receivers, solar maximum); a loss when
-// thermal noise dominates. Observations without an L2 measurement pass
-// through unchanged.
-func IonoFreeEpoch(e Epoch) Epoch {
-	out := Epoch{T: e.T, Obs: make([]SatObs, len(e.Obs))}
-	copy(out.Obs, e.Obs)
-	for i := range out.Obs {
-		o := &out.Obs[i]
-		if o.Pseudorange2 == 0 {
-			continue
-		}
-		o.Pseudorange = (GammaL1L2*o.Pseudorange - o.Pseudorange2) / (GammaL1L2 - 1)
-	}
-	return out
 }
 
 // localSolarTime approximates the local solar time (seconds of day) at

@@ -7,7 +7,7 @@ import (
 	"gpsdl/internal/orbit"
 )
 
-// liveGenerators builds n code-only generators over the Table 5.1
+// liveGenerators builds n generators over the Table 5.1
 // stations sharing one epoch cache on the 1 s grid: the shape of a live
 // engine shard, where every session synthesizes the same epoch in turn.
 func liveGenerators(tb testing.TB, n int) []*Generator {
@@ -20,15 +20,13 @@ func liveGenerators(tb testing.TB, n int) []*Generator {
 	stations := Table51Stations()
 	gens := make([]*Generator, n)
 	for i := range gens {
-		cfg := DefaultConfig(int64(1000 + i))
-		cfg.CodeOnly = true
-		gens[i] = NewGenerator(stations[i%len(stations)], cfg, WithConstellation(cons), WithEpochCache(cache))
+		gens[i] = NewGenerator(stations[i%len(stations)], DefaultConfig(int64(1000+i)), WithConstellation(cons), WithEpochCache(cache))
 	}
 	return gens
 }
 
-// BenchmarkEpochAtLive is one session's live synthesis step: a cached,
-// code-only EpochAt, round-robin over 64 sessions so every epoch's
+// BenchmarkEpochAtLive is one session's live synthesis step: a cached
+// EpochAt, round-robin over 64 sessions so every epoch's
 // constellation snapshot is computed once and then read 63 times.
 func BenchmarkEpochAtLive(b *testing.B) {
 	gens := liveGenerators(b, 64)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gpsdl/internal/clock"
-	"gpsdl/internal/core"
 	"gpsdl/internal/geo"
 )
 
@@ -378,16 +377,6 @@ func TestMovingReceiverTrajectory(t *testing.T) {
 	}
 }
 
-func TestLinearTrajectory(t *testing.T) {
-	st, _ := StationByID("YYR1")
-	traj := LinearTrajectory(st.Pos, geo.ENU{E: 10, N: 0, U: 0})
-	p := traj(5)
-	enu := geo.ToENU(st.Pos, p)
-	if math.Abs(enu.E-50) > 1e-6 || math.Abs(enu.N) > 1e-6 {
-		t.Errorf("linear trajectory at t=5: %+v, want E=50", enu)
-	}
-}
-
 func TestCircularTrajectoryZeroRadius(t *testing.T) {
 	st, _ := StationByID("YYR1")
 	traj := CircularTrajectory(st.Pos, 0, 100)
@@ -405,151 +394,6 @@ func TestObsSortedByElevation(t *testing.T) {
 	for i := 1; i < len(e.Obs); i++ {
 		if e.Obs[i].Elevation > e.Obs[i-1].Elevation {
 			t.Errorf("observations not sorted by elevation at %d", i)
-		}
-	}
-}
-
-func TestCarrierPhaseAnatomy(t *testing.T) {
-	// Carrier = pseudorange − 2·iono − thermal/multipath + ambiguity + mm
-	// noise. With all noise and atmosphere off, carrier − pseudorange is
-	// exactly the per-satellite ambiguity, constant over time.
-	st, _ := StationByID("SRZN")
-	cfg := DefaultConfig(13)
-	cfg.NoiseSigma = 0
-	cfg.Multipath = false
-	cfg.IonoRemainder = 0
-	cfg.TropoRemainder = 0
-	g := NewGenerator(st, cfg, WithClockModel(&clock.SteeringModel{Offset: 1e-8}))
-	e1, err := g.EpochAt(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := g.EpochAt(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	amb1 := map[int]float64{}
-	for _, o := range e1.Obs {
-		amb1[o.PRN] = o.Carrier - o.Pseudorange
-	}
-	const lambdaL1 = 0.1903
-	for _, o := range e2.Obs {
-		a1, ok := amb1[o.PRN]
-		if !ok {
-			continue
-		}
-		a2 := o.Carrier - o.Pseudorange
-		// Constant per pass to within the mm carrier noise.
-		if math.Abs(a2-a1) > 0.02 {
-			t.Errorf("PRN %d ambiguity drifted: %v vs %v", o.PRN, a1, a2)
-		}
-		// Integer number of wavelengths.
-		n := a1 / lambdaL1
-		if math.Abs(n-math.Round(n)) > 0.1 {
-			t.Errorf("PRN %d ambiguity %v not an integer multiple of lambda", o.PRN, a1)
-		}
-	}
-}
-
-func TestCarrierIonoSignFlip(t *testing.T) {
-	// With only iono enabled, (pseudorange − carrier − ambiguity) = 2·iono,
-	// so pseudorange minus its geometric part has opposite iono sign from
-	// carrier minus its geometric part.
-	st, _ := StationByID("SRZN")
-	cfg := DefaultConfig(13)
-	cfg.NoiseSigma = 0
-	cfg.Multipath = false
-	cfg.TropoRemainder = 0
-	cfg.IonoRemainder = 0.5
-	g := NewGenerator(st, cfg, WithClockModel(&clock.SteeringModel{}))
-	e, err := g.EpochAt(43200) // midday: nonzero iono
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, o := range e.Obs {
-		geom := st.Pos.DistanceTo(o.Pos)
-		codeErr := o.Pseudorange - geom
-		if math.Abs(codeErr) < 0.05 {
-			continue // this pass drew u ≈ 0
-		}
-		found = true
-		// carrier - geom - ambiguity should be ≈ −codeErr; the ambiguity
-		// is unknown here, but the difference pr − cp = 2·iono + amb...
-		// use two epochs to cancel the ambiguity instead: iono varies
-		// slowly, so compare directly via the known relationship
-		// pr − cp − amb = 2·iono, with amb from a zero-iono counterpart.
-		break
-	}
-	if !found {
-		t.Skip("all iono mismatch factors drew near zero")
-	}
-	// Direct check with a paired zero-iono generator (same seeds).
-	cfg0 := cfg
-	cfg0.IonoRemainder = 0
-	g0 := NewGenerator(st, cfg0, WithClockModel(&clock.SteeringModel{}))
-	e0, err := g0.EpochAt(43200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range e.Obs {
-		o0 := e0.Obs[i]
-		ionoCode := o.Pseudorange - o0.Pseudorange // +iono
-		ionoCarrier := o.Carrier - o0.Carrier      // −iono
-		if math.Abs(ionoCode+ionoCarrier) > 0.02*(1+math.Abs(ionoCode)) {
-			t.Errorf("PRN %d: code iono %v, carrier iono %v (want opposite)", o.PRN, ionoCode, ionoCarrier)
-		}
-	}
-}
-
-func TestDopplerMatchesNumericRangeRate(t *testing.T) {
-	// With noise off and a static receiver, the Doppler observable must
-	// match the numerically-differentiated geometric range plus clock
-	// drift.
-	st, _ := StationByID("KYCP")
-	cfg := DefaultConfig(13)
-	cfg.NoiseSigma = 0
-	cfg.Multipath = false
-	cfg.IonoRemainder = 0
-	cfg.TropoRemainder = 0
-	drift := 1e-7
-	g := NewGenerator(st, cfg, WithClockModel(&clock.ThresholdModel{Drift: drift, Threshold: 1}))
-	e1, err := g.EpochAt(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := g.EpochAt(1001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := map[int]float64{}
-	for _, o := range e1.Obs {
-		r1[o.PRN] = st.Pos.DistanceTo(o.Pos)
-	}
-	driftMPS := drift * geo.SpeedOfLight
-	for _, o := range e2.Obs {
-		prev, ok := r1[o.PRN]
-		if !ok {
-			continue
-		}
-		numeric := st.Pos.DistanceTo(o.Pos) - prev // per 1 s
-		want := numeric + driftMPS
-		if math.Abs(o.Doppler-want) > 0.5 {
-			t.Errorf("PRN %d Doppler %v, numeric %v", o.PRN, o.Doppler, want)
-		}
-	}
-}
-
-func TestSatelliteVelocityPlausible(t *testing.T) {
-	g := testGenerator(t, "YYR1")
-	e, err := g.EpochAt(777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range e.Obs {
-		speed := o.Vel.Norm()
-		if speed < 1500 || speed > 6000 {
-			t.Errorf("PRN %d ECEF speed %v m/s implausible", o.PRN, speed)
 		}
 	}
 }
@@ -617,187 +461,4 @@ func TestCanyonReducesVisibleSatellites(t *testing.T) {
 	}
 	t.Logf("mean satellites: open %.1f, canyon %.1f (min %d)",
 		float64(openSum)/24, float64(canyonSum)/24, minCanyon)
-}
-
-func TestFaultInjection(t *testing.T) {
-	st, _ := StationByID("SRZN")
-	cfg := DefaultConfig(1)
-	cfg.NoiseSigma = 0
-	cfg.Multipath = false
-	cfg.IonoRemainder = 0
-	cfg.TropoRemainder = 0
-	clean := NewGenerator(st, cfg, WithClockModel(&clock.SteeringModel{}))
-	e, err := clean.EpochAt(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := e.Obs[0].PRN
-	faulty := NewGenerator(st, cfg,
-		WithClockModel(&clock.SteeringModel{}),
-		WithFaults([]Fault{{PRN: victim, From: 50, Until: 150, Bias: 500}}))
-	inWindow, err := faulty.EpochAt(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outWindow, err := faulty.EpochAt(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range inWindow.Obs {
-		want := e.Obs[i].Pseudorange
-		if o.PRN == victim {
-			want += 500
-		}
-		if math.Abs(o.Pseudorange-want) > 1e-9 {
-			t.Errorf("PRN %d in window: %v, want %v", o.PRN, o.Pseudorange, want)
-		}
-	}
-	cleanLater, err := clean.EpochAt(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range outWindow.Obs {
-		if math.Abs(o.Pseudorange-cleanLater.Obs[i].Pseudorange) > 1e-9 {
-			t.Errorf("PRN %d outside window was modified", o.PRN)
-		}
-	}
-}
-
-func TestL2CarriesScaledIono(t *testing.T) {
-	// With only ionosphere enabled, PR2 − PR1 = (γ−1)·iono exactly
-	// (modulo the L2 noise, disabled via NoiseSigma = 0).
-	st, _ := StationByID("SRZN")
-	cfg := DefaultConfig(13)
-	cfg.NoiseSigma = 0
-	cfg.Multipath = false
-	cfg.TropoRemainder = 0
-	cfg.IonoRemainder = 0.5
-	g := NewGenerator(st, cfg, WithClockModel(&clock.SteeringModel{}))
-	g0cfg := cfg
-	g0cfg.IonoRemainder = 0
-	g0 := NewGenerator(st, g0cfg, WithClockModel(&clock.SteeringModel{}))
-	e, err := g.EpochAt(43200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0, err := g0.EpochAt(43200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range e.Obs {
-		iono := o.Pseudorange - e0.Obs[i].Pseudorange
-		gotRatio := (o.Pseudorange2 - e0.Obs[i].Pseudorange2) // γ·iono
-		if math.Abs(iono) < 0.01 {
-			continue
-		}
-		if r := gotRatio / iono; math.Abs(r-GammaL1L2) > 0.01 {
-			t.Errorf("PRN %d L2/L1 iono ratio = %v, want %v", o.PRN, r, GammaL1L2)
-		}
-	}
-}
-
-func TestIonoFreeEpochCancelsIono(t *testing.T) {
-	// Heavy uncorrected ionosphere, no other noise: the IF combination
-	// must recover the geometric range + clock exactly.
-	st, _ := StationByID("SRZN")
-	cfg := DefaultConfig(13)
-	cfg.NoiseSigma = 0
-	cfg.Multipath = false
-	cfg.TropoRemainder = 0
-	cfg.IonoRemainder = 1.0
-	g := NewGenerator(st, cfg, WithClockModel(&clock.SteeringModel{}))
-	e, err := g.EpochAt(43200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ifEpoch := IonoFreeEpoch(e)
-	for _, o := range ifEpoch.Obs {
-		geom := st.Pos.DistanceTo(o.Pos)
-		if d := math.Abs(o.Pseudorange - geom); d > 1e-6 {
-			t.Errorf("PRN %d iono-free residual %v m", o.PRN, d)
-		}
-	}
-	// Input untouched.
-	for i := range e.Obs {
-		geom := st.Pos.DistanceTo(e.Obs[i].Pos)
-		if math.Abs(e.Obs[i].Pseudorange-geom) < 1e-6 {
-			t.Fatal("IonoFreeEpoch mutated its input")
-		}
-		break
-	}
-}
-
-func TestIonoFreeTradeoffUnderIonoDominance(t *testing.T) {
-	// Uncorrected iono (σ >> noise): IF positioning beats L1-only.
-	st, _ := StationByID("SRZN")
-	cfg := DefaultConfig(19)
-	cfg.IonoRemainder = 1.0
-	cfg.NoiseSigma = 0.5
-	g := NewGenerator(st, cfg, WithClockModel(&clock.SteeringModel{Offset: 1e-8}))
-	var nr core.NRSolver
-	solve := func(tt float64, ep Epoch) (float64, bool) {
-		obs := make([]core.Observation, 0, len(ep.Obs))
-		for _, o := range ep.Obs {
-			obs = append(obs, core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation})
-		}
-		sol, err := nr.Solve(tt, obs)
-		if err != nil {
-			return 0, false
-		}
-		return sol.Pos.DistanceTo(st.Pos), true
-	}
-	var sumL1, sumIF float64
-	var n int
-	for i := 0; i < 200; i++ {
-		tt := 40000 + float64(i)*30 // daytime iono
-		e, err := g.EpochAt(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dL1, ok1 := solve(tt, e)
-		dIF, ok2 := solve(tt, IonoFreeEpoch(e))
-		if !ok1 || !ok2 {
-			continue
-		}
-		sumL1 += dL1
-		sumIF += dIF
-		n++
-	}
-	if n < 150 {
-		t.Fatalf("only %d epochs", n)
-	}
-	meanL1, meanIF := sumL1/float64(n), sumIF/float64(n)
-	t.Logf("uncorrected iono: L1-only %.2f m, iono-free %.2f m", meanL1, meanIF)
-	if meanIF > meanL1*0.7 {
-		t.Errorf("iono-free %.2f m did not clearly beat L1 %.2f m under heavy iono", meanIF, meanL1)
-	}
-}
-
-func TestCodeOnlyPseudorangesIdentical(t *testing.T) {
-	st, _ := StationByID("YYR1")
-	full := NewGenerator(st, DefaultConfig(31))
-	cfgLite := DefaultConfig(31)
-	cfgLite.CodeOnly = true
-	lite := NewGenerator(st, cfgLite)
-	for _, tt := range []float64{0, 1234.0, 55555.0} {
-		ef, err := full.EpochAt(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		el, err := lite.EpochAt(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ef.Obs) != len(el.Obs) {
-			t.Fatalf("t=%v: obs counts differ", tt)
-		}
-		for i := range ef.Obs {
-			if ef.Obs[i].Pseudorange != el.Obs[i].Pseudorange {
-				t.Errorf("t=%v PRN %d: pseudoranges differ", tt, ef.Obs[i].PRN)
-			}
-			if el.Obs[i].Carrier != 0 || el.Obs[i].Doppler != 0 || el.Obs[i].Pseudorange2 != 0 {
-				t.Errorf("t=%v PRN %d: CodeOnly epoch carries auxiliary observables", tt, el.Obs[i].PRN)
-			}
-		}
-	}
 }

@@ -28,12 +28,3 @@ func CircularTrajectory(center geo.ECEF, radius, speed float64) func(t float64) 
 		return geo.FromENU(center, off)
 	}
 }
-
-// LinearTrajectory returns a position function for a receiver moving at
-// constant velocity (ENU meters/second) from the start point.
-func LinearTrajectory(start geo.ECEF, velocity geo.ENU) func(t float64) geo.ECEF {
-	return func(t float64) geo.ECEF {
-		off := geo.ENU{E: velocity.E * t, N: velocity.N * t, U: velocity.U * t}
-		return geo.FromENU(start, off)
-	}
-}
