@@ -124,20 +124,17 @@ func BenchmarkFig52_AccuracySweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var res *eval.Result
+	var row eval.Row
 	for i := 0; i < b.N; i++ {
-		sweep := &eval.Sweep{Dataset: ds, SatCounts: []int{8}, InitEpochs: 30, Seed: 1, TimingReps: 1}
-		res, err = sweep.Run()
+		row, err = eval.PaperRow(ds, eval.Options{M: 8, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if res != nil && len(res.Rows) > 0 {
-		b.ReportMetric(res.Rows[0].AccuracyRateDLO(), "etaDLO_%")
-		b.ReportMetric(res.Rows[0].AccuracyRateDLG(), "etaDLG_%")
-		b.ReportMetric(res.Rows[0].NR.MeanError, "dNR_m")
-	}
+	b.ReportMetric(row.AccuracyRateDLO(), "etaDLO_%")
+	b.ReportMetric(row.AccuracyRateDLG(), "etaDLG_%")
+	b.ReportMetric(row.NR.MeanError, "dNR_m")
 }
 
 // BenchmarkAblation_BaseSelection times DLO under each base-selection

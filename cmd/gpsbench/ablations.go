@@ -40,7 +40,7 @@ func runAblationBase(cfg benchConfig) error {
 		// Random per-epoch satellite selection: under the default
 		// elevation-stratified selection, observation 0 is already the
 		// highest-elevation satellite and the strategies coincide.
-		stats, err := eval.RunArms(ds, specs, eval.ArmOptions{
+		stats, _, err := eval.RunArms(ds, specs, eval.Options{
 			M: ablationM, MaxEpochs: cfg.epochs, Seed: cfg.seed,
 			Selection: eval.SelectRandom,
 		})
@@ -99,7 +99,7 @@ func runAblationClock(cfg benchConfig) error {
 			clockArm("kalman [12][33]", kalman),
 			clockArm("oracle (truth)", &clock.OraclePredictor{Model: g.ClockModel()}),
 		}
-		stats, err := eval.RunArms(ds, specs, eval.ArmOptions{M: ablationM, MaxEpochs: cfg.epochs, Seed: cfg.seed})
+		stats, _, err := eval.RunArms(ds, specs, eval.Options{M: ablationM, MaxEpochs: cfg.epochs, Seed: cfg.seed})
 		if err != nil {
 			return err
 		}
@@ -142,7 +142,7 @@ func runAblationGLS(cfg benchConfig) error {
 				Predictor: p,
 			})
 		}
-		stats, err := eval.RunArms(ds, specs, eval.ArmOptions{M: m, MaxEpochs: cfg.epochs, Seed: cfg.seed})
+		stats, _, err := eval.RunArms(ds, specs, eval.Options{M: m, MaxEpochs: cfg.epochs, Seed: cfg.seed})
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func runAblationDirect(cfg benchConfig) error {
 		// the clock prediction (paper §2 ref [30]).
 		{Name: "TriSat [30]", Solver: &core.TriSatSolver{Predictor: triP}, Predictor: triP},
 	}
-	stats, err := eval.RunArms(ds, specs, eval.ArmOptions{
+	stats, _, err := eval.RunArms(ds, specs, eval.Options{
 		M: ablationM, MaxEpochs: cfg.epochs, Seed: cfg.seed,
 	})
 	if err != nil {
@@ -350,12 +350,10 @@ func runAblationNoise(cfg benchConfig) error {
 		if err != nil {
 			return err
 		}
-		sweep := &eval.Sweep{Dataset: ds, SatCounts: []int{8}, Seed: cfg.seed, MaxEpochs: cfg.epochs, Registry: cfg.registry}
-		res, err := sweep.Run()
+		row, err := eval.PaperRow(ds, eval.Options{M: 8, Seed: cfg.seed, MaxEpochs: cfg.epochs})
 		if err != nil {
 			return err
 		}
-		row := res.Rows[0]
 		if row.Epochs == 0 {
 			continue
 		}
@@ -393,7 +391,7 @@ func runAblationSelection(cfg benchConfig) error {
 		var cells [2]string
 		for i, m := range []int{5, 8} {
 			spec := []eval.ArmSpec{{Name: "NR", Solver: &core.NRSolver{}}}
-			stats, err := eval.RunArms(ds, spec, eval.ArmOptions{
+			stats, _, err := eval.RunArms(ds, spec, eval.Options{
 				M: m, MaxEpochs: cfg.epochs, Seed: cfg.seed, Selection: md.mode,
 			})
 			if err != nil {

@@ -14,11 +14,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,12 +23,12 @@ import (
 	"gpsdl/internal/wire"
 )
 
-// broadcastBenchConfig holds the -broadcast-* flag values.
+// broadcastBenchConfig sizes the -broadcast sweep.
 type broadcastBenchConfig struct {
-	receivers int
-	epochs    int
+	receivers int // sessions generating the fix set
+	epochs    int // epochs per receiver
 	clients   []int
-	trials    int
+	trials    int // runs per (arm, clients) cell; the fastest is kept
 	seed      int64
 	jsonPath  string
 }
@@ -212,9 +209,7 @@ func runBroadcastBench(cfg broadcastBenchConfig) error {
 	ratio := bytesPerFix(report.Series, "nmea") / bytesPerFix(report.Series, "wire")
 	fmt.Printf("wire frames carry the same fixes in %.1fx fewer bytes than NMEA text\n", ratio)
 	if cfg.jsonPath != "" {
-		if err := writeBroadcastJSON(cfg.jsonPath, report); err != nil {
-			return err
-		}
+		return writeReport(cfg.jsonPath, report)
 	}
 	return nil
 }
@@ -233,33 +228,4 @@ func bytesPerFix(series []broadcastPoint, arm string) float64 {
 		return 1
 	}
 	return sum / float64(n)
-}
-
-// writeBroadcastJSON dumps the sweep.
-func writeBroadcastJSON(path string, report broadcastReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// parseClientList parses the -broadcast-clients csv.
-func parseClientList(s string) ([]int, error) {
-	counts, err := parseReceiverList(s)
-	if err != nil {
-		return nil, err
-	}
-	sort.Ints(counts)
-	return counts, nil
 }

@@ -3,15 +3,14 @@
 // each. Epochs are pregenerated so the measurement isolates the solver
 // hot path (linearize → solve → DOP → NMEA) from scenario synthesis,
 // and every session is warmed past the clock predictor's calibration
-// window before the timed run. -engine-json writes the series as a
+// window before the timed run. A second pair of arms synthesizes epochs
+// live, at GOMAXPROCS 1 and 4. -engine-json writes the series as a
 // machine-readable file (see EXPERIMENTS.md).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -20,19 +19,20 @@ import (
 	"gpsdl/internal/engine"
 )
 
-// engineBenchConfig holds the -engine-* flag values.
+// benchSolver is the primary solver of the engine, journal and recovery
+// benchmarks: the paper's headline algorithm.
+const benchSolver = "dlg"
+
+// engineBenchConfig sizes the -engine sweep.
 type engineBenchConfig struct {
 	receivers []int
-	epochs    int
-	warmup    int
-	solver    string
-	workers   int
+	epochs    int // timed epochs per receiver
+	warmup    int // predictor-calibration epochs before timing
 	seed      int64
 	jsonPath  string
 
 	// Live-generation arms: epochs synthesized during the timed run
 	// (no pregeneration), at GOMAXPROCS 1 and 4.
-	live          bool
 	liveReceivers int
 	liveEpochs    int
 }
@@ -103,14 +103,14 @@ func parseReceiverList(s string) ([]int, error) {
 func runEngineBench(cfg engineBenchConfig) error {
 	report := engineBenchReport{
 		Benchmark:  "engine",
-		Solver:     cfg.solver,
+		Solver:     benchSolver,
 		Epochs:     cfg.epochs,
 		Warmup:     cfg.warmup,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Series:     make([]engineBenchPoint, 0, len(cfg.receivers)),
 	}
 	fmt.Printf("engine throughput: solver=%s epochs/receiver=%d warmup=%d GOMAXPROCS=%d\n",
-		cfg.solver, cfg.epochs, cfg.warmup, report.GOMAXPROCS)
+		benchSolver, cfg.epochs, cfg.warmup, report.GOMAXPROCS)
 	fmt.Printf("%10s %8s %12s %10s %14s\n", "receivers", "workers", "fixes", "elapsed", "fixes/sec")
 	for _, r := range cfg.receivers {
 		pt, err := benchEngineOnce(cfg, r)
@@ -121,24 +121,20 @@ func runEngineBench(cfg engineBenchConfig) error {
 		fmt.Printf("%10d %8d %12d %9.3fs %14.0f\n",
 			pt.Receivers, pt.Workers, pt.Fixes, pt.ElapsedSec, pt.FixesPerSec)
 	}
-	if cfg.live {
-		fmt.Printf("live generation: receivers=%d epochs/receiver=%d (no pregeneration)\n",
-			cfg.liveReceivers, cfg.liveEpochs)
-		fmt.Printf("%14s %6s %12s %10s %14s\n", "arm", "procs", "fixes", "elapsed", "fixes/sec")
-		for _, procs := range []int{1, 4} {
-			pt, err := benchEngineLiveOnce(cfg, procs)
-			if err != nil {
-				return fmt.Errorf("live procs=%d: %w", procs, err)
-			}
-			report.LiveSeries = append(report.LiveSeries, pt)
-			fmt.Printf("%14s %6d %12d %9.3fs %14.0f\n",
-				pt.Arm, pt.GOMAXPROCS, pt.Fixes, pt.ElapsedSec, pt.FixesPerSec)
+	fmt.Printf("live generation: receivers=%d epochs/receiver=%d (no pregeneration)\n",
+		cfg.liveReceivers, cfg.liveEpochs)
+	fmt.Printf("%14s %6s %12s %10s %14s\n", "arm", "procs", "fixes", "elapsed", "fixes/sec")
+	for _, procs := range []int{1, 4} {
+		pt, err := benchEngineLiveOnce(cfg, procs)
+		if err != nil {
+			return fmt.Errorf("live procs=%d: %w", procs, err)
 		}
+		report.LiveSeries = append(report.LiveSeries, pt)
+		fmt.Printf("%14s %6d %12d %9.3fs %14.0f\n",
+			pt.Arm, pt.GOMAXPROCS, pt.Fixes, pt.ElapsedSec, pt.FixesPerSec)
 	}
 	if cfg.jsonPath != "" {
-		if err := writeEngineJSON(cfg.jsonPath, report); err != nil {
-			return err
-		}
+		return writeReport(cfg.jsonPath, report)
 	}
 	return nil
 }
@@ -153,7 +149,7 @@ func benchEngineLiveOnce(cfg engineBenchConfig, procs int) (engineLivePoint, err
 	eng, err := engine.New(engine.Config{
 		Receivers: cfg.liveReceivers,
 		Workers:   procs,
-		Solver:    cfg.solver,
+		Solver:    benchSolver,
 		Seed:      cfg.seed,
 		Sink:      func(engine.FixEvent) {},
 	})
@@ -197,8 +193,7 @@ func benchEngineLiveOnce(cfg engineBenchConfig, procs int) (engineLivePoint, err
 func benchEngineOnce(cfg engineBenchConfig, receivers int) (engineBenchPoint, error) {
 	eng, err := engine.New(engine.Config{
 		Receivers: receivers,
-		Workers:   cfg.workers,
-		Solver:    cfg.solver,
+		Solver:    benchSolver,
 		Seed:      cfg.seed,
 		Sink:      func(engine.FixEvent) {},
 	})
@@ -239,24 +234,4 @@ func benchEngineOnce(cfg engineBenchConfig, receivers int) (engineBenchPoint, er
 		pt.FixesPerSec = float64(pt.Fixes) / elapsed
 	}
 	return pt, nil
-}
-
-// writeEngineJSON dumps the throughput series for EXPERIMENTS.md /
-// regression tracking.
-func writeEngineJSON(path string, report engineBenchReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

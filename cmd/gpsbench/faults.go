@@ -8,9 +8,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"gpsdl/internal/engine"
 	"gpsdl/internal/eval"
@@ -44,14 +42,15 @@ const defaultFaultSpec = "drop:prn=7,from=60,until=180;" +
 	"spoof:n=2,bias=300,from=400,until=480;" +
 	"jam:sigma=15,from=500,until=560"
 
-// faultBenchConfig holds the -faults-* flag values.
+// benchFaultSeed seeds the fault injector of the -faults and -quality
+// sweeps.
+const benchFaultSeed = 1
+
+// faultBenchConfig sizes the -faults sweep.
 type faultBenchConfig struct {
-	spec      string
-	receivers int
-	epochs    int
-	workers   int
+	receivers int // sessions, round-robin over the Table 5.1 stations
+	epochs    int // epochs per receiver
 	seed      int64
-	faultSeed int64
 	jsonPath  string
 }
 
@@ -93,21 +92,21 @@ type faultBenchReport struct {
 // runFaultBench sweeps the program over intensity × solver and prints the
 // degradation table; with cfg.jsonPath it also writes the series as JSON.
 func runFaultBench(cfg faultBenchConfig) error {
-	prog, err := fault.ParseSpec(cfg.spec)
+	prog, err := fault.ParseSpec(defaultFaultSpec)
 	if err != nil {
-		return fmt.Errorf("-faults-spec: %w", err)
+		return err
 	}
 	report := faultBenchReport{
 		Benchmark:   "faults",
 		Spec:        prog.String(),
 		Seed:        cfg.seed,
-		FaultSeed:   cfg.faultSeed,
+		FaultSeed:   benchFaultSeed,
 		Receivers:   cfg.receivers,
 		Epochs:      cfg.epochs,
 		Intensities: faultSweepIntensities,
 	}
 	fmt.Printf("fault degradation sweep: receivers=%d epochs/receiver=%d seed=%d fault-seed=%d\n",
-		cfg.receivers, cfg.epochs, cfg.seed, cfg.faultSeed)
+		cfg.receivers, cfg.epochs, cfg.seed, benchFaultSeed)
 	fmt.Printf("program: %s\n", report.Spec)
 	fmt.Printf("%9s %7s %8s %7s %6s %8s %10s %8s %8s %10s %9s\n",
 		"intensity", "solver", "fixes", "coast", "fail", "avail%", "d_err(m)", "eta%", "faults", "fallbacks", "suspects")
@@ -130,9 +129,7 @@ func runFaultBench(cfg faultBenchConfig) error {
 		}
 	}
 	if cfg.jsonPath != "" {
-		if err := writeFaultJSON(cfg.jsonPath, report); err != nil {
-			return err
-		}
+		return writeReport(cfg.jsonPath, report)
 	}
 	return nil
 }
@@ -153,14 +150,13 @@ func benchFaultsOnce(cfg faultBenchConfig, prog fault.Program, intensity float64
 	}
 	eng, err := engine.New(engine.Config{
 		Receivers:  cfg.receivers,
-		Workers:    cfg.workers,
 		Solver:     primary,
 		Weighting:  weighted,
 		Disruption: weighted,
 		Seed:       cfg.seed,
 		Stations:   stations,
 		Faults:     prog,
-		FaultSeed:  cfg.faultSeed,
+		FaultSeed:  benchFaultSeed,
 		Sink: func(e engine.FixEvent) {
 			if e.Err != nil || e.Coast {
 				return
@@ -206,23 +202,4 @@ func benchFaultsOnce(cfg faultBenchConfig, prog fault.Program, intensity float64
 		pt.MeanErrorM = sum / float64(n)
 	}
 	return pt, nil
-}
-
-// writeFaultJSON dumps the degradation series (BENCH_faults.json).
-func writeFaultJSON(path string, report faultBenchReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

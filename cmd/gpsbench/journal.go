@@ -8,7 +8,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,18 +16,14 @@ import (
 	"time"
 
 	"gpsdl/internal/engine"
-	"gpsdl/internal/journal"
 )
 
-// journalBenchConfig holds the -journal-* flag values.
+// journalBenchConfig sizes the -journal benchmark.
 type journalBenchConfig struct {
 	receivers int
-	epochs    int
-	warmup    int
-	solver    string
-	workers   int
-	syncEvery int
-	trials    int
+	epochs    int // timed epochs per receiver
+	warmup    int // epochs before timing
+	trials    int // interleaved off/on pairs; the median pair is reported
 	seed      int64
 	jsonPath  string
 }
@@ -64,11 +59,8 @@ type journalBenchReport struct {
 // drift (both arms of a trial see the same conditions) and the median
 // sheds one-sided outliers that best-of-N would keep.
 func runJournalBench(cfg journalBenchConfig) error {
-	if cfg.trials < 1 {
-		cfg.trials = 1
-	}
 	fmt.Printf("journal overhead: solver=%s receivers=%d epochs/receiver=%d warmup=%d trials=%d GOMAXPROCS=%d\n",
-		cfg.solver, cfg.receivers, cfg.epochs, cfg.warmup, cfg.trials, runtime.GOMAXPROCS(0))
+		benchSolver, cfg.receivers, cfg.epochs, cfg.warmup, cfg.trials, runtime.GOMAXPROCS(0))
 	dir, err := os.MkdirTemp("", "gpsbench-journal-*")
 	if err != nil {
 		return err
@@ -101,7 +93,7 @@ func runJournalBench(cfg journalBenchConfig) error {
 	off, on := median.off, median.on
 	report := journalBenchReport{
 		Benchmark:  "journal",
-		Solver:     cfg.solver,
+		Solver:     benchSolver,
 		Receivers:  cfg.receivers,
 		Epochs:     cfg.epochs,
 		Warmup:     cfg.warmup,
@@ -118,9 +110,7 @@ func runJournalBench(cfg journalBenchConfig) error {
 	}
 	fmt.Printf("journal overhead: %.2f%% (budget < 5%%)\n", report.OverheadPct)
 	if cfg.jsonPath != "" {
-		if err := writeJournalJSON(cfg.jsonPath, report); err != nil {
-			return err
-		}
+		return writeReport(cfg.jsonPath, report)
 	}
 	return nil
 }
@@ -134,8 +124,7 @@ func runJournalBench(cfg journalBenchConfig) error {
 func benchJournalArm(cfg journalBenchConfig, journalPath string) (journalBenchArm, error) {
 	ecfg := engine.Config{
 		Receivers: cfg.receivers,
-		Workers:   cfg.workers,
-		Solver:    cfg.solver,
+		Solver:    benchSolver,
 		Seed:      cfg.seed,
 		Quality:   &engine.QualityConfig{},
 		Sink:      func(engine.FixEvent) {},
@@ -148,7 +137,6 @@ func benchJournalArm(cfg journalBenchConfig, journalPath string) (journalBenchAr
 		}
 		defer f.Close()
 		ecfg.JournalSink = f
-		ecfg.JournalOptions = journal.Options{SyncEvery: cfg.syncEvery}
 	}
 	eng, err := engine.New(ecfg)
 	if err != nil {
@@ -185,23 +173,4 @@ func benchJournalArm(cfg journalBenchConfig, journalPath string) (journalBenchAr
 		arm.JournalFrames, arm.Records, arm.JournalBytes = jw.Stats()
 	}
 	return arm, nil
-}
-
-// writeJournalJSON dumps the overhead comparison.
-func writeJournalJSON(path string, report journalBenchReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }

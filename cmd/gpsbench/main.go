@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +32,6 @@ import (
 
 	"gpsdl/internal/eval"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/telemetry"
 )
 
 func main() {
@@ -48,9 +48,6 @@ type benchConfig struct {
 	epochs   int
 	plot     bool
 	csvDir   string
-	// registry, when non-nil, collects solver/clock metrics across every
-	// sweep the run performs (-metrics-out).
-	registry *telemetry.Registry
 }
 
 func run(args []string) error {
@@ -66,48 +63,18 @@ func run(args []string) error {
 		csvDir          = fs.String("csv", "", "also write the figure series as CSV files into this directory")
 		engineOn        = fs.Bool("engine", false, "benchmark the multi-receiver fix engine (fixes/sec vs receiver count)")
 		engineReceivers = fs.String("engine-receivers", "1,2,4,8", "comma-separated receiver counts for -engine")
-		engineEpochs    = fs.Int("engine-epochs", 2000, "timed epochs per receiver for -engine")
-		engineWarmup    = fs.Int("engine-warmup", 300, "warm-up epochs (clock-predictor calibration) before timing for -engine")
-		engineSolver    = fs.String("engine-solver", "dlg", "solver for -engine: nr, dlo, dlg or bancroft")
-		engineWorkers   = fs.Int("engine-workers", 0, "engine shard count for -engine (0 = GOMAXPROCS)")
 		engineJSON      = fs.String("engine-json", "", "write the -engine throughput series as JSON to this file")
-		engineLive      = fs.Bool("engine-live", true, "also run the live-generation arms (GOMAXPROCS 1 and 4) for -engine")
-		engineLiveRecv  = fs.Int("engine-live-receivers", 8, "receiver count for the -engine live-generation arms")
-		engineLiveEp    = fs.Int("engine-live-epochs", 800, "timed epochs per receiver for the -engine live-generation arms")
 		faultsOn        = fs.Bool("faults", false, "run the fault-degradation sweep (availability and eta vs fault intensity)")
-		faultsSpec      = fs.String("faults-spec", defaultFaultSpec, "fault program for -faults (fault spec grammar)")
-		faultsReceivers = fs.Int("faults-receivers", 4, "receiver sessions for -faults (round-robin over the Table 5.1 stations)")
-		faultsEpochs    = fs.Int("faults-epochs", 600, "epochs per receiver for -faults")
-		faultsSeed      = fs.Int64("fault-seed", 1, "fault-injector seed for -faults")
 		faultsJSON      = fs.String("faults-json", "BENCH_faults.json", "write the -faults degradation series as JSON to this file (empty disables)")
 		qualityOn       = fs.Bool("quality", false, "run the solution-quality sweep (quality digests and SLO verdicts per solver across degradation scenarios)")
-		qualityRecv     = fs.Int("quality-receivers", 4, "receiver sessions for -quality (round-robin over the Table 5.1 stations)")
-		qualityEpochs   = fs.Int("quality-epochs", 600, "epochs per receiver for -quality")
-		qualitySolvers  = fs.String("quality-solvers", "nr,dlg", "comma-separated solvers for -quality")
-		qualityWorkers  = fs.Int("quality-workers", 0, "engine shard count for -quality (0 = GOMAXPROCS)")
 		qualityJSON     = fs.String("quality-json", "BENCH_quality.json", "write the -quality sweep as JSON to this file (empty disables)")
 		recoveryOn      = fs.Bool("recovery", false, "run the checkpoint-recovery benchmark (cold NR re-warm-up vs restored clock calibration)")
-		recoveryRecv    = fs.Int("recovery-receivers", 4, "receiver sessions for -recovery (round-robin over the Table 5.1 stations)")
-		recoveryCut     = fs.Int("recovery-cut", 300, "epoch the serving engine is killed (and checkpointed) at for -recovery")
-		recoveryEpochs  = fs.Int("recovery-epochs", 600, "total epochs for -recovery; [cut, epochs) is the measured restart window")
-		recoverySolver  = fs.String("recovery-solver", "dlg", "primary solver for -recovery: nr, dlo, dlg or bancroft")
 		recoveryJSON    = fs.String("recovery-json", "BENCH_recovery.json", "write the -recovery comparison as JSON to this file (empty disables)")
 		journalOn       = fs.Bool("journal", false, "run the flight-journal overhead benchmark (engine throughput with journaling off vs on)")
-		journalRecv     = fs.Int("journal-receivers", 8, "receiver sessions for -journal")
-		journalEpochs   = fs.Int("journal-epochs", 2000, "timed epochs per receiver for -journal")
-		journalWarmup   = fs.Int("journal-warmup", 300, "warm-up epochs before timing for -journal")
-		journalSolver   = fs.String("journal-solver", "dlg", "solver for -journal: nr, dlo, dlg or bancroft")
-		journalWorkers  = fs.Int("journal-workers", 0, "engine shard count for -journal (0 = GOMAXPROCS)")
-		journalSync     = fs.Int("journal-sync", 0, "record frames between journal sync points for -journal (0 = default, negative disables fsync)")
-		journalTrials   = fs.Int("journal-trials", 5, "interleaved trials per arm for -journal; the fastest run of each arm is compared")
 		journalJSON     = fs.String("journal-json", "BENCH_journal.json", "write the -journal overhead comparison as JSON to this file (empty disables)")
 		broadcastOn     = fs.Bool("broadcast", false, "run the serving fan-out benchmark (NMEA text vs binary delta frames across subscriber counts)")
-		broadcastRecv   = fs.Int("broadcast-receivers", 4, "receiver sessions generating the fix set for -broadcast")
-		broadcastEpochs = fs.Int("broadcast-epochs", 1500, "epochs per receiver for -broadcast")
-		broadcastCli    = fs.String("broadcast-clients", "1,4,16,64", "comma-separated subscriber counts for -broadcast")
 		broadcastTrials = fs.Int("broadcast-trials", 5, "runs per (arm, clients) cell for -broadcast; the fastest is kept")
 		broadcastJSON   = fs.String("broadcast-json", "BENCH_broadcast.json", "write the -broadcast sweep as JSON to this file (empty disables)")
-		metricsOut      = fs.String("metrics-out", "", "write a final Prometheus-format metrics snapshot to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,136 +84,48 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-engine-receivers: %w", err)
 		}
-		if *engineEpochs < 1 {
-			return fmt.Errorf("-engine-epochs must be positive, have %d", *engineEpochs)
-		}
-		if *engineWarmup < 0 {
-			return fmt.Errorf("-engine-warmup must be non-negative, have %d", *engineWarmup)
-		}
-		if *engineLive && (*engineLiveRecv < 1 || *engineLiveEp < 1) {
-			return fmt.Errorf("-engine-live-receivers and -engine-live-epochs must be positive, have %d and %d",
-				*engineLiveRecv, *engineLiveEp)
-		}
 		if err := runEngineBench(engineBenchConfig{
-			receivers: receivers,
-			epochs:    *engineEpochs,
-			warmup:    *engineWarmup,
-			solver:    *engineSolver,
-			workers:   *engineWorkers,
-			seed:      *seed,
-			jsonPath:  *engineJSON,
-
-			live:          *engineLive,
-			liveReceivers: *engineLiveRecv,
-			liveEpochs:    *engineLiveEp,
+			receivers: receivers, epochs: 2000, warmup: 300,
+			liveReceivers: 8, liveEpochs: 800,
+			seed: *seed, jsonPath: *engineJSON,
 		}); err != nil {
 			return err
 		}
 	}
 	if *faultsOn {
-		if *faultsEpochs < 1 {
-			return fmt.Errorf("-faults-epochs must be positive, have %d", *faultsEpochs)
-		}
-		if *faultsReceivers < 1 {
-			return fmt.Errorf("-faults-receivers must be positive, have %d", *faultsReceivers)
-		}
 		if err := runFaultBench(faultBenchConfig{
-			spec:      *faultsSpec,
-			receivers: *faultsReceivers,
-			epochs:    *faultsEpochs,
-			seed:      *seed,
-			faultSeed: *faultsSeed,
-			jsonPath:  *faultsJSON,
+			receivers: 4, epochs: 600, seed: *seed, jsonPath: *faultsJSON,
 		}); err != nil {
 			return err
 		}
 	}
 	if *qualityOn {
-		if *qualityEpochs < 60 {
-			return fmt.Errorf("-quality-epochs must be >= 60, have %d", *qualityEpochs)
-		}
-		if *qualityRecv < 1 {
-			return fmt.Errorf("-quality-receivers must be positive, have %d", *qualityRecv)
-		}
-		solvers, err := parseSolverList(*qualitySolvers)
-		if err != nil {
-			return fmt.Errorf("-quality-solvers: %w", err)
-		}
 		if err := runQualityBench(qualityBenchConfig{
-			receivers: *qualityRecv,
-			epochs:    *qualityEpochs,
-			solvers:   solvers,
-			workers:   *qualityWorkers,
-			seed:      *seed,
-			faultSeed: *faultsSeed,
-			jsonPath:  *qualityJSON,
+			receivers: 4, epochs: 600, solvers: []string{"nr", "dlg"},
+			seed: *seed, jsonPath: *qualityJSON,
 		}); err != nil {
 			return err
 		}
 	}
 	if *recoveryOn {
-		if *recoveryRecv < 1 {
-			return fmt.Errorf("-recovery-receivers must be positive, have %d", *recoveryRecv)
-		}
-		if *recoveryCut < 1 {
-			return fmt.Errorf("-recovery-cut must be positive, have %d", *recoveryCut)
-		}
-		if *recoveryEpochs <= *recoveryCut {
-			return fmt.Errorf("-recovery-epochs (%d) must exceed -recovery-cut (%d)", *recoveryEpochs, *recoveryCut)
-		}
 		if err := runRecoveryBench(recoveryBenchConfig{
-			receivers: *recoveryRecv,
-			cut:       *recoveryCut,
-			epochs:    *recoveryEpochs,
-			solver:    *recoverySolver,
-			seed:      *seed,
-			jsonPath:  *recoveryJSON,
+			receivers: 4, cut: 300, epochs: 600, seed: *seed, jsonPath: *recoveryJSON,
 		}); err != nil {
 			return err
 		}
 	}
 	if *journalOn {
-		if *journalRecv < 1 {
-			return fmt.Errorf("-journal-receivers must be positive, have %d", *journalRecv)
-		}
-		if *journalEpochs < 1 {
-			return fmt.Errorf("-journal-epochs must be positive, have %d", *journalEpochs)
-		}
-		if *journalWarmup < 0 {
-			return fmt.Errorf("-journal-warmup must be non-negative, have %d", *journalWarmup)
-		}
 		if err := runJournalBench(journalBenchConfig{
-			receivers: *journalRecv,
-			epochs:    *journalEpochs,
-			warmup:    *journalWarmup,
-			solver:    *journalSolver,
-			workers:   *journalWorkers,
-			syncEvery: *journalSync,
-			trials:    *journalTrials,
-			seed:      *seed,
-			jsonPath:  *journalJSON,
+			receivers: 8, epochs: 2000, warmup: 300, trials: 5,
+			seed: *seed, jsonPath: *journalJSON,
 		}); err != nil {
 			return err
 		}
 	}
 	if *broadcastOn {
-		if *broadcastRecv < 1 {
-			return fmt.Errorf("-broadcast-receivers must be positive, have %d", *broadcastRecv)
-		}
-		if *broadcastEpochs < 1 {
-			return fmt.Errorf("-broadcast-epochs must be positive, have %d", *broadcastEpochs)
-		}
-		clients, err := parseClientList(*broadcastCli)
-		if err != nil {
-			return fmt.Errorf("-broadcast-clients: %w", err)
-		}
 		if err := runBroadcastBench(broadcastBenchConfig{
-			receivers: *broadcastRecv,
-			epochs:    *broadcastEpochs,
-			clients:   clients,
-			trials:    *broadcastTrials,
-			seed:      *seed,
-			jsonPath:  *broadcastJSON,
+			receivers: 4, epochs: 1500, clients: []int{1, 4, 16, 64},
+			trials: *broadcastTrials, seed: *seed, jsonPath: *broadcastJSON,
 		}); err != nil {
 			return err
 		}
@@ -255,9 +134,6 @@ func run(args []string) error {
 		*fig = "all"
 	}
 	cfg := benchConfig{duration: *duration, step: *step, seed: *seed, epochs: *epochs, plot: *plot, csvDir: *csvDir}
-	if *metricsOut != "" {
-		cfg.registry = telemetry.NewRegistry()
-	}
 	switch *fig {
 	case "":
 	case "table":
@@ -294,26 +170,18 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -ablation %q", *ablation)
 	}
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, cfg.registry); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// writeMetrics dumps the registry's final Prometheus-format snapshot.
-func writeMetrics(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
+// writeReport writes a benchmark report as 2-space-indented JSON with a
+// trailing newline.
+func writeReport(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
+		return err
 	}
-	if err := reg.WritePrometheus(f); err != nil {
-		f.Close()
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
 	}
 	fmt.Printf("wrote %s\n", path)
 	return nil
@@ -388,13 +256,7 @@ func runFigures(cfg benchConfig, which string) error {
 		if err != nil {
 			return fmt.Errorf("generate %s: %w", st.ID, err)
 		}
-		sweep := &eval.Sweep{
-			Dataset:   ds,
-			MaxEpochs: cfg.epochs,
-			Seed:      cfg.seed,
-			Registry:  cfg.registry,
-		}
-		res, err := sweep.Run()
+		res, err := eval.Sweep(ds, eval.Options{MaxEpochs: cfg.epochs, Seed: cfg.seed})
 		if err != nil {
 			return fmt.Errorf("sweep %s: %w", st.ID, err)
 		}

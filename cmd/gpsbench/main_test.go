@@ -74,35 +74,6 @@ func TestRunWritesCSV(t *testing.T) {
 	}
 }
 
-// -metrics-out must dump a Prometheus snapshot covering every solver arm
-// the sweeps exercised.
-func TestRunWritesMetrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end")
-	}
-	path := filepath.Join(t.TempDir(), "metrics.prom")
-	if err := run([]string{"-fig", "5.1", "-duration", "600", "-step", "20", "-metrics-out", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(data)
-	for _, want := range []string{
-		"# TYPE gps_solve_seconds histogram",
-		`gps_solve_seconds_count{solver="NR"}`,
-		`gps_solve_seconds_count{solver="DLG"}`,
-		"gps_nr_iterations_total",
-		"gps_clock_calibrations_total",
-		`gps_dlg_solves_total{path="paper"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics snapshot missing %q", want)
-		}
-	}
-}
-
 func TestRunPlotFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end")

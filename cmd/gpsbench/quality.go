@@ -10,10 +10,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 
 	"gpsdl/internal/engine"
 	"gpsdl/internal/fault"
@@ -23,7 +20,7 @@ import (
 
 // qualityScenario is one degradation class of the sweep. The fault
 // windows are expressed as fractions of the run so the sweep scales with
-// -quality-epochs.
+// its epoch count.
 type qualityScenario struct {
 	name string
 	spec func(epochs int) string // fault spec; "" = clean
@@ -51,14 +48,12 @@ var qualitySweepScenarios = []qualityScenario{
 	}},
 }
 
-// qualityBenchConfig holds the -quality-* flag values.
+// qualityBenchConfig sizes the -quality sweep.
 type qualityBenchConfig struct {
-	receivers int
-	epochs    int
+	receivers int // sessions, round-robin over the Table 5.1 stations
+	epochs    int // epochs per receiver
 	solvers   []string
-	workers   int
 	seed      int64
-	faultSeed int64
 	jsonPath  string
 }
 
@@ -96,12 +91,12 @@ func runQualityBench(cfg qualityBenchConfig) error {
 	report := qualityBenchReport{
 		Benchmark: "quality",
 		Seed:      cfg.seed,
-		FaultSeed: cfg.faultSeed,
+		FaultSeed: benchFaultSeed,
 		Receivers: cfg.receivers,
 		Epochs:    cfg.epochs,
 	}
 	fmt.Printf("solution-quality sweep: receivers=%d epochs/receiver=%d seed=%d fault-seed=%d\n",
-		cfg.receivers, cfg.epochs, cfg.seed, cfg.faultSeed)
+		cfg.receivers, cfg.epochs, cfg.seed, benchFaultSeed)
 	fmt.Printf("%10s %9s %7s %7s %7s %7s %7s %6s %6s %8s %6s %10s\n",
 		"scenario", "solver", "avail%", "chi2%", "p50(m)", "p95(m)", "p99(m)",
 		"pdop", "excl%", "clkmax", "slo", "downgrades")
@@ -123,9 +118,7 @@ func runQualityBench(cfg qualityBenchConfig) error {
 		}
 	}
 	if cfg.jsonPath != "" {
-		if err := writeQualityJSON(cfg.jsonPath, report); err != nil {
-			return err
-		}
+		return writeReport(cfg.jsonPath, report)
 	}
 	return nil
 }
@@ -145,11 +138,10 @@ func benchQualityOnce(cfg qualityBenchConfig, name, spec, solver string) (qualit
 	objs := slo.DefaultObjectives()
 	eng, err := engine.New(engine.Config{
 		Receivers: cfg.receivers,
-		Workers:   cfg.workers,
 		Solver:    solver,
 		Seed:      cfg.seed,
 		Faults:    prog,
-		FaultSeed: cfg.faultSeed,
+		FaultSeed: benchFaultSeed,
 		Quality: &engine.QualityConfig{
 			Window:     cfg.epochs,
 			EvalEvery:  1,
@@ -172,38 +164,4 @@ func benchQualityOnce(cfg qualityBenchConfig, name, spec, solver string) (qualit
 		Objectives:    fq.Objectives,
 		SLODowngrades: eng.Stats().SLODowngrades,
 	}, nil
-}
-
-// writeQualityJSON dumps the sweep report.
-func writeQualityJSON(path string, report qualityBenchReport) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// parseSolverList parses a comma-separated solver list.
-func parseSolverList(s string) ([]string, error) {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(strings.ToLower(f))
-		if f == "" {
-			continue
-		}
-		switch f {
-		case "nr", "dlo", "dlg", "bancroft":
-			out = append(out, f)
-		default:
-			return nil, fmt.Errorf("unknown solver %q (want nr, dlo, dlg or bancroft)", f)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty solver list")
-	}
-	return out, nil
 }

@@ -4,26 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"gpsdl/internal/fault"
 )
-
-func TestParseSolverList(t *testing.T) {
-	got, err := parseSolverList(" NR, dlg ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"nr", "dlg"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("parseSolverList = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"", ",,", "nr,klobuchar"} {
-		if _, err := parseSolverList(bad); err == nil {
-			t.Errorf("parseSolverList(%q) succeeded, want error", bad)
-		}
-	}
-}
 
 // Every scenario's fault spec must parse under the real grammar for any
 // plausible epoch count.
@@ -49,9 +33,8 @@ func TestRunQualitySweep(t *testing.T) {
 		t.Skip("end-to-end")
 	}
 	path := filepath.Join(t.TempDir(), "q.json")
-	err := run([]string{
-		"-quality", "-quality-epochs", "120", "-quality-receivers", "2",
-		"-quality-solvers", "dlg", "-quality-json", path,
+	err := runQualityBench(qualityBenchConfig{
+		receivers: 2, epochs: 120, solvers: []string{"dlg"}, seed: 2009, jsonPath: path,
 	})
 	if err != nil {
 		t.Fatal(err)

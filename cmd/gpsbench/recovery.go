@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,12 +23,11 @@ import (
 	"gpsdl/internal/scenario"
 )
 
-// recoveryBenchConfig holds the -recovery-* flag values.
+// recoveryBenchConfig sizes the -recovery benchmark.
 type recoveryBenchConfig struct {
 	receivers int
 	cut       int // epoch the serving process dies at
 	epochs    int // total epochs; [cut, epochs) is the measured window
-	solver    string
 	seed      int64
 	jsonPath  string
 }
@@ -74,21 +72,6 @@ type recoveryReport struct {
 	// RecoveryAdvantageEpochs is the warm-up the checkpoint saved:
 	// cold recovery epochs minus restored recovery epochs.
 	RecoveryAdvantageEpochs int `json:"recovery_advantage_epochs"`
-}
-
-// primaryName maps a -recovery-solver value to the fallback-chain member
-// name FixEvent.Solver reports for the primary.
-func primaryName(solver string) string {
-	switch solver {
-	case "nr":
-		return "NR"
-	case "dlo":
-		return "DLO"
-	case "bancroft":
-		return "Bancroft"
-	default:
-		return "DLG"
-	}
 }
 
 // recoveryCollector accumulates per-receiver outcomes. Each receiver is
@@ -160,7 +143,7 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 	}
 	base := engine.Config{
 		Receivers: cfg.receivers,
-		Solver:    cfg.solver,
+		Solver:    benchSolver,
 		Seed:      cfg.seed,
 		Stations:  stations,
 	}
@@ -193,7 +176,9 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 	}
 	loadMs := float64(time.Since(start).Nanoseconds()) / 1e6
 
-	primary := primaryName(cfg.solver)
+	// The fallback-chain member name FixEvent.Solver reports for the
+	// benchSolver primary.
+	const primary = "DLG"
 	runArm := func(name string, restore *checkpoint.State) (recoveryArm, int, error) {
 		col := newRecoveryCollector(primary, truth)
 		c := base
@@ -224,7 +209,7 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 
 	report := recoveryReport{
 		Benchmark:        "recovery",
-		Solver:           cfg.solver,
+		Solver:           benchSolver,
 		Receivers:        cfg.receivers,
 		CutEpoch:         cfg.cut,
 		Epochs:           cfg.epochs,
@@ -241,7 +226,7 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 		report.RecoveryAdvantageEpochs = cold.RecoveryEpochs - restoredArm.RecoveryEpochs
 	}
 	fmt.Printf("recovery: solver=%s receivers=%d cut=%d window=[%d,%d) checkpoint=%dB save=%.2fms load=%.2fms\n",
-		cfg.solver, cfg.receivers, cfg.cut, cfg.cut, cfg.epochs, info.Size(), saveMs, loadMs)
+		benchSolver, cfg.receivers, cfg.cut, cfg.cut, cfg.epochs, info.Size(), saveMs, loadMs)
 	fmt.Printf("%10s %16s %12s %14s\n", "arm", "recovery_epochs", "fixes", "mean_error_m")
 	for _, a := range []recoveryArm{cold, restoredArm} {
 		fmt.Printf("%10s %16d %12d %14.3f\n", a.Arm, a.RecoveryEpochs, a.Fixes, a.MeanErrorM)
@@ -249,29 +234,7 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 	fmt.Printf("eta (restored vs cold, eq. 5-2 scale) = %.1f%%, warm-up saved = %d epochs\n",
 		report.EtaPct, report.RecoveryAdvantageEpochs)
 	if cfg.jsonPath != "" {
-		if err := writeRecoveryJSON(cfg.jsonPath, report); err != nil {
-			return err
-		}
+		return writeReport(cfg.jsonPath, report)
 	}
-	return nil
-}
-
-// writeRecoveryJSON dumps the recovery comparison for EXPERIMENTS.md /
-// regression tracking.
-func writeRecoveryJSON(path string, report recoveryReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }

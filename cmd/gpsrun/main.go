@@ -92,8 +92,8 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown solver %q", *solver)
 	}
-	stats, err := eval.RunArms(ds, []eval.ArmSpec{{Name: s.Name(), Solver: s, Predictor: predictorFor(s, pred)}},
-		eval.ArmOptions{M: *sats, MaxEpochs: *epochs, Seed: *seed})
+	stats, _, err := eval.RunArms(ds, []eval.ArmSpec{{Name: s.Name(), Solver: s, Predictor: predictorFor(s, pred)}},
+		eval.Options{M: *sats, MaxEpochs: *epochs, Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -121,10 +121,8 @@ func emitNMEA(ds *scenario.Dataset, s core.Solver, pred clock.Predictor, n int) 
 		}
 		e := &ds.Epochs[i]
 		obs := make([]core.Observation, 0, len(e.Obs))
-		sats := make([]geo.ECEF, 0, len(e.Obs))
 		for _, o := range e.Obs {
 			obs = append(obs, core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation})
-			sats = append(sats, o.Pos)
 		}
 		// Maintain the predictor for direct solvers.
 		if nrSol, err := nr.Solve(e.T, obs); err == nil {
@@ -135,7 +133,7 @@ func emitNMEA(ds *scenario.Dataset, s core.Solver, pred clock.Predictor, n int) 
 			continue
 		}
 		hdop := 0.0
-		if dop, err := core.ComputeDOP(sol.Pos, sats); err == nil {
+		if dop, err := core.DOPFromObs(sol.Pos, obs); err == nil {
 			hdop = dop.HDOP
 		}
 		fix := nmea.Fix{

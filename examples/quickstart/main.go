@@ -87,11 +87,7 @@ func run() error {
 	}
 
 	// 4. Geometry quality of the epoch.
-	sats := make([]geo.ECEF, len(obs))
-	for i, o := range obs {
-		sats[i] = o.Pos
-	}
-	dop, err := core.ComputeDOP(station.Pos, sats)
+	dop, err := core.DOPFromObs(station.Pos, obs)
 	if err != nil {
 		return err
 	}

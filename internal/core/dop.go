@@ -109,29 +109,11 @@ func accumulateDOPRow(ata *[16]float64, row [4]float64) {
 	}
 }
 
-// ComputeDOP returns the DOP factors for a receiver at recv observing the
-// given satellite positions. At least 4 satellites are required. The whole
-// computation runs in fixed-size storage (no heap allocation), so it sits
-// on the per-fix hot path for free.
-func ComputeDOP(recv geo.ECEF, sats []geo.ECEF) (DOP, error) {
-	if len(sats) < 4 {
-		return DOP{}, fmt.Errorf("DOP needs >= 4 satellites, have %d: %w", len(sats), ErrTooFewSatellites)
-	}
-	// Geometry matrix in the local ENU frame so HDOP/VDOP are meaningful.
-	f := newENUFrame(recv.ToLLA())
-	var ata [16]float64
-	for i, s := range sats {
-		row, ok := f.row(recv, s)
-		if !ok {
-			return DOP{}, fmt.Errorf("satellite %d coincides with receiver: %w", i, ErrDegenerateGeometry)
-		}
-		accumulateDOPRow(&ata, row)
-	}
-	return dopFromNormal(ata)
-}
-
-// DOPFromObs is ComputeDOP reading satellite positions straight out of an
-// observation slice, so hot paths need not build a []geo.ECEF first.
+// DOPFromObs returns the DOP factors for a receiver at recv observing the
+// satellites of obs. At least 4 satellites are required. The geometry
+// matrix is built in the receiver's local ENU frame, so HDOP/VDOP are
+// meaningful, and the whole computation runs in fixed-size storage (no
+// heap allocation), so it sits on the per-fix hot path for free.
 func DOPFromObs(recv geo.ECEF, obs []Observation) (DOP, error) {
 	return DOPFromObsLLA(recv, recv.ToLLA(), obs)
 }
@@ -176,11 +158,7 @@ func EstimateAccuracy(sol Solution, obs []Observation) (AccuracyEstimate, error)
 		return AccuracyEstimate{}, fmt.Errorf("accuracy estimate needs >= 5 satellites, have %d: %w",
 			len(obs), ErrTooFewSatellites)
 	}
-	sats := make([]geo.ECEF, len(obs))
-	for i, o := range obs {
-		sats[i] = o.Pos
-	}
-	dop, err := ComputeDOP(sol.Pos, sats)
+	dop, err := DOPFromObs(sol.Pos, obs)
 	if err != nil {
 		return AccuracyEstimate{}, err
 	}

@@ -2,66 +2,17 @@ package core
 
 import "gpsdl/internal/telemetry"
 
-// Canonical metric names of the solver-path counters. The per-solver
-// families carry a solver="NR"/"DLO"/"DLG"/... label.
+// Canonical metric names of the solver-path counters.
 const (
-	MetricSolveSeconds    = "gps_solve_seconds"
-	MetricSolveFailures   = "gps_solve_failures_total"
-	MetricSolveIterations = "gps_solve_iterations_total"
-	MetricNRIterations    = "gps_nr_iterations_total"
-	MetricDLGSolves       = "gps_dlg_solves_total"
-	MetricDLGFallbacks    = "gps_dlg_fast_fallbacks_total"
-	MetricRAIMChecks      = "gps_raim_checks_total"
-	MetricRAIMFaults      = "gps_raim_faults_total"
-	MetricRAIMExclusions  = "gps_raim_exclusions_total"
+	MetricDLGSolves      = "gps_dlg_solves_total"
+	MetricDLGFallbacks   = "gps_dlg_fast_fallbacks_total"
+	MetricRAIMChecks     = "gps_raim_checks_total"
+	MetricRAIMFaults     = "gps_raim_faults_total"
+	MetricRAIMExclusions = "gps_raim_exclusions_total"
 
 	MetricDisruptChecks      = "gps_disruption_checks_total"
 	MetricDisruptDownweights = "gps_disruption_downweights_total"
 )
-
-// SolverMetrics bundles the instruments describing one solver's hot
-// path; callers that time solves themselves (the evaluation sweep)
-// record into it. A nil *SolverMetrics (or nil fields) records nothing.
-type SolverMetrics struct {
-	// SolveSeconds is the per-solve latency histogram
-	// (gps_solve_seconds{solver=...}).
-	SolveSeconds *telemetry.Histogram
-	// Failures counts solves that returned an error
-	// (gps_solve_failures_total{solver=...}).
-	Failures *telemetry.Counter
-	// Iterations accumulates Solution.Iterations across successful
-	// solves (gps_solve_iterations_total{solver=...}; direct methods
-	// contribute 1 per fix).
-	Iterations *telemetry.Counter
-	// NRIterations is the unlabeled gps_nr_iterations_total counter,
-	// registered only for the solver named NR — the paper's
-	// baseline cost driver (Section 5's execution-time rates are
-	// normalized against it).
-	NRIterations *telemetry.Counter
-}
-
-// NewSolverMetrics registers the standard per-solver instruments under
-// reg with a solver=name label. A nil registry yields nil (recording
-// disabled at zero cost).
-func NewSolverMetrics(reg *telemetry.Registry, name string) *SolverMetrics {
-	if reg == nil {
-		return nil
-	}
-	l := telemetry.Label{Key: "solver", Value: name}
-	m := &SolverMetrics{
-		SolveSeconds: reg.Histogram(MetricSolveSeconds,
-			"Position-solve latency in seconds.", telemetry.DefSolveBuckets, l),
-		Failures: reg.Counter(MetricSolveFailures,
-			"Solves that returned an error (degenerate geometry, no convergence, clock not ready).", l),
-		Iterations: reg.Counter(MetricSolveIterations,
-			"Total solver iterations across successful solves.", l),
-	}
-	if name == "NR" {
-		m.NRIterations = reg.Counter(MetricNRIterations,
-			"Newton-Raphson iterations across successful NR solves.")
-	}
-	return m
-}
 
 // GLSMetrics counts which covariance path DLG solves take
 // (gps_dlg_solves_total{path="paper"|"fast"}) and how often the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"gpsdl/internal/geo"
@@ -23,21 +22,6 @@ func instrumentEpoch() (geo.ECEF, []Observation) {
 		obs = append(obs, Observation{Pos: sat, Pseudorange: recv.DistanceTo(sat)})
 	}
 	return recv, obs
-}
-
-func TestNonNRSolverHasNoNRIterations(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := NewSolverMetrics(reg, "DLO")
-	if m.NRIterations != nil {
-		t.Error("DLO metrics registered gps_nr_iterations_total")
-	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), MetricNRIterations) {
-		t.Error("gps_nr_iterations_total exposed by a non-NR solver")
-	}
 }
 
 func TestDLGPathCounters(t *testing.T) {

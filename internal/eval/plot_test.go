@@ -69,15 +69,15 @@ func TestPlotFigHelpers(t *testing.T) {
 	res := &Result{
 		Station: scenario.Table51Stations()[1],
 		Rows: []Row{
-			{M: 4, Epochs: 10,
-				NR:  ArmResult{MeanError: 10, MeanNanos: 1000},
-				DLO: ArmResult{MeanError: 11, MeanNanos: 150},
-				DLG: ArmResult{MeanError: 11, MeanNanos: 200}},
-			{M: 7, Epochs: 0}, // empty row: plotted as a gap
-			{M: 10, Epochs: 10,
-				NR:  ArmResult{MeanError: 4, MeanNanos: 1700},
-				DLO: ArmResult{MeanError: 5.2, MeanNanos: 300},
-				DLG: ArmResult{MeanError: 4.4, MeanNanos: 650}},
+			{M: 4, Census: Census{Epochs: 10},
+				NR:  ArmStats{MeanError: 10, MeanNanos: 1000},
+				DLO: ArmStats{MeanError: 11, MeanNanos: 150},
+				DLG: ArmStats{MeanError: 11, MeanNanos: 200}},
+			{M: 7}, // empty row: plotted as a gap
+			{M: 10, Census: Census{Epochs: 10},
+				NR:  ArmStats{MeanError: 4, MeanNanos: 1700},
+				DLO: ArmStats{MeanError: 5.2, MeanNanos: 300},
+				DLG: ArmStats{MeanError: 4.4, MeanNanos: 650}},
 		},
 	}
 	var b51, b52 strings.Builder

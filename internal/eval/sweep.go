@@ -11,7 +11,6 @@ import (
 	"gpsdl/internal/geo"
 	"gpsdl/internal/mat"
 	"gpsdl/internal/scenario"
-	"gpsdl/internal/telemetry"
 )
 
 // SelectionMode chooses which m satellites are used when an epoch has more
@@ -35,97 +34,14 @@ const (
 	SelectBestDOP
 )
 
-// Sweep runs the three paper algorithms over a dataset for each satellite
-// count, reproducing one (dataset, figure) pair of Fig. 5.1/5.2.
-type Sweep struct {
-	// Dataset is the observation set to process (required).
-	Dataset *scenario.Dataset
-	// SatCounts lists the m values to sweep; nil means 4…10 (the x-axis
-	// of Fig. 5.1/5.2).
-	SatCounts []int
-	// MaxEpochs caps how many epochs are processed per m (0 = all).
-	// Epochs are subsampled evenly, not truncated.
-	MaxEpochs int
-	// InitEpochs is the clock-calibration window: the paper derives the
-	// predictor's D and r from NR solutions over an initial data span
-	// (Section 5.2.2). 0 means 60 epochs.
-	InitEpochs int
-	// Selection picks which m satellites to use; zero value means
-	// SelectStratified.
-	Selection SelectionMode
-	// Seed drives random satellite selection.
-	Seed int64
-	// Base overrides the DLO/DLG base-satellite selector (nil = first).
-	Base core.BaseSelector
-	// NewPredictor constructs the clock predictor for each m-run; nil
-	// installs the paper's linear predictor configured for the dataset's
-	// clock type (drift floor for steering, jump detection for
-	// threshold).
-	NewPredictor func() clock.Predictor
-	// TimingReps repeats each timed solve to amortize timer overhead
-	// (sub-microsecond solves vs ~30 ns timer reads). 0 means 4.
-	TimingReps int
-	// MaxGDOP screens out epochs whose selected-subset geometry exceeds
-	// this GDOP (applied identically to every algorithm; real receivers
-	// reject such fixes). 0 means the default of 20; negative disables.
-	MaxGDOP float64
-	// Registry, when non-nil, mirrors every arm's solves into the
-	// standard telemetry instruments (gps_solve_seconds{solver=...},
-	// failures, iteration counts, clock calibrations/resets). Latency is
-	// observed from the already-measured per-solve nanos, outside the
-	// timed region, so instrumentation cannot skew the η/θ figures.
-	Registry *telemetry.Registry
-}
-
-// ArmResult aggregates one algorithm's performance at one satellite count.
-type ArmResult struct {
-	MeanError float64 // meters
-	RMSError  float64
-	// MedianError and P95Error are the exact nearest-rank CEP50/CEP95
-	// of the per-epoch error distribution.
-	MedianError float64
-	P95Error    float64
-	MeanNanos   float64
-	MedianNanos float64 // nearest-rank median per-epoch solve time
-	Fixes       int
-	Failures    int
-}
-
 // Row is one satellite-count row of a sweep: everything needed to plot
 // both Fig. 5.1 (time rates) and Fig. 5.2 (accuracy rates) at this m.
 type Row struct {
-	M      int
-	Epochs int
-	// SkippedDOP counts epochs excluded by the GDOP screen (see
-	// MaxGDOP): with few satellites, occasional near-degenerate
-	// geometries would otherwise dominate every algorithm's mean error.
-	SkippedDOP int
-	// SkippedSats counts epochs dropped because fewer than m satellites
-	// were in view. These epochs used to vanish without a trace, which
-	// silently shrank the availability denominator: a receiver that sees
-	// m satellites only 10% of the time reported the same availability
-	// as one that sees them always.
-	SkippedSats int
-	NR          ArmResult
-	DLO         ArmResult
-	DLG         ArmResult
-}
-
-// Candidates returns how many measurement epochs were considered at this
-// m — solved, geometry-screened, or short of satellites. It is the
-// denominator every availability figure must use.
-func (r Row) Candidates() int { return r.Epochs + r.SkippedDOP + r.SkippedSats }
-
-// Availability returns the percentage of candidate epochs for which the
-// given arm (one of r.NR, r.DLO, r.DLG) produced an accepted fix. Epochs
-// without m satellites in view and epochs rejected by the GDOP screen
-// count against availability, exactly as they would for a real receiver.
-func (r Row) Availability(a ArmResult) float64 {
-	c := r.Candidates()
-	if c == 0 {
-		return 0
-	}
-	return 100 * float64(a.Fixes) / float64(c)
+	M int
+	Census
+	NR  ArmStats
+	DLO ArmStats
+	DLG ArmStats
 }
 
 // AccuracyRateDLO returns η_DLO (eq. 5-2) for this row.
@@ -146,34 +62,17 @@ type Result struct {
 	Rows    []Row
 }
 
-// Run executes the sweep.
-func (s *Sweep) Run() (*Result, error) {
-	if s.Dataset == nil {
-		return nil, fmt.Errorf("eval: Sweep.Dataset is nil")
+// Sweep runs PaperRow for every satellite count of Fig. 5.1/5.2's x-axis
+// (m = 4…10), reproducing one (dataset, figure) pair; it sets opt.M per
+// row.
+func Sweep(ds *scenario.Dataset, opt Options) (*Result, error) {
+	if ds == nil {
+		return nil, fmt.Errorf("eval: Sweep dataset is nil")
 	}
-	satCounts := s.SatCounts
-	if len(satCounts) == 0 {
-		satCounts = []int{4, 5, 6, 7, 8, 9, 10}
-	}
-	initEpochs := s.InitEpochs
-	if initEpochs <= 0 {
-		initEpochs = 60
-	}
-	reps := s.TimingReps
-	if reps <= 0 {
-		reps = 4
-	}
-	sel := s.Selection
-	if sel == 0 {
-		sel = SelectStratified
-	}
-	maxGDOP := s.MaxGDOP
-	if maxGDOP == 0 {
-		maxGDOP = 20
-	}
-	res := &Result{Station: s.Dataset.Station, Rows: make([]Row, 0, len(satCounts))}
-	for _, m := range satCounts {
-		row, err := s.runOne(m, initEpochs, reps, sel, maxGDOP)
+	res := &Result{Station: ds.Station}
+	for m := 4; m <= 10; m++ {
+		opt.M = m
+		row, err := PaperRow(ds, opt)
 		if err != nil {
 			return nil, fmt.Errorf("eval: sweep m=%d: %w", m, err)
 		}
@@ -182,126 +81,35 @@ func (s *Sweep) Run() (*Result, error) {
 	return res, nil
 }
 
-// runOne processes the dataset at a fixed satellite count.
-func (s *Sweep) runOne(m, initEpochs, reps int, sel SelectionMode, maxGDOP float64) (Row, error) {
-	epochs := s.Dataset.Epochs
-	row := Row{M: m}
-	pred := s.makePredictor()
+// PaperRow runs the paper's three algorithms — NR, DLO and DLG — through
+// RunArms at opt.M satellites: one row of Fig. 5.1/5.2. DLO and DLG share
+// the paper's linear predictor for the dataset's clock type.
+func PaperRow(ds *scenario.Dataset, opt Options) (Row, error) {
+	if ds == nil {
+		return Row{}, fmt.Errorf("eval: PaperRow dataset is nil")
+	}
+	pred := DefaultPredictor(ds.Station.Clock)
 	// One Scratch serves all three arms (they solve in turn), so no
 	// timed region allocates and GC cost lands on none of them.
 	sc := &core.Scratch{}
-	nr := core.NRSolver{Scratch: sc}
-	dlo := &core.DLOSolver{Predictor: pred, Base: s.Base, Scratch: sc}
-	dlg := &core.DLGSolver{Predictor: pred, Base: s.Base, Scratch: sc}
-	nrM := core.NewSolverMetrics(s.Registry, "NR")
-	dloM := core.NewSolverMetrics(s.Registry, "DLO")
-	dlgM := core.NewSolverMetrics(s.Registry, "DLG")
-	dlg.Metrics = core.NewGLSMetrics(s.Registry)
-	if lp, ok := pred.(*clock.LinearPredictor); ok {
-		lp.Metrics = clock.NewMetrics(s.Registry)
+	stats, census, err := RunArms(ds, []ArmSpec{
+		{Name: "NR", Solver: &core.NRSolver{Scratch: sc}},
+		{Name: "DLO", Solver: &core.DLOSolver{Predictor: pred, Scratch: sc}, Predictor: pred},
+		{Name: "DLG", Solver: &core.DLGSolver{Predictor: pred, Scratch: sc}, Predictor: pred},
+	}, opt)
+	if err != nil {
+		return Row{}, err
 	}
-	truth := s.Dataset.Station.Pos
-	rng := rand.New(rand.NewSource(s.Seed ^ int64(m)))
-
-	// Calibration pass (Section 5.2.2): NR fixes over the initial window
-	// feed the predictor. These epochs are excluded from the metrics.
-	calibrated := 0
-	for i := 0; i < len(epochs) && calibrated < initEpochs; i++ {
-		obs := selectObs(epochs[i].Obs, m, sel, rng, truth)
-		if obs == nil {
-			continue
-		}
-		sol, err := nr.Solve(epochs[i].T, obs)
-		if err != nil || !plausibleFix(sol) {
-			continue
-		}
-		pred.Observe(clock.Fix{T: epochs[i].T, Bias: sol.ClockBias / speedOfLight})
-		calibrated++
-	}
-
-	// Measurement pass.
-	indices := sampleIndices(len(epochs), initEpochs, s.MaxEpochs)
-	// Per-epoch error and solve-time series of the accepted fixes (NR,
-	// DLO, DLG), for the exact quantiles. Sized up front so appending
-	// never allocates between timed solves.
-	var errs, nanos [3][]float64
-	for i := range errs {
-		errs[i] = make([]float64, 0, len(indices))
-		nanos[i] = make([]float64, 0, len(indices))
-	}
-	obsBuf := make([]core.Observation, 0, 16)
-	for _, i := range indices {
-		e := &epochs[i]
-		obs := selectObsInto(obsBuf, e.Obs, m, sel, rng, truth)
-		if obs == nil {
-			row.SkippedSats++
-			continue
-		}
-		if maxGDOP > 0 && !geometryOK(truth, obs, maxGDOP) {
-			row.SkippedDOP++
-			continue
-		}
-		row.Epochs++
-		// NR (baseline) — also supplies the clock fix that keeps the
-		// predictor tracking threshold-clock resets.
-		// Every solver's fix passes the same plausibility acceptance
-		// check real receivers apply (RAIM-style): a solution far from
-		// the Earth's surface is a divergence and counts as a failure,
-		// not as an error sample. NR with 4 poorly-placed satellites
-		// occasionally converges to a spurious root; without the gate a
-		// handful of 100 km outliers dominate a day's mean error.
-		nrSol, nrNanos, nrErr := timedSolve(&nr, e.T, obs, reps)
-		recordArm(nrM, nrNanos, nrSol.Iterations, nrErr != nil || !plausibleFix(nrSol))
-		if nrErr != nil || !plausibleFix(nrSol) {
-			row.addFailure(&row.NR)
-		} else {
-			nrD := AbsoluteError(nrSol, truth)
-			row.addFix(&row.NR, nrD, nrNanos)
-			errs[0], nanos[0] = append(errs[0], nrD), append(nanos[0], nrNanos)
-			pred.Observe(clock.Fix{T: e.T, Bias: nrSol.ClockBias / speedOfLight})
-		}
-		dloSol, dloNanos, dloErr := timedSolve(dlo, e.T, obs, reps)
-		recordArm(dloM, dloNanos, dloSol.Iterations, dloErr != nil || !plausibleFix(dloSol))
-		if dloErr != nil || !plausibleFix(dloSol) {
-			row.addFailure(&row.DLO)
-		} else {
-			dloD := AbsoluteError(dloSol, truth)
-			row.addFix(&row.DLO, dloD, dloNanos)
-			errs[1], nanos[1] = append(errs[1], dloD), append(nanos[1], dloNanos)
-		}
-		dlgSol, dlgNanos, dlgErr := timedSolve(dlg, e.T, obs, reps)
-		recordArm(dlgM, dlgNanos, dlgSol.Iterations, dlgErr != nil || !plausibleFix(dlgSol))
-		if dlgErr != nil || !plausibleFix(dlgSol) {
-			row.addFailure(&row.DLG)
-		} else {
-			dlgD := AbsoluteError(dlgSol, truth)
-			row.addFix(&row.DLG, dlgD, dlgNanos)
-			errs[2], nanos[2] = append(errs[2], dlgD), append(nanos[2], dlgNanos)
-		}
-	}
-	for i, a := range []*ArmResult{&row.NR, &row.DLO, &row.DLG} {
-		a.MedianError, a.P95Error = medianP95(errs[i])
-		a.MedianNanos, _ = medianP95(nanos[i])
-	}
-	return row, nil
+	return Row{M: opt.M, Census: census, NR: stats[0], DLO: stats[1], DLG: stats[2]}, nil
 }
 
-const speedOfLight = 299792458.0
-
-// geometryOK reports whether the selected subset's GDOP is below the
-// ceiling. The DOP is a pure geometry property, so evaluating it at the
+// geometryOK reports whether the selected subset's GDOP is within
+// maxGDOP. The DOP is a pure geometry property, so evaluating it at the
 // station's surveyed position is equivalent to a receiver evaluating it at
 // its last fix.
-func geometryOK(recv geo.ECEF, obs []core.Observation, maxGDOP float64) bool {
-	sats := make([]geo.ECEF, len(obs))
-	for i, o := range obs {
-		sats[i] = o.Pos
-	}
-	dop, err := core.ComputeDOP(recv, sats)
-	if err != nil {
-		return false
-	}
-	return dop.GDOP <= maxGDOP
+func geometryOK(recv geo.ECEF, obs []core.Observation) bool {
+	dop, err := core.DOPFromObs(recv, obs)
+	return err == nil && dop.GDOP <= maxGDOP
 }
 
 // plausibleFix reports whether an NR solution is sane enough to feed the
@@ -311,14 +119,6 @@ func geometryOK(recv geo.ECEF, obs []core.Observation, maxGDOP float64) bool {
 func plausibleFix(sol core.Solution) bool {
 	r := sol.Pos.Norm()
 	return r > 5.4e6 && r < 7.4e6
-}
-
-// makePredictor builds the clock predictor for one m-run.
-func (s *Sweep) makePredictor() clock.Predictor {
-	if s.NewPredictor != nil {
-		return s.NewPredictor()
-	}
-	return DefaultPredictor(s.Dataset.Station.Clock)
 }
 
 // DefaultPredictor returns the paper's linear predictor configured for a
@@ -346,52 +146,21 @@ func DefaultPredictor(ct scenario.ClockType) clock.Predictor {
 	}
 }
 
-// recordArm mirrors one timed solve into the optional registry. Latency
-// comes from the measurement the sweep already made, so the metrics add
-// no clock reads to the timed region.
-func recordArm(m *core.SolverMetrics, nanos float64, iters int, failed bool) {
-	if m == nil {
-		return
-	}
-	if failed {
-		m.Failures.Inc()
-		return
-	}
-	m.SolveSeconds.Observe(nanos * 1e-9)
-	if iters > 0 {
-		m.Iterations.Add(uint64(iters))
-		m.NRIterations.Add(uint64(iters))
-	}
-}
-
-// timedSolve runs the solver reps times and returns the last solution and
-// the per-solve time in nanoseconds.
-func timedSolve(solver core.Solver, t float64, obs []core.Observation, reps int) (core.Solution, float64, error) {
+// timedSolve runs the solver timingReps times and returns the last
+// solution and the per-solve time in nanoseconds.
+func timedSolve(solver core.Solver, t float64, obs []core.Observation) (core.Solution, float64, error) {
 	var sol core.Solution
 	var err error
 	start := time.Now()
-	for r := 0; r < reps; r++ {
+	for r := 0; r < timingReps; r++ {
 		sol, err = solver.Solve(t, obs)
 		if err != nil {
 			return core.Solution{}, 0, err
 		}
 	}
 	elapsed := time.Since(start)
-	return sol, float64(elapsed.Nanoseconds()) / float64(reps), nil
+	return sol, float64(elapsed.Nanoseconds()) / float64(timingReps), nil
 }
-
-// accumulating helpers (Row keeps plain sums so it stays copyable).
-
-func (r *Row) addFix(a *ArmResult, d, nanos float64) {
-	// Streaming mean via incremental update.
-	n := float64(a.Fixes)
-	a.MeanError = (a.MeanError*n + d) / (n + 1)
-	a.RMSError = math.Sqrt((a.RMSError*a.RMSError*n + d*d) / (n + 1))
-	a.MeanNanos = (a.MeanNanos*n + nanos) / (n + 1)
-	a.Fixes++
-}
-
-func (r *Row) addFailure(a *ArmResult) { a.Failures++ }
 
 // selectObs picks m observations from an epoch per the selection mode,
 // returning nil when fewer than m are available. recv anchors the

@@ -25,10 +25,7 @@ func TestSweepCountsShortConstellationEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		initEpochs = 60
-		m          = 5
-	)
+	const m = 5
 	// Starve every fifth measurement epoch below m satellites. The
 	// calibration window (indices < initEpochs) is left intact so the
 	// predictor still calibrates.
@@ -39,18 +36,10 @@ func TestSweepCountsShortConstellationEpochs(t *testing.T) {
 			starved++
 		}
 	}
-	sweep := &Sweep{
-		Dataset:    ds,
-		SatCounts:  []int{m},
-		InitEpochs: initEpochs,
-		TimingReps: 1,
-		Seed:       1,
-	}
-	res, err := sweep.Run()
+	row, err := PaperRow(ds, Options{M: m, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Rows[0]
 	if row.SkippedSats != starved {
 		t.Errorf("SkippedSats = %d, want %d (one per starved epoch)", row.SkippedSats, starved)
 	}
