@@ -30,7 +30,7 @@ func FormatFig51(w io.Writer, r *Result) error {
 	sb.WriteString("sats  tau_NR(ns)  tau_DLO(ns)  tau_DLG(ns)  theta_DLO(%)  theta_DLG(%)\n")
 	for _, row := range r.Rows {
 		if row.Epochs == 0 {
-			fmt.Fprintf(&sb, "%-5d (no epochs with %d satellites in view)\n", row.M, row.M)
+			fmt.Fprintf(&sb, "%-5d (%s)\n", row.M, emptyRow(row))
 			continue
 		}
 		fmt.Fprintf(&sb, "%-5d %-11.0f %-12.0f %-12.0f %-13.1f %-12.1f\n",
@@ -50,7 +50,7 @@ func FormatFig52(w io.Writer, r *Result) error {
 	sb.WriteString("sats  d_NR(m)  d_DLO(m)  d_DLG(m)  eta_DLO(%)  eta_DLG(%)\n")
 	for _, row := range r.Rows {
 		if row.Epochs == 0 {
-			fmt.Fprintf(&sb, "%-5d (no epochs with %d satellites in view)\n", row.M, row.M)
+			fmt.Fprintf(&sb, "%-5d (%s)\n", row.M, emptyRow(row))
 			continue
 		}
 		fmt.Fprintf(&sb, "%-5d %-8.3f %-9.3f %-9.3f %-11.1f %-10.1f\n",
@@ -59,4 +59,14 @@ func FormatFig52(w io.Writer, r *Result) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// emptyRow says why a row solved no epoch: calibration consumed every
+// epoch with m satellites in view, or none of the measurement epochs had
+// m satellites in view (or passed the GDOP screen).
+func emptyRow(row Row) string {
+	if row.Candidates() == 0 {
+		return "no epochs left after calibration"
+	}
+	return fmt.Sprintf("no epochs with %d satellites in view", row.M)
 }
