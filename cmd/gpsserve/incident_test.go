@@ -102,7 +102,7 @@ func TestIncidentCaptureBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := journal.ScanBytes(seg)
+	res, err := journal.Scan(bytes.NewReader(seg))
 	if err != nil {
 		t.Fatal(err)
 	}

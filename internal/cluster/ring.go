@@ -78,18 +78,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Nodes lists the ring's members, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the node owning key — the first virtual point at or
 // after it on the circle. ok is false when the ring is empty.
 func (r *Ring) Owner(key uint64) (node string, ok bool) {

@@ -34,7 +34,7 @@ func runJournaled(t *testing.T, cfg Config, epochs int) *journal.ScanResult {
 	if err := eng.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := journal.ScanBytes(buf.Bytes())
+	res, err := journal.Scan(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestJournalTailSegmentLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := eng.Journal().TailSegment()
-	res, err := journal.ScanBytes(seg)
+	res, err := journal.Scan(bytes.NewReader(seg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,13 +195,6 @@ func NewInjector(prog Program, seed int64) *Injector {
 	return &Injector{prog: owned, seed: seed}
 }
 
-// Program returns a copy of the injector's program.
-func (in *Injector) Program() Program {
-	out := make(Program, len(in.prog))
-	copy(out, in.prog)
-	return out
-}
-
 // Apply filters and perturbs one epoch's observations into dst (reused;
 // pass dst[:0]) and appends one Event per fault application to ev,
 // returning both. The input slice is never modified. Event order is

@@ -190,9 +190,6 @@ type ENU struct {
 	E, N, U float64
 }
 
-// Norm returns the Euclidean length of the ENU vector.
-func (e ENU) Norm() float64 { return math.Sqrt(e.E*e.E + e.N*e.N + e.U*e.U) }
-
 // LookAngles returns the elevation above the local horizon and the
 // azimuth clockwise from north (radians) of the direction e. A
 // non-positive U always gives a non-positive elevation.
@@ -241,12 +238,6 @@ func (f *ENUFrame) ToENU(target ECEF) ENU {
 		N: -f.sinLat*f.cosLon*d.X - f.sinLat*f.sinLon*d.Y + f.cosLat*d.Z,
 		U: f.cosLat*f.cosLon*d.X + f.cosLat*f.sinLon*d.Y + f.sinLat*d.Z,
 	}
-}
-
-// ElevationAzimuth returns the look angles (radians) from the frame
-// origin to the target, bit-identical to the package-level function.
-func (f *ENUFrame) ElevationAzimuth(target ECEF) (elev, azim float64) {
-	return f.ToENU(target).LookAngles()
 }
 
 // FromENU converts a local ENU offset at origin back to an ECEF position.

@@ -285,9 +285,3 @@ func TestPropENURoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestENUNorm(t *testing.T) {
-	if got := (ENU{3, 4, 12}).Norm(); math.Abs(got-13) > 1e-12 {
-		t.Errorf("ENU norm = %v, want 13", got)
-	}
-}

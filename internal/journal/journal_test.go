@@ -137,7 +137,7 @@ func expectRecord(t *testing.T, got, want *Record) {
 
 func TestRoundTrip(t *testing.T) {
 	data, want := buildJournal(t, 7, 9, Options{SyncEvery: 3})
-	res, err := ScanBytes(data)
+	res, err := Scan(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestCrashSafetyEveryOffset(t *testing.T) {
 	data, want := buildJournal(t, 5, 8, Options{SyncEvery: 2})
 
 	// Locate the start of the final frame: scan frames from the top.
-	res, err := ScanBytes(data)
+	res, err := Scan(bytes.NewReader(data))
 	if err != nil || res.Torn {
 		t.Fatalf("baseline scan failed: %v %+v", err, res)
 	}
@@ -188,7 +188,7 @@ func TestCrashSafetyEveryOffset(t *testing.T) {
 	}
 
 	// Records recoverable with the final frame gone entirely.
-	base, err := ScanBytes(data[:lastFrame])
+	base, err := Scan(bytes.NewReader(data[:lastFrame]))
 	if err != nil {
 		t.Fatalf("scan of prefix: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestCrashSafetyEveryOffset(t *testing.T) {
 
 	for off := lastFrame + 1; off < len(data); off++ {
 		trunc := data[:off]
-		got, err := ScanBytes(trunc)
+		got, err := Scan(bytes.NewReader(trunc))
 		if err != nil {
 			t.Fatalf("offset %d: scan error %v", off, err)
 		}
@@ -224,11 +224,11 @@ func TestFlippedByteDetected(t *testing.T) {
 	// Flip bytes inside the third frame (index 2), leaving two good
 	// frames before it.
 	start, end := bounds[2], bounds[3]
-	base, _ := ScanBytes(data[:start])
+	base, _ := Scan(bytes.NewReader(data[:start]))
 	for off := start; off < end; off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
-		got, err := ScanBytes(mut)
+		got, err := Scan(bytes.NewReader(mut))
 		if err != nil {
 			t.Fatalf("offset %d: scan error %v", off, err)
 		}
@@ -245,7 +245,7 @@ func TestFlippedByteDetected(t *testing.T) {
 func TestGarbageAfterLastFrame(t *testing.T) {
 	data, want := buildJournal(t, 3, 5, Options{})
 	garbage := append(append([]byte(nil), data...), 0xDE, 0xAD, 0xBE, 0xEF)
-	got, err := ScanBytes(garbage)
+	got, err := Scan(bytes.NewReader(garbage))
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -277,7 +277,7 @@ func TestTailSegmentSelfContained(t *testing.T) {
 		}
 	}
 	seg := w.TailSegment()
-	res, err := ScanBytes(seg)
+	res, err := Scan(bytes.NewReader(seg))
 	if err != nil {
 		t.Fatalf("tail segment scan: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestTailRingByteBudget(t *testing.T) {
 				batchLen, maxFrame, tc.oversize, tailBudget)
 		}
 		seg := w.TailSegment()
-		res, err := ScanBytes(seg)
+		res, err := Scan(bytes.NewReader(seg))
 		if err != nil {
 			t.Fatalf("tail segment scan: %v", err)
 		}
@@ -377,7 +377,7 @@ func TestScanFileAndBadHeader(t *testing.T) {
 	if len(res.Records) != len(want) {
 		t.Fatalf("got %d records, want %d", len(res.Records), len(want))
 	}
-	if _, err := ScanBytes([]byte("not a journal at all")); err == nil {
+	if _, err := Scan(bytes.NewReader([]byte("not a journal at all"))); err == nil {
 		t.Fatal("bad header accepted")
 	}
 }

@@ -51,27 +51,6 @@ func ScanFile(path string) (*ScanResult, error) {
 	return Scan(f)
 }
 
-// ScanBytes scans an in-memory journal segment. See Scan.
-func ScanBytes(b []byte) (*ScanResult, error) {
-	return Scan(readerFrom(b))
-}
-
-func readerFrom(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct {
-	b []byte
-	n int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.n >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.n:])
-	r.n += n
-	return n, nil
-}
-
 // Scan reads a journal from r until EOF or the first unrecoverable
 // frame. A well-formed file yields Torn=false; a file truncated or
 // corrupted anywhere inside its final frame yields every record from

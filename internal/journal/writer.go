@@ -206,17 +206,6 @@ func (w *Writer) WriteRecords(payload []byte, count int, maxEpoch uint64) error 
 	return nil
 }
 
-// Sync writes a sync frame and flushes it to stable storage before
-// returning.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("journal: writer closed")
-	}
-	return w.syncLocked(true)
-}
-
 // syncLocked writes a sync frame. With flush it fsyncs inline;
 // otherwise it kicks the background syncLoop and returns immediately
 // (coalescing with any flush already in flight).

@@ -150,21 +150,6 @@ func (e Elements) PositionECEF(t float64) (geo.ECEF, error) {
 	return geo.RotateEarth(p, t), nil
 }
 
-// VelocityECEF returns the ECEF velocity at time t via a central
-// difference; accuracy ≈1e-4 m/s, ample for Doppler-free positioning.
-func (e Elements) VelocityECEF(t float64) (geo.ECEF, error) {
-	const h = 0.5 // seconds
-	p1, err := e.PositionECEF(t - h)
-	if err != nil {
-		return geo.ECEF{}, err
-	}
-	p2, err := e.PositionECEF(t + h)
-	if err != nil {
-		return geo.ECEF{}, err
-	}
-	return p2.Sub(p1).Scale(1 / (2 * h)), nil
-}
-
 // Satellite is one space-segment vehicle: a PRN identifier, its orbit, and
 // its broadcast clock model (satellite clocks are high-grade atomic
 // standards; af0/af1 are the usual polynomial coefficients).
@@ -173,11 +158,6 @@ type Satellite struct {
 	Orbit    Elements
 	ClockAF0 float64 // clock bias at Toe, seconds
 	ClockAF1 float64 // clock drift, s/s
-}
-
-// ClockError returns the satellite clock error at time t in seconds.
-func (s Satellite) ClockError(t float64) float64 {
-	return s.ClockAF0 + s.ClockAF1*(t-s.Orbit.Toe)
 }
 
 // Constellation is a set of satellites.
@@ -237,9 +217,6 @@ func (c *Constellation) Satellites() []Satellite {
 	copy(out, c.sats)
 	return out
 }
-
-// Len returns the number of satellites.
-func (c *Constellation) Len() int { return len(c.sats) }
 
 // SatState is one satellite's propagated state at an epoch time: the
 // receiver-independent part of epoch generation. It is computed once per
@@ -368,14 +345,4 @@ func AppendVisible(dst []InView, st *EpochState, frame *geo.ENUFrame, elevMask f
 		}
 	}
 	return dst
-}
-
-// Visible returns the satellites above elevMask (radians) as seen from the
-// receiver at time t, ordered by descending elevation.
-func (c *Constellation) Visible(receiver geo.ECEF, t, elevMask float64) ([]InView, error) {
-	var st EpochState
-	if err := c.StateAt(t, &st); err != nil {
-		return nil, err
-	}
-	return VisibleFromState(&st, receiver, elevMask), nil
 }

@@ -149,14 +149,14 @@ func TestEmissionMatchesExactLightTime(t *testing.T) {
 	}
 }
 
-// TestVisibleMatchesIndependentGeometry: Visible's look angles equal an
+// TestVisibleMatchesIndependentGeometry: VisibleFromState's look angles equal an
 // independent elevation/azimuth computation from the same positions, and
 // each entry's State points back at the satellite that produced it.
 func TestVisibleMatchesIndependentGeometry(t *testing.T) {
 	recv := geo.FromDegrees(-33.9, 18.5, 100).ToECEF()
 	cons := DefaultConstellation()
 	const tt = 8000.0
-	vis, err := cons.Visible(recv, tt, 7*math.Pi/180)
+	vis, err := visible(cons, recv, tt, 7*math.Pi/180)
 	if err != nil {
 		t.Fatal(err)
 	}

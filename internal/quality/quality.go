@@ -356,11 +356,3 @@ func (w *Window) Snapshot() Snapshot {
 	w.SnapshotInto(&s)
 	return s
 }
-
-// Count returns the number of epochs currently in the window.
-func (w *Window) Count() uint64 {
-	if w == nil {
-		return 0
-	}
-	return w.snap.Count
-}

@@ -58,22 +58,6 @@ func (s *Stream) NormFloat64() float64 {
 	}
 }
 
-// Intn returns a uniform draw in [0, n). It panics when n <= 0.
-// Rejection sampling removes the modulo bias.
-func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	un := uint64(n)
-	max := (^uint64(0) / un) * un
-	for {
-		v := s.Uint64()
-		if v < max {
-			return int(v % un)
-		}
-	}
-}
-
 // Mix64 is the splitmix64 finalizer as a pure function: a 64-bit hash
 // with full avalanche, for deriving independent seeds from structured
 // inputs (base seed, receiver index, PRN, epoch bits). Mixing through it

@@ -77,31 +77,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-// TestIntn: bounds, determinism and rough uniformity.
-func TestIntn(t *testing.T) {
-	s := New(1)
-	var counts [7]int
-	const n = 70000
-	for i := 0; i < n; i++ {
-		v := s.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d out of range", v)
-		}
-		counts[v]++
-	}
-	for i, c := range counts {
-		if c < n/7-n/35 || c > n/7+n/35 {
-			t.Errorf("value %d drawn %d times, want ~%d", i, c, n/7)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) did not panic")
-		}
-	}()
-	s.Intn(0)
-}
-
 // TestMix64Aliasing pins the property the engine's session seeds rely
 // on: mixing breaks the additive aliasing (s, r) ~ (s-1, r+1).
 func TestMix64Aliasing(t *testing.T) {

@@ -10,26 +10,25 @@ import (
 )
 
 // Logging is the repository's structured-logging setup: one output
-// stream, text or JSON rendering, a global level, and independently
-// adjustable per-component levels (a component is a subsystem name such
-// as "broadcaster" or "solver"; each component's logger carries a
-// component=<name> attribute).
+// stream, text or JSON rendering, and one level shared by every
+// component (a component is a subsystem name such as "broadcaster" or
+// "solver"; each component's logger carries a component=<name>
+// attribute).
 type Logging struct {
-	w      io.Writer
-	json   bool
-	level  slog.LevelVar // global floor for components without overrides
-	mu     sync.Mutex
-	levels map[string]*slog.LevelVar
-	logs   map[string]*slog.Logger
+	w     io.Writer
+	json  bool
+	level slog.Level
+	mu    sync.Mutex
+	logs  map[string]*slog.Logger
 }
 
 // NewLogging returns a logging setup writing to w. format is "text" or
-// "json" ("" means text); level is the initial global level.
+// "json" ("" means text); level is the level of every component.
 func NewLogging(w io.Writer, format string, level slog.Level) (*Logging, error) {
 	l := &Logging{
-		w:      w,
-		levels: make(map[string]*slog.LevelVar),
-		logs:   make(map[string]*slog.Logger),
+		w:     w,
+		level: level,
+		logs:  make(map[string]*slog.Logger),
 	}
 	switch strings.ToLower(format) {
 	case "", "text":
@@ -38,7 +37,6 @@ func NewLogging(w io.Writer, format string, level slog.Level) (*Logging, error) 
 	default:
 		return nil, fmt.Errorf("telemetry: unknown log format %q (want text or json)", format)
 	}
-	l.level.Set(level)
 	return l, nil
 }
 
@@ -54,9 +52,7 @@ func (l *Logging) Component(name string) *slog.Logger {
 	if lg, ok := l.logs[name]; ok {
 		return lg
 	}
-	lv := &slog.LevelVar{}
-	lv.Set(l.level.Level())
-	opts := &slog.HandlerOptions{Level: lv}
+	opts := &slog.HandlerOptions{Level: l.level}
 	var h slog.Handler
 	if l.json {
 		h = slog.NewJSONHandler(l.w, opts)
@@ -64,35 +60,8 @@ func (l *Logging) Component(name string) *slog.Logger {
 		h = slog.NewTextHandler(l.w, opts)
 	}
 	lg := slog.New(h).With("component", name)
-	l.levels[name] = lv
 	l.logs[name] = lg
 	return lg
-}
-
-// SetLevel changes the global level and every component that has not
-// been given its own level via SetComponentLevel.
-func (l *Logging) SetLevel(level slog.Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.level.Set(level)
-	for _, lv := range l.levels {
-		lv.Set(level)
-	}
-}
-
-// SetComponentLevel overrides one component's level (creating the
-// component if needed).
-func (l *Logging) SetComponentLevel(name string, level slog.Level) {
-	if l == nil {
-		return
-	}
-	l.Component(name) // ensure it exists
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.levels[name].Set(level)
 }
 
 // ParseLevel maps "debug", "info", "warn"/"warning", "error" (any case)

@@ -58,29 +58,6 @@ func TestLevelFiltering(t *testing.T) {
 	if !strings.Contains(out, "kept") {
 		t.Errorf("warn record was dropped: %q", out)
 	}
-	l.SetLevel(slog.LevelDebug)
-	lg.Debug("now visible")
-	if !strings.Contains(buf.String(), "now visible") {
-		t.Error("SetLevel did not lower an existing component's level")
-	}
-}
-
-func TestPerComponentLevel(t *testing.T) {
-	var buf syncBuffer
-	l, err := NewLogging(&buf, "", slog.LevelInfo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.SetComponentLevel("chatty", slog.LevelError)
-	l.Component("chatty").Info("muted")
-	l.Component("other").Info("audible")
-	out := buf.String()
-	if strings.Contains(out, "muted") {
-		t.Errorf("per-component override ignored: %q", out)
-	}
-	if !strings.Contains(out, "audible") {
-		t.Errorf("other component silenced too: %q", out)
-	}
 }
 
 func TestJSONFormat(t *testing.T) {
@@ -112,8 +89,6 @@ func TestNilLoggingIsSilent(t *testing.T) {
 		t.Fatal("nil Logging returned nil logger")
 	}
 	lg.Error("goes nowhere") // must not panic
-	l.SetLevel(slog.LevelDebug)
-	l.SetComponentLevel("anything", slog.LevelDebug)
 }
 
 func TestParseLevel(t *testing.T) {

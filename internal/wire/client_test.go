@@ -188,7 +188,7 @@ func TestClientUnknownSessionAnswered(t *testing.T) {
 	select {
 	case s := <-status:
 		if s != StatusUnknown {
-			t.Fatalf("status = %s, want unknown", StatusName(s))
+			t.Fatalf("status = %d, want unknown", s)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("subscribe to unknown session hung instead of answering")

@@ -46,7 +46,7 @@ func TestHubResumeHonored(t *testing.T) {
 	const ack = 37
 	sub := h.Subscribe(4, ack)
 	if sub.Resume.Status != StatusReplay {
-		t.Fatalf("status = %s, want replay", StatusName(sub.Resume.Status))
+		t.Fatalf("status = %d, want replay", sub.Resume.Status)
 	}
 	if sub.Resume.Resume != ack+1 {
 		t.Fatalf("resume = %d, want %d", sub.Resume.Resume, ack+1)
@@ -88,7 +88,7 @@ func TestHubResumeGapExplicit(t *testing.T) {
 	publishRange(h, 1, 0, 500)
 	sub := h.Subscribe(1, 3) // ring holds ~[484, 500)
 	if sub.Resume.Status != StatusGap {
-		t.Fatalf("status = %s, want gap", StatusName(sub.Resume.Status))
+		t.Fatalf("status = %d, want gap", sub.Resume.Status)
 	}
 	if sub.Resume.Resume <= 4 {
 		t.Fatalf("resume = %d, should be far beyond ack", sub.Resume.Resume)
@@ -112,7 +112,7 @@ func TestHubUnknownSession(t *testing.T) {
 	h := NewHub(HubConfig{})
 	sub := h.Subscribe(99, 1234)
 	if sub.Resume.Status != StatusUnknown {
-		t.Fatalf("status = %s, want unknown", StatusName(sub.Resume.Status))
+		t.Fatalf("status = %d, want unknown", sub.Resume.Status)
 	}
 	if sub.Resume.Head != -1 {
 		t.Fatalf("head = %d, want -1", sub.Resume.Head)
@@ -133,12 +133,12 @@ func TestHubColdAndLive(t *testing.T) {
 	h.Register(0)
 	cold := h.Subscribe(0, -1)
 	if cold.Resume.Status != StatusCold {
-		t.Fatalf("status = %s, want cold", StatusName(cold.Resume.Status))
+		t.Fatalf("status = %d, want cold", cold.Resume.Status)
 	}
 	publishRange(h, 0, 0, 30)
 	live := h.Subscribe(0, -1)
 	if live.Resume.Status != StatusLive {
-		t.Fatalf("status = %s, want live", StatusName(live.Resume.Status))
+		t.Fatalf("status = %d, want live", live.Resume.Status)
 	}
 	fixes := drain(t, live)
 	if len(fixes) == 0 || fixes[0].Epoch != 24 { // latest keyframe: block 3 start

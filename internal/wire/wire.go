@@ -104,24 +104,6 @@ const (
 	StatusUnknown
 )
 
-// StatusName renders a RESUME status byte.
-func StatusName(s uint8) string {
-	switch s {
-	case StatusLive:
-		return "live"
-	case StatusReplay:
-		return "replay"
-	case StatusGap:
-		return "gap"
-	case StatusCold:
-		return "cold"
-	case StatusUnknown:
-		return "unknown"
-	default:
-		return fmt.Sprintf("status(%d)", s)
-	}
-}
-
 // FIX frame flag bits.
 const (
 	// FixKeyframe: absolute (not delta) position/bias/HDOP fields.
