@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gpsdl/internal/eval"
+	"gpsdl/internal/scenario"
 )
 
 // Short end-to-end runs of every figure and ablation path: they must
@@ -80,5 +84,50 @@ func TestRunPlotFlag(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "5.2", "-duration", "600", "-step", "20", "-plot"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A row with no epoch left after calibration keeps its census columns
+// but has no error, τ, η or θ to report: those cells must be empty, not
+// the η = 100 / θ = 0 that AccuracyRate(0, 0) and TimeRate(0, 0) return.
+func TestWriteCSVLeavesEmptyRowUnmeasured(t *testing.T) {
+	dir := t.TempDir()
+	arm := eval.ArmStats{MeanError: 2, MedianError: 1.5, P95Error: 4, MeanNanos: 900, Fixes: 3}
+	res := &eval.Result{
+		Station: scenario.Station{ID: "TEST"},
+		Rows: []eval.Row{
+			{M: 9, Census: eval.Census{Epochs: 3, SkippedDOP: 1}, NR: arm, DLO: arm, DLG: arm},
+			{M: 10, Census: eval.Census{SkippedSats: 7}},
+		},
+	}
+	if err := writeCSV(dir, res); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "sweep_test.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("got %d CSV records, want header + 2 rows", len(recs))
+	}
+	header, full, empty := recs[0], recs[1], recs[2]
+	if got, want := strings.Join(empty[:5], ","), "10,0,0,7,0.000"; got != want {
+		t.Errorf("empty row census = %s, want %s", got, want)
+	}
+	for i := 5; i < len(header); i++ {
+		if empty[i] != "" {
+			t.Errorf("empty row %s = %q, want an empty cell", header[i], empty[i])
+		}
+		if full[i] == "" {
+			t.Errorf("measured row %s is empty", header[i])
+		}
+	}
+	if got := full[len(header)-4]; got != "100.000" {
+		t.Errorf("measured row eta_dlo_pct = %s, want 100.000 (DLO error equals NR's)", got)
 	}
 }
