@@ -5,19 +5,25 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (Go -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint test race bench bench-json bench-broadcast bench-quality bench-faults bench-recovery bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
+.PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
 
-# bench-gate runs both benchmarks fresh into a temp directory and
-# compares them with the committed BENCH_engine.json/BENCH_broadcast.json;
-# refreshing those baselines (bench-json, bench-broadcast) is a deliberate
-# step, not part of all, or the gate would compare the tree with itself.
+# bench-gate compares the change with its base commit on the fixbench
+# workloads and the broadcast bytes/fix with the committed
+# BENCH_broadcast.json; refreshing that baseline (bench-broadcast) is a
+# deliberate step, not part of all, or the gate would compare the tree
+# with itself.
 all: build vet test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-gate
 
+# build, vet and test also cover the fix-pipeline benchmark, its own
+# module (fixbench/go.mod), so a change that breaks what it calls fails
+# here rather than first in a benchmark run.
 build:
 	$(GO) build ./...
+	$(GO) -C fixbench build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C fixbench vet ./...
 
 # Static checks beyond vet: gofmt cleanliness everywhere, plus
 # staticcheck when (and only when) it is installed — the repo must stay
@@ -30,17 +36,13 @@ lint: vet
 
 test:
 	$(GO) test ./...
+	$(GO) -C fixbench test ./...
 
 race:
 	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable fix-engine throughput curve (fixes/sec vs receiver
-# count); the series EXPERIMENTS.md tracks.
-bench-json:
-	$(GO) run ./cmd/gpsbench -engine -engine-receivers 1,2,4,8 -engine-json BENCH_engine.json
 
 # Serving fan-out comparison: NMEA text vs binary delta frames across
 # subscriber counts (delivered fixes/sec, bytes/sec, bytes/fix), written
@@ -55,9 +57,10 @@ bench-broadcast:
 bench-quality:
 	$(GO) run ./cmd/gpsbench -quality -quality-json BENCH_quality.json
 
-# Throughput regression gate: re-runs the engine sweep and fails if any
-# receiver count lands more than 15% below the committed
-# BENCH_engine.json baseline (override with TOLERANCE_PCT).
+# Regression gate: 5 alternating pairs of 3 s fixbench runs per
+# workload, base commit against the working tree, judged by the
+# BENCHMARK.json end-to-end bounds (base: BASE, else HEAD when tracked
+# files differ from it, else HEAD~1); plus the broadcast bytes/fix gate.
 bench-gate:
 	GO="$(GO)" ./scripts/bench_gate.sh
 

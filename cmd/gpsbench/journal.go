@@ -18,6 +18,10 @@ import (
 	"gpsdl/internal/engine"
 )
 
+// benchSolver is the primary solver of the journal and recovery
+// benchmarks: the paper's headline algorithm.
+const benchSolver = "dlg"
+
 // journalBenchConfig sizes the -journal benchmark.
 type journalBenchConfig struct {
 	receivers int

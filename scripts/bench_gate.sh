@@ -1,70 +1,42 @@
 #!/bin/bash
-# Throughput regression gate: re-runs the fix-engine benchmark sweep and
-# compares fixes/sec per arm against the committed baseline
-# (BENCH_engine.json). Points are keyed "arm:receivers" — the
-# pregenerated sweep is arm "pregen", the live-generation arms carry
-# their own names ("live-cache-p1", "live-cache-p4"), so solver-path and
-# live serving throughput (synthesis through the shared epoch cache)
-# are both gated. A fresh point more than
-# TOLERANCE_PCT below its baseline fails the gate; faster is always
-# fine. The committed file is refreshed by `make bench-json` — run that
-# (on the reference machine) after a deliberate perf change, and commit
-# the delta alongside it. The gate mirrors the baseline's pregenerated
-# sweep and uses gpsbench's default live-arm settings, matching how
-# `make bench-json` produces the baseline.
+# Benchmark regression gate, in two halves. Run from the repository root.
+#
+# Throughput: scripts/benchgate runs the fix-pipeline benchmark
+# (fixbench) on the base commit and on the working tree in alternating
+# pairs, and fails when the change's median is worse than a
+# BENCHMARK.json end-to-end bound allows, when any run fails or prints
+# "correct": false, or when the change fails a larger share of
+# operations. Both sides are built and run here and now, so there is no
+# baseline file to go stale. The base is BASE when set; otherwise HEAD
+# when tracked files differ from it, else HEAD~1 (the last commit is the
+# change). The base is a `git archive` copy under .bench_build/gate/base,
+# whose own .bench_build keeps its warm Go build cache between runs.
 set -euo pipefail
 
 GO=${GO:-go}
-TOLERANCE_PCT=${TOLERANCE_PCT:-15}
-baseline=${BASELINE:-BENCH_engine.json}
 
-[ -f "$baseline" ] || { echo "FAIL: baseline $baseline missing (run: make bench-json)"; exit 1; }
+if [ -n "${BASE:-}" ]; then
+    base_ref=$BASE
+elif git diff --quiet HEAD --; then
+    base_ref=HEAD~1
+else
+    base_ref=HEAD
+fi
+base_sha=$(git rev-parse --verify --quiet "$base_ref^{commit}") ||
+    { echo "FAIL: base $base_ref is not a commit"; exit 1; }
+base_dir=.bench_build/gate/base
+mkdir -p "$base_dir"
+find "$base_dir" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+git archive "$base_sha" | tar -x -C "$base_dir"
+
+echo "throughput gate: base $base_ref ($(git rev-parse --short "$base_sha")) vs the working tree"
+"$GO" run ./scripts/benchgate "$base_dir" ||
+    { echo "FAIL: fix-pipeline throughput gate (base $base_ref)"; exit 1; }
+echo "throughput gate OK"
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT INT TERM
-fresh="$workdir/fresh.json"
-
-# extract FILE: one "arm:receivers fixes_per_sec" line per series point,
-# in series order. Points before the first "arm" key are the
-# pregenerated sweep; each live point emits its "arm" before its metrics
-# (field order is part of the JSON contract, see engineLivePoint).
-extract() {
-    awk '
-        BEGIN              { arm = "pregen" }
-        /"arm":/           { v = $2; gsub(/[",]/, "", v); arm = v }
-        /"receivers":/     { v = $2; gsub(/,/, "", v); r = v }
-        /"fixes_per_sec":/ { v = $2; gsub(/,/, "", v); printf "%s:%s %s\n", arm, r, v }
-    ' "$1"
-}
-
-# Mirror the baseline's pregenerated sweep so the points line up.
-receivers=$(extract "$baseline" | awk -F'[: ]' '$1 == "pregen" { print $2 }' | paste -sd, -)
-[ -n "$receivers" ] || { echo "FAIL: no pregenerated series points in $baseline"; exit 1; }
-
-"$GO" run ./cmd/gpsbench -engine -engine-receivers "$receivers" -engine-json "$fresh" >"$workdir/bench.out" 2>&1 ||
-    { echo "FAIL: benchmark run failed"; cat "$workdir/bench.out"; exit 1; }
-
 status=0
-while read -r key base fkey fresh_rate; do
-    if [ "$key" != "$fkey" ] || [ -z "$fresh_rate" ]; then
-        echo "FAIL: series shape mismatch: baseline point '$key' vs fresh point '$fkey'"
-        status=1
-        break
-    fi
-    verdict=$(awk -v b="$base" -v f="$fresh_rate" -v tol="$TOLERANCE_PCT" 'BEGIN {
-        floor = b * (1 - tol / 100)
-        printf "%s %.0f", (f >= floor) ? "ok" : "REGRESSED", floor
-    }')
-    printf '%-18s baseline=%-10.0f fresh=%-10.0f floor=%s -> %s\n' \
-        "$key" "$base" "$fresh_rate" "${verdict#* }" "${verdict% *}"
-    [ "${verdict% *}" = ok ] || status=1
-done < <(paste -d' ' <(extract "$baseline") <(extract "$fresh"))
-
-if [ "$status" -ne 0 ]; then
-    echo "FAIL: engine throughput regressed more than ${TOLERANCE_PCT}% below $baseline"
-    exit 1
-fi
-echo "bench gate OK (within ${TOLERANCE_PCT}% of $baseline)"
 
 # Serving fan-out gate: the broadcast benchmark's bytes-per-fix is a
 # property of the encodings, not the machine, so it is gated tightly in
