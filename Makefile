@@ -12,7 +12,7 @@ FUZZTIME ?= 30s
 # BENCH_broadcast.json; refreshing that baseline (bench-broadcast) is a
 # deliberate step, not part of all, or the gate would compare the tree
 # with itself.
-all: build vet test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-gate
+all: build vet lint test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-gate
 
 # build, vet and test also cover the fix-pipeline benchmark, its own
 # module (fixbench/go.mod), so a change that breaks what it calls fails
@@ -25,11 +25,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) -C fixbench vet ./...
 
-# Static checks beyond vet: gofmt cleanliness everywhere, plus
-# staticcheck when (and only when) it is installed — the repo must stay
-# buildable with the bare Go toolchain.
+# Static checks beyond vet: gofmt cleanliness of every tracked Go file
+# (untracked build trees such as .bench_build/ are not the repo's code),
+# plus staticcheck when (and only when) it is installed — the repo must
+# stay buildable with the bare Go toolchain.
 lint: vet
-	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
+	@fmt=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; else echo "staticcheck not installed; skipped"; fi

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"gpsdl/internal/engine"
 	"gpsdl/internal/eval"
 	"gpsdl/internal/journal"
 )
@@ -277,10 +278,6 @@ func runTimeline(w io.Writer, args []string) error {
 
 // ---- attribute ----
 
-// defaultSigma mirrors the engine's default measurement noise when the
-// journal header carries none.
-const defaultSigma = 5.0
-
 func runAttribute(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gpsinspect attribute", flag.ContinueOnError)
 	f := filterFlags(fs)
@@ -298,7 +295,9 @@ func runAttribute(w io.Writer, args []string) error {
 	}
 	sigma := res.Meta.Sigma
 	if sigma <= 0 {
-		sigma = defaultSigma
+		// Older engines left σ out of the header when the quality
+		// layer was off.
+		sigma = engine.ChiSquareSigma
 	}
 	type satBurn struct {
 		prn    int

@@ -38,7 +38,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpsdl/internal/clock"
@@ -76,9 +75,9 @@ type FixEvent struct {
 	Coast bool
 	// State is the session's health state after this epoch.
 	State SessionState
-	// Quality is the per-fix quality evidence (residual RMS, χ² test).
-	// Populated only when Config.Quality is set and the epoch solved;
-	// zero otherwise.
+	// Quality is the per-fix quality evidence (residual RMS, χ² test at
+	// ChiSquareSigma). Populated when the epoch solved and either
+	// Config.Quality or Config.JournalSink is set; zero otherwise.
 	Quality core.FixQuality
 	// Faults lists the fault-injector events applied to this epoch.
 	Faults   []fault.Event
@@ -211,16 +210,6 @@ type shard struct {
 	// epoch's snapshot once before stepping its live sessions, so
 	// same-epoch solves across the shard batch against one propagation.
 	cache *epochcache.Cache
-
-	// Shard-level quality window (nil when the quality layer is off).
-	// It slides over the last Window epochs of every session on the
-	// shard, keyed by the synthetic index epoch*len(sessions)+pos so
-	// each (epoch, session) pair owns a distinct ring slot. Only the
-	// shard goroutine touches qwin; qpub is its lock-free published
-	// snapshot, refreshed at EvalEvery boundaries.
-	qwin      *quality.Window
-	qpub      atomic.Pointer[quality.Snapshot]
-	evalEvery int
 
 	// Flight journal (nil when Config.JournalSink is nil): the shard's
 	// batch encoder, the shared writer it flushes to at batch
@@ -363,7 +352,6 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.posInShard = len(sh.sessions)
 		e.sessions[idx] = s
 		sh.sessions = append(sh.sessions, s)
 	}
@@ -376,7 +364,6 @@ func New(cfg Config) (*Engine, error) {
 				return nil, err
 			}
 			s.qual = &sessionQuality{
-				sigma:     qc.Sigma,
 				evalEvery: uint64(qc.EvalEvery),
 				win:       quality.NewWindow(qc.Window),
 				eval:      ev,
@@ -384,10 +371,6 @@ func New(cfg Config) (*Engine, error) {
 			if cfg.OnIncident != nil {
 				wireIncidents(s, ev, cfg.OnIncident)
 			}
-		}
-		for _, sh := range e.shards {
-			sh.qwin = quality.NewWindow(qc.Window * len(sh.sessions))
-			sh.evalEvery = qc.EvalEvery
 		}
 		e.qm = newQualityMetrics(cfg.Registry, qc.Objectives)
 	}
@@ -588,11 +571,6 @@ func (sh *shard) run(ctx context.Context) {
 			for _, s := range sh.sessions {
 				sh.stepSession(s, i)
 			}
-			if sh.qwin != nil && (i+1)%sh.evalEvery == 0 {
-				snap := &quality.Snapshot{}
-				sh.qwin.SnapshotInto(snap)
-				sh.qpub.Store(snap)
-			}
 		}
 		sh.flushJournal(uint64(jb.e1 - 1))
 		if aborted {
@@ -612,20 +590,12 @@ func (sh *shard) run(ctx context.Context) {
 func (sh *shard) stepSession(s *session, i int) {
 	if s.failed {
 		sh.m.failedEpochs.Inc()
-		s.observeQuality(quality.Sample{Epoch: uint64(i)})
-		sh.observeQuality(s, i)
-		s.journalMiss(i)
-		s.emit(FixEvent{Receiver: s.recv, Shard: s.shard, Epoch: i,
-			T: float64(i) * s.step_, State: s.state, Err: errSessionFailed})
+		s.noFix(i, FixEvent{Err: errSessionFailed})
 		return
 	}
 	if s.quarUntil > i {
 		sh.m.quarantinedEpochs.Inc()
-		s.observeQuality(quality.Sample{Epoch: uint64(i)})
-		sh.observeQuality(s, i)
-		s.journalMiss(i)
-		s.emit(FixEvent{Receiver: s.recv, Shard: s.shard, Epoch: i,
-			T: float64(i) * s.step_, State: s.state, Err: errSessionQuarantined})
+		s.noFix(i, FixEvent{Err: errSessionQuarantined})
 		return
 	}
 	func() {
@@ -636,24 +606,10 @@ func (sh *shard) stepSession(s *session, i int) {
 		}()
 		s.step(i)
 	}()
-	sh.observeQuality(s, i)
 	s.nextEpoch = i + 1
 	if s.ckptEvery > 0 && (i+1)%s.ckptEvery == 0 {
 		s.ckpt.Store(s.snapshot(i + 1))
 	}
-}
-
-// observeQuality folds the session's last sample into the shard-level
-// window under the synthetic per-(epoch, session) key. Runs on the
-// shard goroutine, after the session has recorded its own sample for
-// epoch i.
-func (sh *shard) observeQuality(s *session, i int) {
-	if sh.qwin == nil {
-		return
-	}
-	smp := s.qual.last
-	smp.Epoch = uint64(i)*uint64(len(sh.sessions)) + uint64(s.posInShard)
-	sh.qwin.Observe(smp)
 }
 
 // superviseAfterPanic converts a recovered panic into an isolated
@@ -677,12 +633,16 @@ func (sh *shard) superviseAfterPanic(s *session, i int, r any) {
 		s.restart()
 		sh.m.restarts.Inc()
 	}
-	// The panicked epoch produced no fix; record it in the quality
-	// stream so availability accounting never loses an epoch. Observing
+	// The panicked epoch produced no fix. It still enters the quality
+	// stream, so availability accounting never loses an epoch; observing
 	// the same epoch twice (if the panic struck after the session's own
-	// observe) just replaces the ring slot, so this is safe either way.
-	s.observeQuality(quality.Sample{Epoch: uint64(i)})
-	s.journalMiss(i)
+	// observe) just replaces the ring slot.
+	err := fmt.Errorf("engine: receiver %d panicked at epoch %d: %v", s.recv, i, r)
+	func() {
+		// A panicking sink must not take the supervisor down with it.
+		defer func() { _ = recover() }()
+		s.noFix(i, FixEvent{Err: err})
+	}()
 	if sh.onIncident != nil {
 		kind := IncidentPanic
 		if s.failed {
@@ -691,13 +651,6 @@ func (sh *shard) superviseAfterPanic(s *session, i int, r any) {
 		sh.onIncident(Incident{Kind: kind, Receiver: s.recv, Shard: s.shard,
 			Epoch: uint64(i), Detail: fmt.Sprint(r)})
 	}
-	err := fmt.Errorf("engine: receiver %d panicked at epoch %d: %v", s.recv, i, r)
-	func() {
-		// A panicking sink must not take the supervisor down with it.
-		defer func() { _ = recover() }()
-		s.emit(FixEvent{Receiver: s.recv, Shard: s.shard, Epoch: i,
-			T: float64(i) * s.step_, State: s.state, Err: err})
-	}()
 }
 
 // maxQuarantineEpochs caps post-panic backoff so a long-lived session

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -184,6 +185,37 @@ func TestEngineHotPathZeroAlloc(t *testing.T) {
 				t.Errorf("solver %s: %v allocs per step, want 0", solver, n)
 			}
 		})
+	}
+}
+
+// TestEngineNoFixEventTime: an epoch past the pregenerated (or
+// preloaded) range is a no-fix epoch, and like every other no-fix event
+// it carries T = epoch·Step.
+func TestEngineNoFixEventTime(t *testing.T) {
+	const n, step = 8, 2.5
+	var misses []FixEvent
+	eng, err := New(Config{Receivers: 1, Workers: 1, Seed: 1, Step: step,
+		Sink: func(e FixEvent) {
+			if errors.Is(e.Err, errPastPregenerated) {
+				misses = append(misses, e)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Pregenerate(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background(), n+2); err != nil {
+		t.Fatal(err)
+	}
+	if len(misses) != 2 {
+		t.Fatalf("%d past-the-end events, want 2", len(misses))
+	}
+	for k, e := range misses {
+		if i := n + k; e.Epoch != i || e.T != float64(i)*step {
+			t.Errorf("past-the-end event %d: epoch %d T %g, want epoch %d T %g", k, e.Epoch, e.T, i, float64(i)*step)
+		}
 	}
 }
 

@@ -51,15 +51,13 @@ func (e *Engine) journalMeta() journal.Meta {
 		Seed:         e.cfg.Seed,
 		Step:         e.cfg.Step,
 		Receivers:    e.cfg.Receivers,
+		Sigma:        ChiSquareSigma,
 		CaptureEvery: e.cfg.JournalCaptureEvery,
 		Created:      time.Now().UTC().Format(time.RFC3339),
 	}
 	m.Stations = make([]string, e.cfg.Receivers)
 	for r := 0; r < e.cfg.Receivers; r++ {
 		m.Stations[r] = e.cfg.Stations[r%len(e.cfg.Stations)].ID
-	}
-	if e.qcfg != nil {
-		m.Sigma = e.qcfg.Sigma
 	}
 	return m
 }
@@ -220,7 +218,7 @@ func wireIncidents(s *session, ev *slo.Evaluator, oninc func(Incident)) {
 				Kind:      IncidentSLOPage,
 				Receiver:  s.recv,
 				Shard:     s.shard,
-				Epoch:     s.qual.last.Epoch,
+				Epoch:     s.qual.epoch,
 				Objective: name,
 			})
 		}

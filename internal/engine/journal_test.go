@@ -234,6 +234,18 @@ func TestIncidentHooks(t *testing.T) {
 	}
 }
 
+// TestJournalHeaderSigma: the header carries the χ² σ every record was
+// assessed with, whether or not the quality layer is on, so journals of
+// one run made with and without it have equal headers.
+func TestJournalHeaderSigma(t *testing.T) {
+	for _, qc := range []*QualityConfig{nil, {}} {
+		res := runJournaled(t, Config{Receivers: 1, Workers: 1, Seed: 3, Quality: qc}, 8)
+		if res.Meta.Sigma != ChiSquareSigma {
+			t.Errorf("quality on=%v: header sigma %g, want %g", qc != nil, res.Meta.Sigma, ChiSquareSigma)
+		}
+	}
+}
+
 // TestJournalTailSegmentLive: mid-run tail segments must be
 // self-contained scannable journals.
 func TestJournalTailSegmentLive(t *testing.T) {

@@ -10,32 +10,33 @@ import (
 	"gpsdl/internal/telemetry"
 )
 
+// ChiSquareSigma is the assumed 1σ pseudo-range measurement noise in
+// meters for the χ² consistency test of every fix the engine assesses,
+// and the σ it writes to the journal header. It sits deliberately above
+// the 2 m thermal noise: the scenario's elevation-dependent multipath and
+// coherent iono/tropo model remainders put the effective per-observation
+// error near 4–5 m, and 5 m yields a ≈ 97.6% clean-sky pass rate while a
+// 10 m burst still collapses it below 30%.
+const ChiSquareSigma = 5.0
+
 // QualityConfig enables the engine's solution-quality observability
-// layer: per-session and per-shard sliding windows over per-fix quality
-// evidence, plus SLO/error-budget evaluation that can page and downgrade
-// session health. Nil (on Config.Quality) disables the layer entirely —
-// the hot path then pays nothing for it.
+// layer: per-session sliding windows over per-fix quality evidence,
+// merged into shard and fleet digests, plus SLO/error-budget evaluation
+// that can page and downgrade session health. Nil (on Config.Quality)
+// disables the layer entirely — the hot path then pays nothing for it.
 type QualityConfig struct {
 	// Window is the sliding-window span in epochs; ≤ 0 means 600
 	// (10 minutes at 1 Hz).
 	Window int
-	// Sigma is the assumed 1σ pseudo-range measurement noise in meters
-	// for the χ² consistency test; ≤ 0 means 5. The default is
-	// deliberately above the 2 m thermal noise: the scenario's
-	// elevation-dependent multipath and coherent iono/tropo model
-	// remainders put the effective per-observation error near 4–5 m, and
-	// 5 m yields a ≈ 97.6% clean-sky pass rate while a 10 m burst still
-	// collapses it below 30%.
-	Sigma float64
 	// Objectives are the SLOs evaluated per session; nil means
 	// slo.DefaultObjectives().
 	Objectives []slo.Objective
 	// EvalEvery is the snapshot-publication cadence in epochs; ≤ 0
-	// means 64. Session and shard snapshots are published only at
-	// epochs where (epoch+1) % EvalEvery == 0, which is what keeps the
-	// hot path amortized allocation-free AND makes fleet digests
-	// byte-identical for any worker count (every worker layout
-	// publishes at the same epoch boundaries).
+	// means 64. Session snapshots are published only at epochs where
+	// (epoch+1) % EvalEvery == 0, which is what keeps the hot path
+	// amortized allocation-free AND makes fleet digests byte-identical
+	// for any worker count (every worker layout publishes at the same
+	// epoch boundaries).
 	EvalEvery int
 }
 
@@ -44,9 +45,6 @@ type QualityConfig struct {
 func (qc QualityConfig) withDefaults() QualityConfig {
 	if qc.Window <= 0 {
 		qc.Window = 600
-	}
-	if qc.Sigma <= 0 {
-		qc.Sigma = 5
 	}
 	if qc.Objectives == nil {
 		qc.Objectives = slo.DefaultObjectives()
@@ -58,14 +56,13 @@ func (qc QualityConfig) withDefaults() QualityConfig {
 }
 
 // sessionQuality is one session's quality state: window, SLO evaluator,
-// the last sample (re-read by the shard window), and the lock-free
+// the epoch being observed (for SLO-page incidents), and the lock-free
 // publication cell Engine.Quality reads from any goroutine.
 type sessionQuality struct {
-	sigma     float64
 	evalEvery uint64
 	win       *quality.Window
 	eval      *slo.Evaluator
-	last      quality.Sample
+	epoch     uint64
 	pub       atomic.Pointer[sessionQualitySnap]
 }
 
@@ -85,7 +82,7 @@ func (s *session) observeQuality(sample quality.Sample) {
 	if q == nil {
 		return
 	}
-	q.last = sample
+	q.epoch = sample.Epoch
 	q.win.Observe(sample)
 	q.eval.Observe(&sample)
 	// A paging objective is evidence the session is quietly serving bad
@@ -154,10 +151,11 @@ type SessionQuality struct {
 	Digest   quality.Digest `json:"digest"`
 }
 
-// ShardQuality is one shard's window digest. Shard composition depends
-// on the worker count, so this section is informational and explicitly
-// NOT covered by the determinism guarantee (everything else in
-// FleetQuality is).
+// ShardQuality is one shard's window digest: the merge, in receiver
+// order, of the windows its sessions last published. Shard composition
+// depends on the worker count, so this section is informational and
+// explicitly NOT covered by the determinism guarantee (everything else
+// in FleetQuality is).
 type ShardQuality struct {
 	Shard  int            `json:"shard"`
 	Digest quality.Digest `json:"digest"`
@@ -204,12 +202,14 @@ func (e *Engine) Quality(topK int) *FleetQuality {
 	fq := &FleetQuality{Enabled: true}
 	merged := make([]slo.Counters, len(objs))
 	sessions := make([]SessionQuality, 0, len(e.sessions))
+	shards := make([]quality.Snapshot, len(e.shards))
 	for _, s := range e.sessions {
 		snap := s.qual.pub.Load()
 		if snap == nil {
 			continue
 		}
 		fq.Window.Merge(&snap.Window)
+		shards[s.shard].Merge(&snap.Window)
 		for k := range merged {
 			merged[k].Merge(snap.SLO[k])
 		}
@@ -246,9 +246,11 @@ func (e *Engine) Quality(topK int) *FleetQuality {
 		sessions = sessions[:topK]
 	}
 	fq.Sessions = sessions
-	for _, sh := range e.shards {
-		if snap := sh.qpub.Load(); snap != nil {
-			fq.Shards = append(fq.Shards, ShardQuality{Shard: sh.id, Digest: snap.Digest()})
+	for i := range shards {
+		// A published session window holds at least one epoch, so an
+		// empty merge means none of the shard's sessions has published.
+		if shards[i].Count > 0 {
+			fq.Shards = append(fq.Shards, ShardQuality{Shard: i, Digest: shards[i].Digest()})
 		}
 	}
 	e.publishQualityMetrics(fq)

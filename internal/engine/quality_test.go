@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gpsdl/internal/fault"
+	"gpsdl/internal/quality"
 	"gpsdl/internal/slo"
 	"gpsdl/internal/telemetry"
 )
@@ -148,7 +149,7 @@ func TestQualityPageOnDegradation(t *testing.T) {
 
 // TestQualityAssembly checks the merged fleet structure: counts add up
 // across sessions, worst-sessions ranking is bounded and sorted, and
-// the per-shard section is populated.
+// each shard digest merges that shard's session windows.
 func TestQualityAssembly(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	eng, err := New(Config{
@@ -187,12 +188,23 @@ func TestQualityAssembly(t *testing.T) {
 	if len(fq.Shards) != 2 {
 		t.Errorf("%d shard digests, want 2", len(fq.Shards))
 	}
+	// Each shard digest is the merge of its sessions' published windows,
+	// and the shards together cover exactly the fleet window.
 	var shardTotal uint64
 	for _, sq := range fq.Shards {
+		var w quality.Snapshot
+		for _, s := range eng.shards[sq.Shard].sessions {
+			w.Merge(&s.qual.pub.Load().Window)
+		}
+		want, _ := json.Marshal(w.Digest())
+		got, _ := json.Marshal(sq.Digest)
+		if !bytes.Equal(got, want) {
+			t.Errorf("shard %d digest %s, want the merge of its sessions %s", sq.Shard, got, want)
+		}
 		shardTotal += sq.Digest.Count
 	}
-	if shardTotal != 5*128 {
-		t.Errorf("shard windows cover %d epochs, want 640", shardTotal)
+	if shardTotal != fq.Window.Count {
+		t.Errorf("shard windows cover %d epochs, fleet window %d", shardTotal, fq.Window.Count)
 	}
 	if len(fq.Objectives) != 3 {
 		t.Fatalf("%d objective statuses", len(fq.Objectives))

@@ -87,21 +87,15 @@ func plausible(p geo.ECEF) bool {
 // session's circuit breaker.
 const breakerThreshold = 8
 
-// defaultJournalSigma is the χ² measurement sigma the flight journal
-// assumes when the quality layer is off (matches QualityConfig.Sigma's
-// default).
-const defaultJournalSigma = 5.0
-
 // session is one receiver's complete state: scenario generator, fault
 // injector, clock predictor, solver fallback chain, health state, and the
 // reusable buffers that keep the steady-state step allocation-free. A
 // session is owned by exactly one shard and never touched concurrently.
 type session struct {
-	recv       int
-	shard      int
-	posInShard int     // index within the owning shard's session slice
-	step_      float64 // epoch spacing (cfg.Step); step is the method
-	station    string  // scenario station ID, echoed into checkpoints
+	recv    int
+	shard   int
+	step_   float64 // epoch spacing (cfg.Step); step is the method
+	station string  // scenario station ID, echoed into checkpoints
 
 	gen    *scenario.Generator
 	inj    *fault.Injector // nil when the run is fault-free
@@ -284,9 +278,7 @@ func (s *session) step(i int) {
 	if s.pre != nil {
 		if i >= len(s.pre) {
 			s.m.epochErrors.Inc()
-			s.observeQuality(quality.Sample{Epoch: uint64(i)})
-			s.journalMiss(i)
-			s.emit(FixEvent{Receiver: s.recv, Shard: s.shard, Epoch: i, State: s.state, Err: errPastPregenerated})
+			s.noFix(i, FixEvent{Err: errPastPregenerated})
 			return
 		}
 		ep = s.pre[i]
@@ -295,9 +287,7 @@ func (s *session) step(i int) {
 		ep, err = s.gen.EpochAt(float64(i) * s.step_)
 		if err != nil {
 			s.m.epochErrors.Inc()
-			s.observeQuality(quality.Sample{Epoch: uint64(i)})
-			s.journalMiss(i)
-			s.emit(FixEvent{Receiver: s.recv, Shard: s.shard, Epoch: i, State: s.state, Err: err})
+			s.noFix(i, FixEvent{Err: err})
 			return
 		}
 	}
@@ -390,12 +380,8 @@ func (s *session) step(i int) {
 		// Residuals are evaluated against the set the solver actually
 		// used: RAIM's excluded satellite (if any) is skipped. The
 		// journal wants the same evidence, so it shares this assessment
-		// even when the quality layer is off (default sigma then).
-		sigma := defaultJournalSigma
-		if s.qual != nil {
-			sigma = s.qual.sigma
-		}
-		fq = core.AssessFixExcluding(res.Solution, obs, res.Excluded, sigma)
+		// even when the quality layer is off.
+		fq = core.AssessFixExcluding(res.Solution, obs, res.Excluded, ChiSquareSigma)
 		// Clock innovation: how far the solved clock bias sits from the
 		// predictor's model (both in meters). A drifting predictor shows
 		// up here long before it breaks the coasting path.
@@ -446,18 +432,15 @@ func (s *session) step(i int) {
 // silence or garbage. Without one (cold start under fault) the epoch is
 // reported failed.
 func (s *session) coastOrFail(i int, t float64, sats int, fev []fault.Event, err error) {
-	// Quality accounting: neither a coast nor a failure is a solved fix,
-	// so both burn the availability budget and contribute no residuals.
-	s.observeQuality(quality.Sample{Epoch: uint64(i)})
+	s.setState(StateCoasting)
 	if !s.haveGood {
-		s.setState(StateCoasting)
 		s.m.solveFailures.Inc()
-		s.journalMiss(i)
-		s.emit(FixEvent{Receiver: s.recv, Shard: s.shard, Epoch: i, T: t,
-			Sats: sats, State: s.state, Faults: fev, Err: err})
+		s.noFix(i, FixEvent{Sats: sats, Faults: fev, Err: err})
 		return
 	}
-	s.setState(StateCoasting)
+	// A coast is not a solved fix either: it burns the availability
+	// budget and contributes no residuals.
+	s.observeQuality(quality.Sample{Epoch: uint64(i)})
 	sol := s.lastGood
 	if bias, perr := s.pred.PredictBias(t); perr == nil {
 		sol.ClockBias = bias * geo.SpeedOfLight
@@ -497,6 +480,19 @@ func (s *session) closeBreaker() {
 	s.brkOpen = false
 	s.consecFail = 0
 	s.m.breakerOpenSessions.Dec()
+}
+
+// noFix records epoch i as producing no fix: an empty quality sample
+// (the epoch burns the availability budget and adds no residuals), a
+// journal miss record, and an error event at T = i·Step that carries
+// ev's Err, Sats and Faults. Callers count the miss and settle the
+// session state first.
+func (s *session) noFix(i int, ev FixEvent) {
+	s.observeQuality(quality.Sample{Epoch: uint64(i)})
+	s.journalMiss(i)
+	ev.Receiver, ev.Shard, ev.Epoch = s.recv, s.shard, i
+	ev.T, ev.State = float64(i)*s.step_, s.state
+	s.emit(ev)
 }
 
 func (s *session) emit(e FixEvent) {
