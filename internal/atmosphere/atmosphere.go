@@ -5,9 +5,17 @@
 //
 // These supply the satellite-dependent error εᵢˢ of paper eq. 3-5. Real
 // receivers correct most of each delay with broadcast models; what matters
-// to the positioning algorithms is the *residual* after correction, so
-// Residual* helpers scale the modeled delay by a configurable remainder
-// fraction.
+// to the positioning algorithms is the *residual* after correction, which
+// the scenario generator forms by scaling the modeled delay by a
+// configurable remainder fraction.
+//
+// Each delay is the product of factors that depend on different inputs:
+// the ionosphere's vertical delay on local time alone (IonoVertical) and
+// its obliquity on elevation alone (IonoObliquity); the troposphere's
+// zenith delay on station altitude alone (TropoZenith) and its slant
+// mapping on elevation (TropoSlant). A caller synthesizing many
+// observations computes each factor once per epoch, station or satellite;
+// IonoDelay and TropoDelay are the same products in one call.
 package atmosphere
 
 import (
@@ -38,35 +46,60 @@ const (
 
 // IonoDelay returns the slant ionospheric group delay in meters for a
 // signal at elevation elev (radians) observed at local solar time
-// localTime (seconds of day). The diurnal shape is the Klobuchar
-// half-cosine: quiet floor at night, peak in the early afternoon. The
-// slant factor is the Klobuchar obliquity F = 1 + 16·(0.53 − E/π)³ with E
-// in semicircles — here expressed directly in radians.
+// localTime (seconds of day): IonoVertical(localTime)·IonoObliquity(elev).
 func IonoDelay(elev, localTime float64) float64 {
-	if elev < 0 {
-		elev = 0
-	}
-	// Diurnal vertical delay.
+	return IonoVertical(localTime) * IonoObliquity(elev)
+}
+
+// IonoVertical returns the vertical ionospheric delay in meters at local
+// solar time localTime (seconds of day). The diurnal shape is the
+// Klobuchar half-cosine: quiet floor at night, peak in the early
+// afternoon.
+func IonoVertical(localTime float64) float64 {
 	x := 2 * math.Pi * (math.Mod(localTime, IonoPeriod) - IonoPeakLocalTime) / IonoPeriod
 	vertical := ZenithIonoQuietM
 	if math.Cos(x) > 0 {
 		vertical += ZenithIonoPeakM * math.Cos(x)
 	}
-	// Klobuchar obliquity with elevation in semicircles.
-	eSemi := elev / math.Pi
-	f := 1 + 16*math.Pow(0.53-eSemi, 3)
+	return vertical
+}
+
+// IonoObliquity returns the Klobuchar slant factor
+// F = 1 + 16·(0.53 − E)³, E the elevation in semicircles, for an
+// elevation elev in radians; negative elevations count as the horizon.
+// The cube is two multiplications: for the integer exponent 3,
+// math.Pow multiplies the same mantissas and only rescales by powers of
+// two, so the result is bit-identical on [0, π/2].
+func IonoObliquity(elev float64) float64 {
+	if elev < 0 {
+		elev = 0
+	}
+	d := 0.53 - elev/math.Pi
+	f := 1 + 16*(d*d*d)
 	if f < 1 {
 		f = 1
 	}
-	return vertical * f
+	return f
 }
 
 // TropoDelay returns the slant tropospheric delay in meters at elevation
-// elev (radians) for a station at altitude alt meters, using an
-// exponential zenith delay and a cosecant mapping floored at 3° to avoid
-// the singularity at the horizon.
+// elev (radians) for a station at altitude alt meters:
+// TropoSlant(TropoZenith(alt), elev).
 func TropoDelay(elev, alt float64) float64 {
-	zenith := ZenithTropoSeaLevelM * math.Exp(-math.Max(alt, 0)/TropoScaleHeightM)
+	return TropoSlant(TropoZenith(alt), elev)
+}
+
+// TropoZenith returns the zenith tropospheric delay in meters for a
+// station at altitude alt meters, decaying exponentially with height
+// (stations below sea level count as sea level).
+func TropoZenith(alt float64) float64 {
+	return ZenithTropoSeaLevelM * math.Exp(-math.Max(alt, 0)/TropoScaleHeightM)
+}
+
+// TropoSlant maps a zenith tropospheric delay to elevation elev
+// (radians) with a cosecant mapping floored at 3° to avoid the
+// singularity at the horizon.
+func TropoSlant(zenith, elev float64) float64 {
 	minElev := 3 * math.Pi / 180
 	if elev < minElev {
 		elev = minElev
@@ -86,20 +119,4 @@ func MultipathSigma(elev float64) float64 {
 		elev = 0
 	}
 	return sigmaZero * math.Exp(-elev/decay)
-}
-
-// ResidualIono returns the post-correction ionospheric residual: the
-// broadcast Klobuchar model removes roughly half the delay, so a remainder
-// fraction around 0.5 is realistic; the sign/scale factor u in [-1, 1]
-// captures how far the true ionosphere deviates from the broadcast model
-// for this satellite pass.
-func ResidualIono(elev, localTime, remainder, u float64) float64 {
-	return IonoDelay(elev, localTime) * remainder * u
-}
-
-// ResidualTropo returns the post-correction tropospheric residual
-// analogous to ResidualIono; tropospheric models are good, so remainder
-// fractions around 0.1 are realistic.
-func ResidualTropo(elev, alt, remainder, u float64) float64 {
-	return TropoDelay(elev, alt) * remainder * u
 }

@@ -118,16 +118,48 @@ func TestPropDelaysFiniteNonNegative(t *testing.T) {
 	}
 }
 
-func TestResidualScaling(t *testing.T) {
-	elev, lt := math.Pi/4, 43200.0
-	full := IonoDelay(elev, lt)
-	if got := ResidualIono(elev, lt, 0.5, 1); math.Abs(got-full/2) > 1e-12 {
-		t.Errorf("ResidualIono = %v, want %v", got, full/2)
+// TestIonoObliquityMatchesPow: the cube by two multiplications is the
+// old math.Pow form bit for bit, over random elevations in [0, π/2] and
+// the interval's ends.
+func TestIonoObliquityMatchesPow(t *testing.T) {
+	pow := func(elev float64) float64 {
+		f := 1 + 16*math.Pow(0.53-elev/math.Pi, 3)
+		if f < 1 {
+			f = 1
+		}
+		return f
 	}
-	if got := ResidualIono(elev, lt, 0.5, -1); got >= 0 {
-		t.Errorf("ResidualIono with u=-1 = %v, want negative", got)
+	r := rand.New(rand.NewSource(29))
+	elevs := []float64{0, math.Pi / 2, 0.53 * math.Pi}
+	for i := 0; i < 200000; i++ {
+		elevs = append(elevs, r.Float64()*math.Pi/2)
 	}
-	if got := ResidualTropo(elev, 100, 0, 1); got != 0 {
-		t.Errorf("ResidualTropo with zero remainder = %v", got)
+	for _, e := range elevs {
+		if got, want := IonoObliquity(e), pow(e); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("IonoObliquity(%v) = %v, math.Pow form %v", e, got, want)
+		}
+	}
+}
+
+// TestDelayFactors: each delay is the product of its factors, and the
+// factors carry the model's clamps.
+func TestDelayFactors(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		elev := r.Float64() * math.Pi / 2
+		lt := r.Float64() * 86400
+		alt := r.Float64()*5000 - 100
+		if got, want := IonoDelay(elev, lt), IonoVertical(lt)*IonoObliquity(elev); got != want {
+			t.Fatalf("IonoDelay(%v, %v) = %v, factors give %v", elev, lt, got, want)
+		}
+		if got, want := TropoDelay(elev, alt), TropoSlant(TropoZenith(alt), elev); got != want {
+			t.Fatalf("TropoDelay(%v, %v) = %v, factors give %v", elev, alt, got, want)
+		}
+	}
+	if got := TropoZenith(-50); got != ZenithTropoSeaLevelM {
+		t.Errorf("TropoZenith below sea level = %v, want %v", got, ZenithTropoSeaLevelM)
+	}
+	if IonoObliquity(-0.2) != IonoObliquity(0) {
+		t.Error("IonoObliquity does not clamp negative elevations")
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DisruptionDetector scores each satellite's pseudo-range innovation
 // against a reference fix (typically the previous good solution with
@@ -70,12 +67,12 @@ func (d *DisruptionDetector) Downweight(ref Solution, obs []Observation) int {
 		}
 	}
 	copy(order, resid)
-	sort.Float64s(order)
+	sortShort(order)
 	med := median(order)
 	for i, r := range resid {
 		order[i] = math.Abs(r - med)
 	}
-	sort.Float64s(order)
+	sortShort(order)
 	mad := median(order)
 
 	threshold := d.Threshold
@@ -105,6 +102,21 @@ func (d *DisruptionDetector) Downweight(ref Solution, obs []Observation) int {
 	}
 	d.Metrics.countDownweights(suspects)
 	return suspects
+}
+
+// sortShort sorts a ascending in place by insertion. The detector sorts
+// one sky's worth of finite residuals (≤ 16 or so), where this beats
+// sort.Float64s; equal values may land in any order, which no median
+// can tell apart.
+func sortShort(a []float64) {
+	for i := 1; i < len(a); i++ {
+		v := a[i]
+		j := i
+		for ; j > 0 && a[j-1] > v; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
+	}
 }
 
 // median of a sorted non-empty slice.

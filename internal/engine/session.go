@@ -157,6 +157,7 @@ type session struct {
 	jq *sessionJournal
 
 	obs  []core.Observation // reused epoch conversion buffer
+	gobs []scenario.SatObs  // reused live-synthesis buffer
 	fobs []scenario.SatObs  // reused faulted-observation buffer
 	fev  []fault.Event      // reused per-epoch fault-event buffer
 	buf  []byte             // reused NMEA sentence buffer
@@ -261,7 +262,7 @@ func (s *session) buildSolvers() error {
 // Section 4.2 prices as the expensive case.
 func (s *session) restart() {
 	s.buildSolvers() // error impossible: the solver name was validated at construction
-	s.obs, s.fobs, s.fev, s.buf = nil, nil, nil, nil
+	s.obs, s.gobs, s.fobs, s.fev, s.buf = nil, nil, nil, nil, nil
 	s.consecFail = 0
 	if s.brkOpen {
 		s.brkOpen = false
@@ -271,8 +272,9 @@ func (s *session) restart() {
 
 // step runs one epoch end to end: obtain observations, inject faults,
 // warm-start NR to feed the clock predictor, fallback-chain solve (or
-// coast), DOP, NMEA, sink. With pregenerated epochs the whole body is
-// allocation-free in steady state.
+// coast), DOP, NMEA, sink. In steady state the whole body is
+// allocation-free, on pregenerated epochs and on live ones alike (once
+// the epoch's constellation snapshot is cached).
 func (s *session) step(i int) {
 	var ep scenario.Epoch
 	if s.pre != nil {
@@ -284,7 +286,9 @@ func (s *session) step(i int) {
 		ep = s.pre[i]
 	} else {
 		var err error
-		ep, err = s.gen.EpochAt(float64(i) * s.step_)
+		t := float64(i) * s.step_
+		s.gobs, err = s.gen.AppendEpochAt(s.gobs[:0], t)
+		ep = scenario.Epoch{T: t, Obs: s.gobs}
 		if err != nil {
 			s.m.epochErrors.Inc()
 			s.noFix(i, FixEvent{Err: err})

@@ -194,13 +194,22 @@ type ENU struct {
 // azimuth clockwise from north (radians) of the direction e. A
 // non-positive U always gives a non-positive elevation.
 func (e ENU) LookAngles() (elev, azim float64) {
-	horiz := math.Hypot(e.E, e.N)
-	elev = math.Atan2(e.U, horiz)
-	azim = math.Atan2(e.E, e.N)
+	return e.Elevation(), e.Azimuth()
+}
+
+// Elevation is LookAngles' elevation alone, for callers that test it
+// against a mask before paying for the azimuth.
+func (e ENU) Elevation() float64 {
+	return math.Atan2(e.U, math.Hypot(e.E, e.N))
+}
+
+// Azimuth is LookAngles' azimuth alone, in [0, 2π).
+func (e ENU) Azimuth() float64 {
+	azim := math.Atan2(e.E, e.N)
 	if azim < 0 {
 		azim += 2 * math.Pi
 	}
-	return elev, azim
+	return azim
 }
 
 // ToENU expresses target relative to the origin (an ECEF point) in the

@@ -267,20 +267,34 @@ func (c *Constellation) StateAt(t float64, dst *EpochState) error {
 	return nil
 }
 
+// Rotation is the Earth rotation through the angle ωe·t of an epoch
+// time t: the map Emission uses to carry inertial coordinates into the
+// reception-time ECEF frame. It depends on t alone, so a caller solving
+// every satellite of one epoch takes its sincos once.
+type Rotation struct {
+	Sin, Cos float64
+}
+
+// RotationAt returns the Earth rotation through epoch time t.
+func RotationAt(t float64) Rotation {
+	s, c := math.Sincos(geo.EarthRotationRate * t)
+	return Rotation{Sin: s, Cos: c}
+}
+
 // Emission solves the light-time equation from the cached epoch state:
 // the satellite position at t−τ expressed in the reception-time ECEF
 // frame (Sagnac correction), and the geometric range, where τ is the
-// signal travel time. The inertial position at t−τ is evaluated by a
-// second-order Taylor expansion around the epoch state (truncation error
-// ~10 nm at GPS dynamics over τ ≈ 75 ms), so the three fixed-point
-// iterations cost no Kepler solves and depend only on (state, recv) —
-// cache-shared and locally computed states give bit-identical results.
-func (st *SatState) Emission(recv geo.ECEF, t float64) (geo.ECEF, float64) {
+// signal travel time and rot = RotationAt(t) for the state's epoch time
+// t. The inertial position at t−τ is evaluated by a second-order Taylor
+// expansion around the epoch state (truncation error ~10 nm at GPS
+// dynamics over τ ≈ 75 ms), so the three fixed-point iterations cost no
+// Kepler solves and depend only on (state, recv) — cache-shared and
+// locally computed states give bit-identical results.
+func (st *SatState) Emission(recv geo.ECEF, rot Rotation) (geo.ECEF, float64) {
 	// One rotation through the full epoch time lands the inertial
 	// emission position directly in the reception-time frame. The angle
-	// does not depend on τ, so its sincos is taken once; the rotation
-	// itself is geo.RotateEarth's arithmetic.
-	sinT, cosT := math.Sincos(geo.EarthRotationRate * t)
+	// does not depend on τ; the rotation itself is geo.RotateEarth's
+	// arithmetic.
 	tau := 0.075 // initial guess ≈ orbital radius / c
 	var pos geo.ECEF
 	var dist float64
@@ -290,7 +304,7 @@ func (st *SatState) Emission(recv geo.ECEF, t float64) (geo.ECEF, float64) {
 			Y: st.PosECI.Y - st.VelECI.Y*tau + 0.5*st.AccECI.Y*tau*tau,
 			Z: st.PosECI.Z - st.VelECI.Z*tau + 0.5*st.AccECI.Z*tau*tau,
 		}
-		pos = geo.ECEF{X: cosT*p.X + sinT*p.Y, Y: -sinT*p.X + cosT*p.Y, Z: p.Z}
+		pos = geo.ECEF{X: rot.Cos*p.X + rot.Sin*p.Y, Y: -rot.Sin*p.X + rot.Cos*p.Y, Z: p.Z}
 		dist = recv.DistanceTo(pos)
 		tau = dist / geo.SpeedOfLight
 	}
@@ -322,7 +336,8 @@ func VisibleFromState(st *EpochState, receiver geo.ECEF, elevMask float64) []InV
 // the per-epoch cost is the look-angle arithmetic alone. Satellites below
 // the horizon are rejected from the frame's up component before any
 // trigonometry when the mask is positive, which is exact: their elevation
-// is never positive.
+// is never positive. The azimuth is computed only for satellites that
+// pass the mask.
 func AppendVisible(dst []InView, st *EpochState, frame *geo.ENUFrame, elevMask float64) []InView {
 	start := len(dst)
 	for i := range st.Sats {
@@ -331,11 +346,11 @@ func AppendVisible(dst []InView, st *EpochState, frame *geo.ENUFrame, elevMask f
 		if elevMask > 0 && enu.U <= 0 {
 			continue
 		}
-		elev, azim := enu.LookAngles()
+		elev := enu.Elevation()
 		if elev < elevMask {
 			continue
 		}
-		dst = append(dst, InView{Elevation: elev, Azimuth: azim, State: s})
+		dst = append(dst, InView{Elevation: elev, Azimuth: enu.Azimuth(), State: s})
 	}
 	// Insertion sort by descending elevation (lists are ~10 long).
 	out := dst[start:]

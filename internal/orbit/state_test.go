@@ -118,7 +118,7 @@ func TestEmissionMatchesExactLightTime(t *testing.T) {
 	}
 	for i := range st.Sats {
 		s := &st.Sats[i]
-		gotPos, gotDist := s.Emission(recv, tt)
+		gotPos, gotDist := s.Emission(recv, RotationAt(tt))
 
 		// Exact reference: re-propagate the orbit at each light-time
 		// iterate and rotate the emission-time ECEF position by the

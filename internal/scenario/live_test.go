@@ -45,19 +45,22 @@ func BenchmarkEpochAtLive(b *testing.B) {
 var epochSink Epoch
 
 // TestEpochAtLiveAllocs guards the live fast path: once the epoch's
-// snapshot is cached, a static station's EpochAt allocates only the
-// observation slice it returns (plus at most one spare).
+// snapshot is cached, a static station's AppendEpochAt into a reused
+// buffer allocates nothing, and EpochAt allocates only the observation
+// slice it returns.
 func TestEpochAtLiveAllocs(t *testing.T) {
 	g := liveGenerators(t, 1)[0]
-	if _, err := g.EpochAt(3600); err != nil { // warm the cache slot
-		t.Fatal(err)
-	}
-	var err error
-	allocs := testing.AllocsPerRun(200, func() { _, err = g.EpochAt(3600) })
+	buf, err := g.AppendEpochAt(nil, 3600) // warm the cache slot and the buffer
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 2 {
-		t.Errorf("live cached EpochAt makes %v allocations, want ≤ 2", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { buf, err = g.AppendEpochAt(buf[:0], 3600) }); allocs != 0 {
+		t.Errorf("live cached AppendEpochAt into a reused buffer makes %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _, err = g.EpochAt(3600) }); allocs > 1 {
+		t.Errorf("live cached EpochAt makes %v allocations, want ≤ 1", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
