@@ -77,20 +77,19 @@ type recoveryReport struct {
 // recoveryCollector accumulates per-receiver outcomes. Each receiver is
 // owned by exactly one shard, so indexing by receiver is race-free.
 type recoveryCollector struct {
-	primary string
+	primary string // FixEvent.Solver of a primary fix, set once the engine is built
 	truth   []geo.ECEF
 	first   []int // epoch of the first primary fix, -1 until seen
 	sumErr  []float64
 	fixes   []uint64
 }
 
-func newRecoveryCollector(primary string, truth []geo.ECEF) *recoveryCollector {
+func newRecoveryCollector(truth []geo.ECEF) *recoveryCollector {
 	c := &recoveryCollector{
-		primary: primary,
-		truth:   truth,
-		first:   make([]int, len(truth)),
-		sumErr:  make([]float64, len(truth)),
-		fixes:   make([]uint64, len(truth)),
+		truth:  truth,
+		first:  make([]int, len(truth)),
+		sumErr: make([]float64, len(truth)),
+		fixes:  make([]uint64, len(truth)),
 	}
 	for i := range c.first {
 		c.first[i] = -1
@@ -110,23 +109,23 @@ func (c *recoveryCollector) sink(e engine.FixEvent) {
 	c.fixes[r]++
 }
 
-// arm folds the collector into the report form.
+// arm folds the collector into the report form, over every receiver.
 func (c *recoveryCollector) arm(name string, cut int) recoveryArm {
-	a := recoveryArm{Arm: name, FirstPrimaryFix: c.first, RecoveryEpochs: -1}
+	a := recoveryArm{Arm: name, FirstPrimaryFix: c.first}
 	var sum float64
-	worst := -1
+	never := false
 	for r := range c.first {
 		a.Fixes += c.fixes[r]
 		sum += c.sumErr[r]
 		if c.first[r] < 0 {
-			worst = -1
-			break
-		}
-		if d := c.first[r] - cut; d > worst {
-			worst = d
+			never = true
+		} else if d := c.first[r] - cut; d > a.RecoveryEpochs {
+			a.RecoveryEpochs = d
 		}
 	}
-	a.RecoveryEpochs = worst
+	if never {
+		a.RecoveryEpochs = -1
+	}
 	if a.Fixes > 0 {
 		a.MeanErrorM = sum / float64(a.Fixes)
 	}
@@ -176,17 +175,17 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 	}
 	loadMs := float64(time.Since(start).Nanoseconds()) / 1e6
 
-	// The fallback-chain member name FixEvent.Solver reports for the
-	// benchSolver primary.
-	const primary = "DLG"
 	runArm := func(name string, restore *checkpoint.State) (recoveryArm, int, error) {
-		col := newRecoveryCollector(primary, truth)
+		col := newRecoveryCollector(truth)
 		c := base
 		c.Sink = col.sink
 		eng, err := engine.New(c)
 		if err != nil {
 			return recoveryArm{}, 0, err
 		}
+		// The fallback-chain member name FixEvent.Solver reports for the
+		// benchSolver primary, as the engine built it.
+		col.primary = eng.PrimarySolver()
 		restored := 0
 		if restore != nil {
 			if restored, err = eng.Restore(restore); err != nil {

@@ -743,6 +743,10 @@ func (e *Engine) ShardHealth() []ShardHealth {
 // Workers reports the resolved shard count.
 func (e *Engine) Workers() int { return len(e.shards) }
 
+// PrimarySolver is the name FixEvent.Solver reports for a fix from the
+// sessions' primary solver, Config.Solver ("DLG-fast" for "dlg").
+func (e *Engine) PrimarySolver() string { return e.sessions[0].chain.Solvers()[0].Name() }
+
 // SessionIDs reports the global receiver ids this engine hosts, in
 // construction order.
 func (e *Engine) SessionIDs() []int {
