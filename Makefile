@@ -5,14 +5,14 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (Go -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
+.PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-check bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
 
 # bench-gate compares the change with its base commit on the fixbench
 # workloads and the broadcast bytes/fix with the committed
 # BENCH_broadcast.json; refreshing that baseline (bench-broadcast) is a
 # deliberate step, not part of all, or the gate would compare the tree
 # with itself.
-all: build vet lint test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-gate
+all: build vet lint test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-check bench-gate
 
 # build, vet and test also cover the fix-pipeline benchmark, its own
 # module (fixbench/go.mod), so a change that breaks what it calls fails
@@ -57,6 +57,13 @@ bench-broadcast:
 # and default SLOs enabled, written to BENCH_quality.json.
 bench-quality:
 	$(GO) run ./cmd/gpsbench -quality -quality-json BENCH_quality.json
+
+# Committed-record check: reruns the deterministic sweeps (-quality,
+# -faults, -recovery) and requires each committed BENCH_*.json to match
+# byte for byte, the recovery record's save/load milliseconds excepted.
+# A record the code can no longer produce fails the build.
+bench-check:
+	GO="$(GO)" ./scripts/bench_check.sh
 
 # Regression gate: 5 alternating pairs of 3 s fixbench runs per
 # workload, base commit against the working tree, judged by the
