@@ -105,9 +105,10 @@ fault-determinism:
 # files and cluster handoff bodies, wire frames) or an operator (dataset
 # files in both the JSON-lines and binary formats, the -faults
 # fault-program spec and the -slo objective spec grammars), plus
-# the NMEA fixed-point formatter against strconv and the one-pass
-# GGA+RMC pair against the two sentence encoders. Each target gets
-# FUZZTIME; seed corpora and past crashers live under testdata/fuzz/.
+# the NMEA fixed-point formatter against strconv, the one-pass GGA+RMC
+# pair against the two sentence encoders and the C/N0 weight's pow10
+# against math.Pow. Each target gets FUZZTIME; seed corpora and past
+# crashers live under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadObs -fuzztime=$(FUZZTIME) ./internal/rinex/
 	$(GO) test -fuzz=FuzzReadNav -fuzztime=$(FUZZTIME) ./internal/rinex/
@@ -122,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzReadDataset -fuzztime=$(FUZZTIME) ./internal/scenario/
+	$(GO) test -fuzz=FuzzPow10 -fuzztime=$(FUZZTIME) ./internal/atmosphere/
 
 # Regenerate every table and figure of the paper at full 24 h × 1 Hz
 # scale (a few minutes), plus the ablations.
