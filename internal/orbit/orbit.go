@@ -97,8 +97,32 @@ func (e Elements) PositionECI(t float64) (geo.ECEF, error) {
 // Kepler-solver tolerance. Position arithmetic is identical to the
 // historical PositionECI, so positions are bit-identical to it.
 func (e Elements) StateECI(t float64) (pos, vel geo.ECEF, err error) {
+	return e.stateECI(e.terms(), t)
+}
+
+// orbitTerms are the time-independent factors of StateECI's formula:
+// the mean motion, the inclination's sine and cosine, and √(1−e²). A
+// Constellation keeps them per satellite, so propagating an epoch pays
+// for none of them.
+type orbitTerms struct {
+	n, sinI, cosI, sqrt1e2 float64
+}
+
+// terms computes e's orbitTerms.
+func (e Elements) terms() orbitTerms {
+	sinI, cosI := math.Sincos(e.Inclination)
+	return orbitTerms{
+		n:       e.MeanMotion(),
+		sinI:    sinI,
+		cosI:    cosI,
+		sqrt1e2: math.Sqrt(1 - e.Eccentricity*e.Eccentricity),
+	}
+}
+
+// stateECI is StateECI with e's orbitTerms k already computed.
+func (e Elements) stateECI(k orbitTerms, t float64) (pos, vel geo.ECEF, err error) {
 	dt := t - e.Toe
-	n := e.MeanMotion()
+	n := k.n
 	m := e.MeanAnomaly + n*dt
 	ecc := e.Eccentricity
 	ea, err := SolveKepler(m, ecc)
@@ -107,7 +131,7 @@ func (e Elements) StateECI(t float64) (pos, vel geo.ECEF, err error) {
 	}
 	sinE, cosE := math.Sincos(ea)
 	// True anomaly.
-	nu := math.Atan2(math.Sqrt(1-ecc*ecc)*sinE, cosE-ecc)
+	nu := math.Atan2(k.sqrt1e2*sinE, cosE-ecc)
 	// Argument of latitude and orbital radius.
 	phi := nu + e.ArgPerigee
 	r := e.SemiMajorAxis * (1 - ecc*cosE)
@@ -116,7 +140,7 @@ func (e Elements) StateECI(t float64) (pos, vel geo.ECEF, err error) {
 	// Node at time t (inertial: no Earth-rotation term).
 	omega := e.RAAN + e.RAANRate*dt
 	sinO, cosO := math.Sincos(omega)
-	sinI, cosI := math.Sincos(e.Inclination)
+	sinI, cosI := k.sinI, k.cosI
 	pos = geo.ECEF{
 		X: xo*cosO - yo*cosI*sinO,
 		Y: xo*sinO + yo*cosI*cosO,
@@ -126,7 +150,7 @@ func (e Elements) StateECI(t float64) (pos, vel geo.ECEF, err error) {
 	// radial and argument-of-latitude rates.
 	eDot := n / (1 - ecc*cosE)
 	rDot := e.SemiMajorAxis * ecc * sinE * eDot
-	phiDot := eDot * math.Sqrt(1-ecc*ecc) / (1 - ecc*cosE)
+	phiDot := eDot * k.sqrt1e2 / (1 - ecc*cosE)
 	xoDot := rDot*cosPhi - yo*phiDot
 	yoDot := rDot*sinPhi + xo*phiDot
 	// Rotate the in-plane velocity through the node, then add the nodal
@@ -160,16 +184,27 @@ type Satellite struct {
 	ClockAF1 float64 // clock drift, s/s
 }
 
-// Constellation is a set of satellites.
+// Constellation is a set of satellites, each with its orbit's
+// time-independent terms.
 type Constellation struct {
-	sats []Satellite
+	sats  []Satellite
+	terms []orbitTerms // terms[i] belongs to sats[i]
 }
 
 // NewConstellation builds a constellation from explicit satellites.
 func NewConstellation(sats []Satellite) *Constellation {
 	owned := make([]Satellite, len(sats))
 	copy(owned, sats)
-	return &Constellation{sats: owned}
+	return newConstellation(owned)
+}
+
+// newConstellation wraps sats, which it takes ownership of.
+func newConstellation(sats []Satellite) *Constellation {
+	terms := make([]orbitTerms, len(sats))
+	for i := range sats {
+		terms[i] = sats[i].Orbit.terms()
+	}
+	return &Constellation{sats: sats, terms: terms}
 }
 
 // DefaultConstellation returns a 31-satellite GPS constellation in 6
@@ -208,7 +243,7 @@ func DefaultConstellation() *Constellation {
 			idx++
 		}
 	}
-	return &Constellation{sats: sats}
+	return newConstellation(sats)
 }
 
 // Satellites returns a copy of the satellite list.
@@ -245,12 +280,16 @@ type EpochState struct {
 // StateAt propagates every satellite to time t into dst, reusing dst's
 // backing storage. A propagation failure (invalid elements) aborts with
 // the offending PRN in the error — no satellite is ever silently skipped
-// or zero-filled.
+// or zero-filled. Each satellite's orbit terms come from the
+// constellation and the Earth rotation is taken once for the epoch; the
+// arithmetic is StateECI's and geo.RotateEarth's, so the states are
+// bit-identical to propagating each satellite on its own.
 func (c *Constellation) StateAt(t float64, dst *EpochState) error {
 	dst.T = t
 	dst.Sats = dst.Sats[:0]
-	for _, s := range c.sats {
-		eci, vel, err := s.Orbit.StateECI(t)
+	rot := RotationAt(t)
+	for i, s := range c.sats {
+		eci, vel, err := s.Orbit.stateECI(c.terms[i], t)
 		if err != nil {
 			return fmt.Errorf("orbit: PRN %d at t=%v: %w", s.PRN, t, err)
 		}
@@ -258,7 +297,7 @@ func (c *Constellation) StateAt(t float64, dst *EpochState) error {
 		acc := eci.Scale(-geo.GM / (r * r * r))
 		dst.Sats = append(dst.Sats, SatState{
 			Sat:    s,
-			Pos:    geo.RotateEarth(eci, t),
+			Pos:    rot.apply(eci),
 			PosECI: eci,
 			VelECI: vel,
 			AccECI: acc,
@@ -279,6 +318,11 @@ type Rotation struct {
 func RotationAt(t float64) Rotation {
 	s, c := math.Sincos(geo.EarthRotationRate * t)
 	return Rotation{Sin: s, Cos: c}
+}
+
+// apply rotates p with geo.RotateEarth's arithmetic.
+func (r Rotation) apply(p geo.ECEF) geo.ECEF {
+	return geo.ECEF{X: r.Cos*p.X + r.Sin*p.Y, Y: -r.Sin*p.X + r.Cos*p.Y, Z: p.Z}
 }
 
 // Emission solves the light-time equation from the cached epoch state:
@@ -304,7 +348,7 @@ func (st *SatState) Emission(recv geo.ECEF, rot Rotation) (geo.ECEF, float64) {
 			Y: st.PosECI.Y - st.VelECI.Y*tau + 0.5*st.AccECI.Y*tau*tau,
 			Z: st.PosECI.Z - st.VelECI.Z*tau + 0.5*st.AccECI.Z*tau*tau,
 		}
-		pos = geo.ECEF{X: rot.Cos*p.X + rot.Sin*p.Y, Y: -rot.Sin*p.X + rot.Cos*p.Y, Z: p.Z}
+		pos = rot.apply(p)
 		dist = recv.DistanceTo(pos)
 		tau = dist / geo.SpeedOfLight
 	}
