@@ -328,6 +328,10 @@ type FixEncoder struct {
 	prevEpoch uint64   // epoch of the previous non-miss fix
 	prev      [4]int64 // qx qy qz qbias
 	prevHDOP  int64
+
+	// payload is the reused FIX payload buffer: AppendFrame copies it
+	// into dst, so one buffer serves every fix of the stream.
+	payload []byte
 }
 
 // AppendFix encodes f as one framed FIX, appends it to dst, and
@@ -340,14 +344,14 @@ func (e *FixEncoder) AppendFix(dst []byte, f *Fix) ([]byte, bool) {
 	if every <= 0 {
 		every = DefaultKeyframeEvery
 	}
-	p := make([]byte, 0, 48)
-	p = append(p, KindFix)
+	p := append(e.payload[:0], KindFix)
 	p = binary.AppendUvarint(p, uint64(f.Session))
 	p = binary.AppendUvarint(p, f.Epoch)
 	flags := f.flags()
 	if f.Miss {
 		p = append(p, flags, f.State, f.Solver)
 		p = binary.AppendUvarint(p, uint64(f.Sats))
+		e.payload = p
 		return AppendFrame(dst, p), false
 	}
 	q := [4]int64{quant(f.X), quant(f.Y), quant(f.Z), quant(f.ClockBias)}
@@ -370,6 +374,7 @@ func (e *FixEncoder) AppendFix(dst []byte, f *Fix) ([]byte, bool) {
 		p = binary.AppendUvarint(p, zigzag(qh-e.prevHDOP))
 	}
 	e.prev, e.prevHDOP, e.havePrev, e.prevEpoch = q, qh, true, f.Epoch
+	e.payload = p
 	return AppendFrame(dst, p), key
 }
 

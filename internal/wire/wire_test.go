@@ -74,6 +74,31 @@ func TestFixRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendFixZeroAlloc: once the encoder's payload buffer and the
+// caller's dst have grown, encoding a fix (keyframe, delta or miss)
+// allocates nothing.
+func TestAppendFixZeroAlloc(t *testing.T) {
+	enc := FixEncoder{KeyframeEvery: 16}
+	fixes := make([]Fix, 64)
+	for e := range fixes {
+		fixes[e] = synthFix(5, uint64(e))
+		if e%9 == 4 {
+			fixes[e] = Fix{Session: 5, Epoch: uint64(e), Miss: true}
+		}
+	}
+	var dst []byte
+	for i := range fixes {
+		dst, _ = enc.AppendFix(dst[:0], &fixes[i])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(fixes)-1, func() {
+		dst, _ = enc.AppendFix(dst[:0], &fixes[i%len(fixes)])
+		i++
+	}); n != 0 {
+		t.Errorf("AppendFix into a reused dst makes %v allocations, want 0", n)
+	}
+}
+
 // TestEncoderRealignsAtBlockBoundary: an encoder that starts mid-stream
 // (a handed-off session) produces byte-identical frames to the
 // uninterrupted encoder from the next keyframe block on — and exactly
