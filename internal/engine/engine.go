@@ -355,6 +355,9 @@ func New(cfg Config) (*Engine, error) {
 		e.sessions[idx] = s
 		sh.sessions = append(sh.sessions, s)
 	}
+	for _, sh := range e.shards {
+		sh.groupSkies()
+	}
 	if cfg.Quality != nil {
 		qc := cfg.Quality.withDefaults()
 		e.qcfg = &qc
@@ -406,27 +409,43 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// groupSkies gives each set of the shard's sessions whose generators
+// share a sky key (receivers at one station) one sky slot, so the
+// station's sky is built once per epoch and shard, not once per session.
+func (sh *shard) groupSkies() {
+	slots := make(map[scenario.SkyKey]*skySlot)
+	for _, s := range sh.sessions {
+		k := s.gen.SkyKey()
+		if slots[k] == nil {
+			slots[k] = &skySlot{}
+		}
+		s.sky = slots[k]
+	}
+}
+
 // Pregenerate computes and caches epochs [0, n) for every session, so a
 // subsequent run measures only the fix path (solve, DOP, NMEA), not
 // scenario generation. Benchmarks use it; serving does not need it. The
 // loop is epoch-outer so all sessions generate a given epoch back to
 // back: with the shared epoch cache that is one constellation propagation
 // per epoch total (session-outer order would wrap the snapshot ring
-// between sessions and evict every epoch before its next reader).
+// between sessions and evict every epoch before its next reader), and
+// each shard's sky slots build one sky per station and epoch.
 func (e *Engine) Pregenerate(n int) error {
 	for _, s := range e.sessions {
 		s.pre = make([]scenario.Epoch, n)
 	}
 	for i := 0; i < n; i++ {
 		for _, s := range e.sessions {
-			ep, err := s.gen.EpochAt(float64(i) * s.step_)
+			t := float64(i) * s.step_
+			obs, err := s.appendLive(nil, i, t)
 			if err != nil {
 				for _, s2 := range e.sessions {
 					s2.pre = nil
 				}
 				return fmt.Errorf("engine: receiver %d epoch %d: %w", s.recv, i, err)
 			}
-			s.pre[i] = ep
+			s.pre[i] = scenario.Epoch{T: t, Obs: obs}
 		}
 	}
 	return nil
@@ -565,7 +584,7 @@ func (sh *shard) run(ctx context.Context) {
 				// One propagation covers every session on the shard for
 				// this epoch (and, ring permitting, the other shards').
 				// Errors are not dropped: a failed snapshot resurfaces
-				// from each session's own EpochAt as an epoch error.
+				// from each session's SkyAt as an epoch error.
 				_, _ = sh.cache.At(i)
 			}
 			for _, s := range sh.sessions {

@@ -98,6 +98,7 @@ type session struct {
 	station string  // scenario station ID, echoed into checkpoints
 
 	gen    *scenario.Generator
+	sky    *skySlot        // the shard's sky of this session's station
 	inj    *fault.Injector // nil when the run is fault-free
 	pred   clock.Predictor
 	warm   *core.NRSolver // feeds the predictor, warm-started from warmGuess
@@ -287,7 +288,7 @@ func (s *session) step(i int) {
 	} else {
 		var err error
 		t := float64(i) * s.step_
-		s.gobs, err = s.gen.AppendEpochAt(s.gobs[:0], t)
+		s.gobs, err = s.appendLive(s.gobs[:0], i, t)
 		ep = scenario.Epoch{T: t, Obs: s.gobs}
 		if err != nil {
 			s.m.epochErrors.Inc()
@@ -427,6 +428,32 @@ func (s *session) step(i int) {
 		State: s.state, Quality: fq, Faults: fev,
 		GGA: buf[:ggaLen], RMC: buf[ggaLen:],
 	})
+}
+
+// skySlot is the sky that the sessions of one shard whose generators
+// share a scenario.SkyKey (receivers at the same station) read at each
+// epoch. The shard goroutine owns it, so it needs no lock.
+type skySlot struct {
+	sky   scenario.Sky
+	epoch int
+	valid bool // sky holds one complete SkyAt for epoch
+}
+
+// appendLive appends epoch i's observations, at receiver time t, to dst:
+// the session's own terms over its slot's sky. The first session of the
+// group to reach epoch i builds the sky; the slot turns valid only once
+// SkyAt has returned, so an error or a panic inside it leaves the next
+// session to build it again rather than read a torn sky.
+func (s *session) appendLive(dst []scenario.SatObs, i int, t float64) ([]scenario.SatObs, error) {
+	sl := s.sky
+	if !sl.valid || sl.epoch != i {
+		sl.valid = false
+		if err := s.gen.SkyAt(&sl.sky, t); err != nil {
+			return dst, err
+		}
+		sl.epoch, sl.valid = i, true
+	}
+	return s.gen.AppendFromSky(dst, &sl.sky)
 }
 
 // coastOrFail handles an epoch no solver could fix. With a previous good
