@@ -5,7 +5,7 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (Go -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-check bench-gate bench-journal determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
+.PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-check bench-gate determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
 
 # bench-gate compares the change with its base commit on the fixbench
 # workloads and the broadcast bytes/fix with the committed
@@ -71,11 +71,6 @@ bench-check:
 # files differ from it, else HEAD~1); plus the broadcast bytes/fix gate.
 bench-gate:
 	GO="$(GO)" ./scripts/bench_gate.sh
-
-# Flight-journal overhead: paired journal-off/on engine runs (median of
-# interleaved trials), written to BENCH_journal.json. Budget: < 5%.
-bench-journal:
-	$(GO) run ./cmd/gpsbench -journal -journal-json BENCH_journal.json
 
 # Degradation curve under the composite fault program: accuracy rate η
 # and availability vs fault intensity, written to BENCH_faults.json.

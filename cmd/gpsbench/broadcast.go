@@ -1,15 +1,17 @@
 // Broadcast fan-out mode: -broadcast compares the two serving
-// encodings the repo ships — NMEA text (one GGA+RMC pair per fix,
-// re-materialized per epoch the way the TCP broadcaster serves it) and
-// the binary delta-encoded wire protocol (encode once per epoch into a
-// shared buffer, write the same frame to every subscriber) — across a
-// sweep of subscriber counts. The fix set is produced once by a real
-// engine run, so both arms serve byte-for-byte the same epochs; the
-// timed loops then do exactly the per-epoch serving work: materialize
-// the payload, then copy it into every client's buffer. Reported per
-// arm × client count: delivered fixes/sec and payload bytes/sec, plus
-// the bytes-per-fix ratio the delta encoding buys. -broadcast-json
-// writes the sweep as BENCH_broadcast.json for regression tracking.
+// encodings wire.Hub fans out — NMEA text (each fix's GGA+RMC pair with
+// its CRLFs, copied once into a buffer every text subscriber shares)
+// and the binary delta-encoded wire protocol (each session encoded once
+// per epoch by its own encoder, the same frame written to every
+// subscriber) — across a sweep of subscriber counts. The fix set is
+// produced once by a real engine run, so both arms serve byte-for-byte
+// the same epochs; the timed loops then do exactly the per-epoch
+// serving work: materialize the payload, then copy it into every
+// client's buffer. Reported per arm × client count: delivered fixes/sec
+// and payload bytes/sec, plus the bytes-per-fix ratio the delta
+// encoding buys. The byte counts are the hub's own, so they are exact
+// for a seed; the rates are timer noise. -broadcast-json writes the
+// sweep as BENCH_broadcast.json for regression tracking.
 package main
 
 import (
@@ -103,10 +105,10 @@ func collectBroadcastEvents(cfg broadcastBenchConfig) ([]broadcastEvent, error) 
 }
 
 // benchBroadcastArm times one (arm, clients) cell: per event,
-// materialize the payload the way that serving path does, then copy it
-// into every client's buffer. The per-client copy is the fan-out cost
-// both paths share; the arms differ in what gets materialized (two
-// fresh text strings vs one delta frame in a reused buffer) and in how
+// materialize the payload the way wire.Hub does, then copy it into
+// every client's buffer. The per-client copy is the fan-out cost both
+// paths share; the arms differ in what gets materialized (one fresh
+// text buffer vs one delta frame from the session's encoder) and in how
 // many bytes each client must absorb.
 func benchBroadcastArm(arm string, events []broadcastEvent, clients int) broadcastPoint {
 	pt := broadcastPoint{Arm: arm, Clients: clients}
@@ -114,7 +116,7 @@ func benchBroadcastArm(arm string, events []broadcastEvent, clients int) broadca
 	// into it models the per-subscriber queue/socket write.
 	maxPayload := 0
 	for _, ev := range events {
-		if n := len(ev.gga) + len(ev.rmc); n > maxPayload {
+		if n := len(ev.gga) + len(ev.rmc) + 4; n > maxPayload {
 			maxPayload = n
 		}
 	}
@@ -130,23 +132,30 @@ func benchBroadcastArm(arm string, events []broadcastEvent, clients int) broadca
 	switch arm {
 	case "nmea":
 		for _, ev := range events {
-			// The text broadcaster re-materializes each sentence as a
-			// string before enqueueing it (one alloc per sentence).
-			gga, rmc := string(ev.gga), string(ev.rmc)
-			n := len(gga) + len(rmc)
+			// One buffer per fix, shared by every text subscriber.
+			buf := make([]byte, 0, len(ev.gga)+len(ev.rmc)+4)
+			buf = append(append(buf, ev.gga...), '\r', '\n')
+			buf = append(append(buf, ev.rmc...), '\r', '\n')
 			for _, slab := range slabs {
-				copy(slab, gga)
-				copy(slab[len(gga):], rmc)
+				copy(slab, buf)
 			}
-			payload += uint64(n) * uint64(clients)
+			payload += uint64(len(buf)) * uint64(clients)
 		}
 	case "wire":
-		enc := &wire.FixEncoder{}
+		// Each session's delta chain has its own encoder, as in the hub,
+		// so the frames do not depend on how shards interleaved.
+		encs := map[int]*wire.FixEncoder{}
 		var buf []byte
 		for i := range events {
+			f := &events[i].fix
+			enc := encs[f.Session]
+			if enc == nil {
+				enc = &wire.FixEncoder{}
+				encs[f.Session] = enc
+			}
 			// Encode once into the shared buffer; every subscriber gets
 			// the same frame bytes.
-			buf, _ = enc.AppendFix(buf[:0], &events[i].fix)
+			buf, _ = enc.AppendFix(buf[:0], f)
 			for _, slab := range slabs {
 				copy(slab, buf)
 			}

@@ -67,8 +67,6 @@ func run(args []string) error {
 		qualityJSON     = fs.String("quality-json", "BENCH_quality.json", "write the -quality sweep as JSON to this file (empty disables)")
 		recoveryOn      = fs.Bool("recovery", false, "run the checkpoint-recovery benchmark (cold NR re-warm-up vs restored clock calibration)")
 		recoveryJSON    = fs.String("recovery-json", "BENCH_recovery.json", "write the -recovery comparison as JSON to this file (empty disables)")
-		journalOn       = fs.Bool("journal", false, "run the flight-journal overhead benchmark (engine throughput with journaling off vs on)")
-		journalJSON     = fs.String("journal-json", "BENCH_journal.json", "write the -journal overhead comparison as JSON to this file (empty disables)")
 		broadcastOn     = fs.Bool("broadcast", false, "run the serving fan-out benchmark (NMEA text vs binary delta frames across subscriber counts)")
 		broadcastTrials = fs.Int("broadcast-trials", 5, "runs per (arm, clients) cell for -broadcast; the fastest is kept")
 		broadcastJSON   = fs.String("broadcast-json", "BENCH_broadcast.json", "write the -broadcast sweep as JSON to this file (empty disables)")
@@ -98,14 +96,6 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if *journalOn {
-		if err := runJournalBench(journalBenchConfig{
-			receivers: 8, epochs: 2000, warmup: 300, trials: 5,
-			seed: *seed, jsonPath: *journalJSON,
-		}); err != nil {
-			return err
-		}
-	}
 	if *broadcastOn {
 		if err := runBroadcastBench(broadcastBenchConfig{
 			receivers: 4, epochs: 1500, clients: []int{1, 4, 16, 64},
@@ -114,7 +104,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if *fig == "" && *ablation == "" && !*faultsOn && !*recoveryOn && !*qualityOn && !*journalOn && !*broadcastOn {
+	if *fig == "" && *ablation == "" && !*faultsOn && !*recoveryOn && !*qualityOn && !*broadcastOn {
 		*fig = "all"
 	}
 	cfg := benchConfig{duration: *duration, step: *step, seed: *seed, epochs: *epochs, plot: *plot, csvDir: *csvDir}

@@ -23,6 +23,10 @@ import (
 	"gpsdl/internal/scenario"
 )
 
+// benchSolver is the recovery benchmark's primary solver: the paper's
+// headline algorithm.
+const benchSolver = "dlg"
+
 // recoveryBenchConfig sizes the -recovery benchmark.
 type recoveryBenchConfig struct {
 	receivers int

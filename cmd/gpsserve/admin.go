@@ -1,5 +1,5 @@
 // Admin HTTP endpoint: /metrics (Prometheus text format), /healthz
-// (liveness with last-fix age, broadcaster backpressure and the engine's
+// (liveness with last-fix age, NMEA client backpressure and the engine's
 // shard census), /debug/status, /debug/incidents, and /debug/pprof/* for
 // live profiling. Enabled with -admin addr; everything is stdlib-only.
 package main
@@ -12,12 +12,27 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"gpsdl/internal/cluster"
 	"gpsdl/internal/engine"
 	"gpsdl/internal/telemetry"
+	"gpsdl/internal/wire"
+)
+
+// Metric names exported by gpsserve around the engine: the NMEA client
+// families (mirrored from the hub's text stream) and the epoch loop.
+const (
+	metricClients          = "gpsserve_clients"
+	metricConnects         = "gpsserve_connects_total"
+	metricDrops            = "gpsserve_drops_total"
+	metricSentences        = "gpsserve_sentences_total"
+	metricSentencesDropped = "gpsserve_sentences_dropped_total"
+	metricEpochs           = "gpsserve_epochs_total"
+	metricFixes            = "gpsserve_fixes_total"
+	metricHDOP             = "gpsserve_hdop"
 )
 
 // health tracks epoch-loop liveness for /healthz: how many epochs have
@@ -36,10 +51,10 @@ type health struct {
 	fixes  *telemetry.Counter
 	hdop   *telemetry.Gauge
 
-	// b, when non-nil, contributes broadcaster backpressure (current
+	// hub, when non-nil, contributes NMEA client backpressure (current
 	// client count and cumulative drops) to the health JSON, so a
-	// degraded broadcaster is visible without scraping /metrics.
-	b *Broadcaster
+	// degraded fan-out is visible without scraping /metrics.
+	hub *wire.Hub
 
 	// shards, when non-nil, contributes the engine's per-shard
 	// session-state census so /healthz shows which shards are degraded
@@ -66,14 +81,14 @@ type health struct {
 
 // newHealth returns a tracker whose instruments are registered in reg
 // (nil reg leaves them disabled; liveness still works).
-func newHealth(reg *telemetry.Registry, maxAge time.Duration, b *Broadcaster) *health {
+func newHealth(reg *telemetry.Registry, maxAge time.Duration, hub *wire.Hub) *health {
 	return &health{
 		maxAge:  maxAge,
 		started: time.Now(),
 		epochs:  reg.Counter(metricEpochs, "Epochs pulled from the observation source."),
 		fixes:   reg.Counter(metricFixes, "Epochs that produced a broadcast fix."),
 		hdop:    reg.Gauge(metricHDOP, "HDOP of the most recent fix."),
-		b:       b,
+		hub:     hub,
 	}
 }
 
@@ -134,7 +149,7 @@ type healthStatus struct {
 	Epochs            uint64  `json:"epochs"`
 	Fixes             uint64  `json:"fixes"`
 	LastFixAgeSeconds float64 `json:"last_fix_age_seconds"` // -1 before the first fix
-	// Clients and Drops expose broadcaster backpressure: connected NMEA
+	// Clients and Drops expose fan-out backpressure: connected NMEA
 	// clients right now, and cumulative disconnections for any reason.
 	Clients int    `json:"clients"`
 	Drops   uint64 `json:"drops"`
@@ -177,10 +192,11 @@ func (h *health) status() (healthStatus, int) {
 		LastFixAgeSeconds: -1,
 		Draining:          h.draining.Load(),
 	}
-	if h.b != nil {
+	if h.hub != nil {
 		// One locked snapshot keeps clients and drops mutually
 		// consistent (connects − drops == clients).
-		s.Clients, _, s.Drops = h.b.Stats()
+		ts := h.hub.TextStats()
+		s.Clients, s.Drops = ts.Clients, ts.Drops[0]+ts.Drops[1]+ts.Drops[2]
 	}
 	if h.shards != nil {
 		s.Shards = h.shards()
@@ -230,7 +246,7 @@ func (h *health) handler(w http.ResponseWriter, _ *http.Request) {
 // then serves liveness without the quality/SLO block).
 func newAdminMux(st *serverTelemetry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Handler(st.reg))
+	mux.Handle("/metrics", st.metricsHandler())
 	mux.HandleFunc("/healthz", st.health.handler)
 	mux.HandleFunc("/debug/status", st.statusHandler)
 	mux.HandleFunc("/debug/incidents", st.incidentsHandler)
@@ -258,34 +274,89 @@ func serveAdmin(ctx context.Context, ln net.Listener, handler http.Handler, log 
 }
 
 // serverTelemetry is gpsserve's instrument set around the engine: the
-// registry, the health tracker, and the engine, incident capturer and
-// cluster node the admin routes report on.
+// registry, the health tracker, the hub every fix fans out through, and
+// the engine, incident capturer and cluster node the admin routes
+// report on.
 type serverTelemetry struct {
 	reg    *telemetry.Registry
 	health *health
+	hub    *wire.Hub
+	text   *textFamilies
 	eng    *engine.Engine
 	inc    *incidentCapturer // with -incident-dir; nil otherwise
 	node   *cluster.Node     // cluster serving tier (-wire); nil otherwise
 }
 
 // newServerTelemetry registers gpsserve's own instruments in reg — build
-// info, the broadcaster's connection families and the liveness tracker —
-// so run() and the admin tests expose identical families from startup.
-// logs may be nil (silent). The engine, capturer and node are attached
-// by the caller once built.
-func newServerTelemetry(reg *telemetry.Registry, b *Broadcaster, logs *telemetry.Logging, fixMaxAge time.Duration) *serverTelemetry {
+// info, the NMEA client families and the liveness tracker — so run()
+// and the admin tests expose identical families from startup. The
+// engine, capturer and node are attached by the caller once built.
+func newServerTelemetry(reg *telemetry.Registry, hub *wire.Hub, fixMaxAge time.Duration) *serverTelemetry {
 	telemetry.RegisterBuildInfo(reg)
-	b.Metrics = NewBroadcasterMetrics(reg)
-	b.Logger = logs.Component("broadcaster")
-	return &serverTelemetry{reg: reg, health: newHealth(reg, fixMaxAge, b)}
+	return &serverTelemetry{
+		reg: reg, health: newHealth(reg, fixMaxAge, hub), hub: hub, text: newTextFamilies(reg),
+	}
 }
 
-// sink is the engine's FixSink: each fix event feeds liveness, the wire
-// hub (with -wire) and the NMEA broadcaster. It runs on shard
-// goroutines; health counters are atomic and Broadcast locks
-// internally, so no extra synchronization is needed. GGA/RMC must be
-// copied (string conversion does) before the callback returns.
-func (st *serverTelemetry) sink(b *Broadcaster) engine.FixSink {
+// textFamilies are the gpsserve_* NMEA client families. The hub owns
+// the counts; each scrape copies one TextStats snapshot into them.
+type textFamilies struct {
+	mu        sync.Mutex
+	clients   *telemetry.Gauge
+	connects  *telemetry.Counter
+	drops     [3]*telemetry.Counter // indexed like wire.TextStats.Drops
+	sentences *telemetry.Counter
+	shed      *telemetry.Counter
+}
+
+func newTextFamilies(reg *telemetry.Registry) *textFamilies {
+	reason := func(v string) telemetry.Label { return telemetry.Label{Key: "reason", Value: v} }
+	const dropHelp = "Client disconnections by reason."
+	f := &textFamilies{
+		clients:   reg.Gauge(metricClients, "Currently connected NMEA clients."),
+		connects:  reg.Counter(metricConnects, "Accepted client connections."),
+		sentences: reg.Counter(metricSentences, "NMEA sentences fanned out to clients (two per fix)."),
+		shed: reg.Counter(metricSentencesDropped,
+			"Sentences discarded oldest-first from stalled clients' queues (two per fix)."),
+	}
+	f.drops[wire.DropSlow] = reg.Counter(metricDrops, dropHelp, reason("slow"))
+	f.drops[wire.DropWrite] = reg.Counter(metricDrops, dropHelp, reason("write"))
+	f.drops[wire.DropShutdown] = reg.Counter(metricDrops, dropHelp, reason("shutdown"))
+	return f
+}
+
+// update raises every family to snapshot s; the hub's counts only grow.
+func (f *textFamilies) update(s wire.TextStats) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	raise := func(c *telemetry.Counter, v uint64) { c.Add(v - c.Value()) }
+	f.clients.Set(float64(s.Clients))
+	raise(f.connects, s.Connects)
+	for i, c := range f.drops {
+		raise(c, s.Drops[i])
+	}
+	raise(f.sentences, 2*s.Fixes)
+	raise(f.shed, 2*s.Shed)
+}
+
+// metricsHandler serves /metrics with the NMEA client families brought
+// up to date first (when a hub is attached).
+func (st *serverTelemetry) metricsHandler() http.Handler {
+	h := telemetry.Handler(st.reg)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if st.hub != nil {
+			st.text.update(st.hub.TextStats())
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// sink is the engine's FixSink: each fix event feeds liveness, the
+// binary streams (with -wire) and the NMEA text stream, all through one
+// hub. It runs on shard goroutines; health counters are atomic and the
+// hub locks internally, so no extra synchronization is needed.
+// PublishText copies GGA/RMC before the callback returns.
+func (st *serverTelemetry) sink() engine.FixSink {
 	return func(e engine.FixEvent) {
 		st.health.recordEpoch()
 		if st.node != nil {
@@ -298,8 +369,7 @@ func (st *serverTelemetry) sink(b *Broadcaster) engine.FixSink {
 			return
 		}
 		st.health.recordFix(e.HDOP)
-		b.Broadcast(string(e.GGA))
-		b.Broadcast(string(e.RMC))
+		st.hub.PublishText(e.GGA, e.RMC)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"gpsdl/internal/engine"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
+	"gpsdl/internal/wire"
 )
 
 // discardLog is a no-output logger for components under test.
@@ -31,11 +32,10 @@ func newTestTelemetry(t *testing.T, maxAge time.Duration) *serverTelemetry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroadcaster()
-	tel := newServerTelemetry(telemetry.NewRegistry(), b, nil, maxAge)
+	tel := newServerTelemetry(telemetry.NewRegistry(), wire.NewHub(wire.HubConfig{}), maxAge)
 	eng, err := engine.New(engine.Config{
 		Receivers: 1, Seed: 11, Stations: []scenario.Station{st},
-		Registry: tel.reg, Sink: tel.sink(b),
+		Registry: tel.reg, Sink: tel.sink(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,16 +228,16 @@ func TestAdminPprofRoutes(t *testing.T) {
 	}
 }
 
-// /healthz must expose broadcaster backpressure: the live client count
+// /healthz must expose NMEA client backpressure: the live client count
 // and the cumulative drop total.
 func TestHealthzBackpressure(t *testing.T) {
-	b := NewBroadcaster()
-	tel := newServerTelemetry(telemetry.NewRegistry(), b, nil, time.Hour)
-	// Register one fake client and two historical drops directly; the
-	// broadcaster lifecycle itself is covered by the server tests.
-	b.clients[nil] = nil
-	b.Metrics.SlowDrops.Inc()
-	b.Metrics.ShutdownDrops.Inc()
+	hub := wire.NewHub(wire.HubConfig{})
+	tel := newServerTelemetry(telemetry.NewRegistry(), hub, time.Hour)
+	// One attached text subscriber and two that left; the socket
+	// lifecycle itself is covered by the server tests.
+	defer hub.SubscribeText().Close()
+	hub.SubscribeText().Close()
+	hub.SubscribeText().Close()
 	tel.health.recordEpoch()
 	tel.health.recordFix(1)
 	srv := httptest.NewServer(newAdminMux(tel))

@@ -1,10 +1,11 @@
 // The serving pipeline: gpsserve always runs internal/engine's sharded
 // fix engine, with one session by default. Every receiver's GGA/RMC
-// stream is fanned out through the same broadcaster, the admin endpoint
-// serves the engine's per-shard metrics (fixes, queue depth,
-// solve-latency histograms) next to the broadcaster/health families, and
-// /healthz is fed by fix events from all receivers. -dataset serves a
-// recorded file through a one-session engine instead of live generation.
+// pair fans out through one wire.Hub, as the node-wide NMEA text stream
+// (and, with -wire, as binary frames too), the admin endpoint serves the
+// engine's per-shard metrics (fixes, queue depth, solve-latency
+// histograms) next to the NMEA client and health families, and /healthz
+// is fed by fix events from all receivers. -dataset serves a recorded
+// file through a one-session engine instead of live generation.
 package main
 
 import (
@@ -184,16 +185,6 @@ func runEngine(ctx context.Context, p engineParams) error {
 		qcfg = &engine.QualityConfig{Window: p.qualityWin, Objectives: objs}
 	}
 	reg := telemetry.NewRegistry()
-	b := NewBroadcaster()
-	// A fix is stale once ~10 epoch periods have passed without one
-	// (floored at 10 s so slow streaming rates are not declared dead).
-	maxAge := time.Duration(10 * float64(time.Second) / p.rate)
-	if maxAge < 10*time.Second {
-		maxAge = 10 * time.Second
-	}
-	tel := newServerTelemetry(reg, b, p.logs, maxAge)
-	h := tel.health
-	h.ckptPath = p.ckptPath
 	ckptEvery := 0
 	if p.ckptPath != "" {
 		ckptEvery = p.ckptEvery
@@ -209,6 +200,16 @@ func runEngine(ctx context.Context, p engineParams) error {
 		// so a handoff point always lands on a chain-restart boundary.
 		ckptEvery = p.ckptEvery
 	}
+	hub := wire.NewHub(wire.HubConfig{KeyframeEvery: ckptEvery})
+	// A fix is stale once ~10 epoch periods have passed without one
+	// (floored at 10 s so slow streaming rates are not declared dead).
+	maxAge := time.Duration(10 * float64(time.Second) / p.rate)
+	if maxAge < 10*time.Second {
+		maxAge = 10 * time.Second
+	}
+	tel := newServerTelemetry(reg, hub, maxAge)
+	h := tel.health
+	h.ckptPath = p.ckptPath
 	var jfile *os.File
 	if p.journalPath != "" {
 		jfile, err = os.Create(p.journalPath)
@@ -241,7 +242,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 		Disruption:      p.disruption,
 		Quality:         qcfg,
 		OnIncident:      onIncident,
-		Sink:            tel.sink(b),
+		Sink:            tel.sink(),
 	}
 	if len(p.sessions) > 0 {
 		ecfg.Receivers = 0
@@ -270,7 +271,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 		node = cluster.NewNode(ctx, cluster.NodeConfig{
 			Base:      ecfg,
 			Rate:      p.rate,
-			Hub:       wire.HubConfig{KeyframeEvery: ckptEvery},
+			Hub:       hub,
 			Registry:  reg,
 			Log:       p.logs.Component("cluster"),
 			OnRestore: h.recordRestore,
@@ -314,10 +315,11 @@ func runEngine(ctx context.Context, p engineParams) error {
 	if p.incidentDir != "" {
 		fmt.Printf("gpsserve: incident capture -> %s\n", p.incidentDir)
 	}
-	// The broadcaster and admin endpoint run on their own context so the
+	// The listeners and admin endpoint run on their own context so the
 	// SIGTERM drain is ordered: the engine stops first, the final
-	// checkpoint is written, queued sentences flush to well-behaved
-	// clients, and only then do connections (and /healthz) go away.
+	// checkpoint is written, binary subscribers are let go, queued
+	// sentences flush to well-behaved NMEA clients, and only then do
+	// connections (and /healthz) go away.
 	bctx, bcancel := context.WithCancel(context.Background())
 	defer bcancel()
 	if p.adminAddr != "" {
@@ -328,18 +330,19 @@ func runEngine(ctx context.Context, p engineParams) error {
 		}
 		fmt.Printf("gpsserve: admin on http://%s (/metrics /healthz /debug/status /debug/incidents)\n", bound)
 	}
+	flog := p.logs.Component("fanout")
+	srv := &wire.Server{Hub: hub, OnError: func(err error) { flog.Info("client dropped", "err", err) }}
 	if node != nil {
 		wln, err := net.Listen("tcp", p.wireAddr)
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("wire listen %s: %w", p.wireAddr, err)
 		}
-		ws := &wire.Server{Hub: node.Hub}
-		go func() { _ = ws.Serve(bctx, wln) }()
+		go func() { _ = srv.Serve(bctx, wln) }()
 		fmt.Printf("gpsserve: wire fix streams on %s (resume tokens honored)\n", wln.Addr())
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- b.Serve(bctx, ln) }()
+	go func() { serveErr <- srv.ServeText(bctx, ln) }()
 
 	// Periodic checkpointing off the engine's lock-free snapshot cells.
 	saverStop := make(chan struct{})
@@ -407,15 +410,12 @@ func runEngine(ctx context.Context, p engineParams) error {
 		}
 	}
 	h.startDrain()
-	if node != nil {
-		// Binary subscribers get their channels closed; a reconnecting
-		// client carries its resume token to the node that adopts these
-		// sessions.
-		node.Hub.Shutdown()
-	}
-	flushed := b.Flush(p.drainWait)
+	// Binary subscribers go first; a reconnecting client carries its
+	// resume token to the node that adopts these sessions.
+	hub.Shutdown()
+	flushed := hub.Flush(p.drainWait)
 	bcancel()
-	cancelErr := <-serveErr
+	serveFailed := <-serveErr
 	st := eng.Stats()
 	fmt.Printf("gpsserve: drained: batches enqueued=%d done=%d aborted=%d drained=%d conserved=%v flushed=%v\n",
 		st.BatchesEnqueued, st.BatchesDone, st.BatchesAborted, st.BatchesDrained,
@@ -423,10 +423,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 	if err != nil && ctx.Err() == nil {
 		return err
 	}
-	if cancelErr != nil && !errors.Is(cancelErr, context.Canceled) {
-		return cancelErr
-	}
-	return nil
+	return serveFailed
 }
 
 // restoreCheckpoint resumes eng from the checkpoint at path. Every

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gpsdl/internal/telemetry"
+	"gpsdl/internal/wire"
 )
 
 // healthz fetches and decodes the /healthz JSON from the admin mux.
@@ -41,42 +42,37 @@ func readLine(t *testing.T, r *bufio.Reader, c net.Conn) string {
 	return strings.TrimRight(line, "\r\n")
 }
 
-// TestBroadcasterClientLifecycle walks one client through the full
+// TestBroadcasterClientLifecycle walks one NMEA client through the full
 // lifecycle — connect → stall → drop (reason "slow") → reconnect — and
 // checks that /healthz reports the matching counters at each stage, the
-// drop-oldest policy counted shed sentences, a reconnecting client
-// receives current fixes (not the stale backlog), and that the whole
-// apparatus winds down without leaking goroutines.
+// drop-oldest policy counted shed fixes, a reconnecting client receives
+// current fixes (not the stale backlog), and that the whole apparatus
+// winds down without leaking goroutines.
 func TestBroadcasterClientLifecycle(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	reg := telemetry.NewRegistry()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroadcaster()
-	b.QueueLen = 4
-	b.DropBudget = 8 // evict a saturated client quickly
-	b.Metrics = NewBroadcasterMetrics(reg)
+	hub := wire.NewHub(wire.HubConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		_ = b.Serve(ctx, ln)
+		_ = (&wire.Server{Hub: hub}).ServeText(ctx, ln)
 	}()
-
-	h := newHealth(reg, 0, b)
-	h.recordFix(1.0) // healthz "ok" needs a recent fix
-	admin := httptest.NewServer(newAdminMux(&serverTelemetry{reg: reg, health: h}))
+	tel := newServerTelemetry(telemetry.NewRegistry(), hub, 0)
+	tel.health.recordFix(1.0) // healthz "ok" needs a recent fix
+	admin := httptest.NewServer(newAdminMux(tel))
 
 	// Stage 1: connect and receive normally.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForClients(t, b, 1)
-	b.Broadcast("$GPGGA,alive*00")
+	waitForClients(t, hub, 1)
+	hub.PublishText([]byte("$GPGGA,alive*00"), []byte("$GPRMC,alive*00"))
 	if got := readLine(t, bufio.NewReader(conn), conn); got != "$GPGGA,alive*00" {
 		t.Fatalf("connected client read %q", got)
 	}
@@ -84,36 +80,30 @@ func TestBroadcasterClientLifecycle(t *testing.T) {
 		t.Fatalf("after connect: clients=%d drops=%d, want 1/0", hs.Clients, hs.Drops)
 	}
 
-	// Stage 2: stall. Stop reading and flood until the drop budget
-	// evicts the client with reason "slow". The filler is long enough
-	// that the kernel socket buffers saturate and the queue backs up.
-	long := strings.Repeat("x", 4096)
-	deadline := time.Now().Add(10 * time.Second)
-	for b.ClientCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stalled client was never dropped")
-		}
-		b.Broadcast(long)
-	}
+	// Stage 2: stall. Stop reading and flood until the client is
+	// evicted with reason "slow". The filler is long enough that the
+	// kernel socket buffers saturate and the queue backs up.
+	floodUntil(t, hub, 4096, func(s wire.TextStats) bool { return s.Clients == 0 })
 	conn.Close()
-	if v := b.Metrics.SlowDrops.Value(); v != 1 {
-		t.Errorf("slow drops = %d, want 1", v)
+	s := hub.TextStats()
+	if s.Drops[wire.DropSlow] != 1 {
+		t.Errorf("slow drops = %d, want 1", s.Drops[wire.DropSlow])
 	}
-	if v := b.Metrics.SentencesDropped.Value(); v == 0 {
-		t.Error("drop-oldest shed no sentences while the client was stalled")
+	if s.Shed == 0 {
+		t.Error("drop-oldest shed no fixes while the client was stalled")
 	}
 	if hs := healthz(t, admin.URL); hs.Clients != 0 || hs.Drops != 1 {
 		t.Fatalf("after stall drop: clients=%d drops=%d, want 0/1", hs.Clients, hs.Drops)
 	}
 
 	// Stage 3: reconnect. The fresh connection gets a fresh queue — it
-	// must receive the next broadcast, not the evicted backlog.
+	// must receive the next fix, not the evicted backlog.
 	conn2, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForClients(t, b, 1)
-	b.Broadcast("$GPGGA,back*00")
+	waitForClients(t, hub, 1)
+	hub.PublishText([]byte("$GPGGA,back*00"), []byte("$GPRMC,back*00"))
 	if got := readLine(t, bufio.NewReader(conn2), conn2); got != "$GPGGA,back*00" {
 		t.Fatalf("reconnected client read %q, want the fresh sentence", got)
 	}
@@ -121,18 +111,18 @@ func TestBroadcasterClientLifecycle(t *testing.T) {
 	if hs.Clients != 1 || hs.Drops != 1 {
 		t.Fatalf("after reconnect: clients=%d drops=%d, want 1/1", hs.Clients, hs.Drops)
 	}
-	if clients, connects, drops := b.Stats(); uint64(clients) != connects-drops {
-		t.Errorf("conservation violated: connects %d - drops %d != clients %d", connects, drops, clients)
+	if s := hub.TextStats(); uint64(s.Clients) != s.Connects-totalDrops(s) {
+		t.Errorf("conservation violated: connects %d - drops %v != clients %d", s.Connects, s.Drops, s.Clients)
 	}
 
 	// Stage 4: shutdown. Every goroutine this test started (accept
-	// loop, write loops, admin server) must exit.
+	// loop, writer loops, admin server) must exit.
 	conn2.Close()
 	cancel()
 	select {
 	case <-served:
 	case <-time.After(5 * time.Second):
-		t.Fatal("broadcaster did not shut down")
+		t.Fatal("text server did not shut down")
 	}
 	admin.Close()
 	leakDeadline := time.Now().Add(5 * time.Second)

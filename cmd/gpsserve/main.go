@@ -1,7 +1,11 @@
 // Command gpsserve streams live NMEA fixes over TCP, the way gpsd's raw
 // mode does: it runs the sharded fix engine (internal/engine) over one
-// receiver session by default, or many with -receivers, and broadcasts
-// every fix as GGA + RMC sentences to each connected client.
+// receiver session by default, or many with -receivers, and sends every
+// fix as GGA + RMC sentences to each connected client. All fan-out goes
+// through one wire.Hub: the NMEA clients are its text subscribers, and
+// with -wire the binary subscribers share it. A client that stops
+// reading sheds its oldest fixes and is then evicted; it never slows
+// the engine.
 //
 //	gpsserve -station YYR1 -solver dlg -addr 127.0.0.1:2947 -rate 10
 //	nc 127.0.0.1 2947          # watch the sentences

@@ -3,9 +3,14 @@ package main
 import (
 	"bufio"
 	"context"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,61 +18,93 @@ import (
 	"gpsdl/internal/nmea"
 	"gpsdl/internal/scenario"
 	"gpsdl/internal/telemetry"
+	"gpsdl/internal/wire"
 )
 
-// startBroadcaster spins up a broadcaster on an ephemeral port.
-func startBroadcaster(t *testing.T) (*Broadcaster, string, context.CancelFunc) {
+// startText serves a hub's NMEA text stream on an ephemeral port, the
+// way runEngine does.
+func startText(t *testing.T) (*wire.Hub, string, context.CancelFunc) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroadcaster()
+	hub := wire.NewHub(wire.HubConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = b.Serve(ctx, ln)
+		_ = (&wire.Server{Hub: hub}).ServeText(ctx, ln)
 	}()
 	t.Cleanup(func() {
 		cancel()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Error("broadcaster did not shut down")
+			t.Error("text server did not shut down")
 		}
 	})
-	return b, ln.Addr().String(), cancel
+	return hub, ln.Addr().String(), cancel
 }
 
-// waitForClients polls until the broadcaster sees n clients.
-func waitForClients(t *testing.T, b *Broadcaster, n int) {
+// waitForClients polls until the hub sees n NMEA clients.
+func waitForClients(t *testing.T, hub *wire.Hub, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for b.ClientCount() != n {
+	for hub.TextStats().Clients != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("client count %d, want %d", b.ClientCount(), n)
+			t.Fatalf("client count %d, want %d", hub.TextStats().Clients, n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-func TestBroadcastReachesAllClients(t *testing.T) {
-	b, addr, _ := startBroadcaster(t)
-	c1, err := net.Dial("tcp", addr)
+// dial connects one NMEA client and closes it at the end of the test.
+func dial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c1.Close()
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	waitForClients(t, b, 2)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
-	b.Broadcast("$GPGGA,test*00")
-	b.Broadcast("$GPRMC,test*00")
+// discard reads c until its connection dies.
+func discard(c net.Conn) {
+	buf := make([]byte, 4096)
+	for {
+		if _, err := c.Read(buf); err != nil {
+			return
+		}
+	}
+}
+
+// floodUntil publishes fixes of two n-byte sentences until cond holds,
+// failing the test after 10 s.
+func floodUntil(t *testing.T, hub *wire.Hub, n int, cond func(wire.TextStats) bool) {
+	t.Helper()
+	long := []byte(strings.Repeat("x", n))
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; !cond(hub.TextStats()); i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("condition never held: %+v", hub.TextStats())
+		}
+		hub.PublishText(long, long)
+		if i%64 == 63 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+func totalDrops(s wire.TextStats) uint64 { return s.Drops[0] + s.Drops[1] + s.Drops[2] }
+
+func TestBroadcastReachesAllClients(t *testing.T) {
+	hub, addr, _ := startText(t)
+	c1, c2 := dial(t, addr), dial(t, addr)
+	waitForClients(t, hub, 2)
+
+	hub.PublishText([]byte("$GPGGA,test*00"), []byte("$GPRMC,test*00"))
 	for i, c := range []net.Conn{c1, c2} {
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
 		r := bufio.NewReader(c)
@@ -75,53 +112,39 @@ func TestBroadcastReachesAllClients(t *testing.T) {
 		if err != nil {
 			t.Fatalf("client %d read: %v", i, err)
 		}
-		if !strings.HasPrefix(l1, "$GPGGA") {
+		if l1 != "$GPGGA,test*00\r\n" {
 			t.Errorf("client %d line 1 = %q", i, l1)
 		}
 		l2, err := r.ReadString('\n')
 		if err != nil {
 			t.Fatalf("client %d read 2: %v", i, err)
 		}
-		if !strings.HasPrefix(l2, "$GPRMC") {
+		if l2 != "$GPRMC,test*00\r\n" {
 			t.Errorf("client %d line 2 = %q", i, l2)
-		}
-		if !strings.HasSuffix(l2, "\r\n") {
-			t.Errorf("client %d missing CRLF: %q", i, l2)
 		}
 	}
 }
 
+// A client that never reads is evicted with reason "slow", after
+// drop-oldest has shed part of its backlog.
 func TestSlowClientIsDropped(t *testing.T) {
-	b, addr, _ := startBroadcaster(t)
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	hub, addr, _ := startText(t)
+	dial(t, addr) // never read
+	waitForClients(t, hub, 1)
+	floodUntil(t, hub, 1024, func(s wire.TextStats) bool { return s.Clients == 0 })
+	s := hub.TextStats()
+	if s.Drops[wire.DropSlow] != 1 || totalDrops(s) != 1 {
+		t.Errorf("drops = %v, want one slow", s.Drops)
 	}
-	defer c.Close()
-	waitForClients(t, b, 1)
-	// Never read from c; flood well past queue + socket buffers.
-	long := strings.Repeat("x", 1024)
-	for i := 0; i < 20000; i++ {
-		b.Broadcast(long)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for b.ClientCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow client was never dropped")
-		}
-		b.Broadcast(long)
-		time.Sleep(time.Millisecond)
+	if s.Shed == 0 {
+		t.Error("drop-oldest shed nothing before the eviction")
 	}
 }
 
 func TestShutdownClosesClients(t *testing.T) {
-	b, addr, cancel := startBroadcaster(t)
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	waitForClients(t, b, 1)
+	hub, addr, cancel := startText(t)
+	c := dial(t, addr)
+	waitForClients(t, hub, 1)
 	cancel()
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 1)
@@ -135,6 +158,52 @@ func TestShutdownClosesClients(t *testing.T) {
 			t.Error("post-shutdown connection served")
 		}
 		conn.Close()
+	}
+	waitForClients(t, hub, 0)
+	if s := hub.TextStats(); s.Drops[wire.DropShutdown] != 1 {
+		t.Errorf("drops = %v, want one shutdown", s.Drops)
+	}
+}
+
+// A reading loopback NMEA client keeps up with a closed-loop producer:
+// 32 receivers run flat out through gpsserve's sink, the client is
+// never evicted, and every fix drop-oldest did not shed arrives whole.
+func TestReadingClientKeepsUpWithClosedLoop(t *testing.T) {
+	hub, addr, _ := startText(t)
+	tel := newServerTelemetry(telemetry.NewRegistry(), hub, time.Hour)
+	eng, err := engine.New(engine.Config{
+		Receivers: 32, Seed: 5, Stations: scenario.Table51Stations(), Sink: tel.sink(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr)
+	waitForClients(t, hub, 1)
+	var lines atomic.Uint64
+	go func() {
+		r := bufio.NewReader(c)
+		for {
+			if _, err := r.ReadSlice('\n'); err != nil {
+				return
+			}
+			lines.Add(1)
+		}
+	}()
+	if err := eng.RunRange(context.Background(), 0, 300); err != nil {
+		t.Fatal(err)
+	}
+	hub.Flush(5 * time.Second)
+	s := hub.TextStats()
+	if s.Drops[wire.DropSlow] != 0 || s.Clients != 1 {
+		t.Fatalf("reading client evicted: %+v", s)
+	}
+	want := 2 * (s.Fixes - s.Shed)
+	deadline := time.Now().Add(5 * time.Second)
+	for lines.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := lines.Load(); got != want {
+		t.Errorf("client read %d sentences, want %d", got, want)
 	}
 }
 
@@ -454,93 +523,72 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
-// Gauge consistency: after N connects, M slow-client evictions, and
-// shutdown, ClientCount and the connection/drop counters must agree:
+// Gauge consistency: after N connects, one slow-client eviction, and
+// shutdown, the scraped gpsserve_* families must agree with each other:
 // connects − drops == clients == 0, with the slow eviction attributed
-// to the "slow" reason and the rest to "shutdown".
+// to the "slow" reason and the rest to "shutdown", and the sentence
+// counters at two per published and per shed fix.
 func TestBroadcasterGaugeConsistency(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBroadcaster()
-	b.QueueLen = 1 // tiny queue so a non-reading client evicts quickly
-	b.Metrics = NewBroadcasterMetrics(telemetry.NewRegistry())
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = b.Serve(ctx, ln)
-	}()
-	addr := ln.Addr().String()
+	hub, addr, cancel := startText(t)
+	tel := newServerTelemetry(telemetry.NewRegistry(), hub, time.Hour)
+	admin := httptest.NewServer(newAdminMux(tel))
+	defer admin.Close()
 
-	// Two well-behaved readers that drain until their connection dies.
+	// Two well-behaved readers that drain until their connection dies,
+	// and one slow client that never reads.
 	for i := 0; i < 2; i++ {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+		go discard(dial(t, addr))
+	}
+	dial(t, addr)
+	waitForClients(t, hub, 3)
+	m := scrape(t, admin.URL)
+	for _, want := range []string{"gpsserve_connects_total 3", "gpsserve_clients 3"} {
+		if !strings.Contains(m, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
 		}
-		defer c.Close()
-		go func() {
-			buf := make([]byte, 4096)
-			for {
-				if _, err := c.Read(buf); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	// One slow client that never reads.
-	slow, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	waitForClients(t, b, 3)
-	if got := b.Metrics.Connects.Value(); got != 3 {
-		t.Errorf("connects = %d, want 3", got)
-	}
-	if got := b.Metrics.Clients.Value(); got != 3 {
-		t.Errorf("clients gauge = %v, want 3", got)
 	}
 
-	// Flood until the slow client overflows its 1-line queue.
-	long := strings.Repeat("x", 1024)
-	deadline := time.Now().Add(10 * time.Second)
-	for b.ClientCount() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow client was never evicted")
-		}
-		b.Broadcast(long)
-		time.Sleep(time.Millisecond)
-	}
-	if got := b.Metrics.SlowDrops.Value(); got != 1 {
-		t.Errorf("slow drops = %d, want 1", got)
+	floodUntil(t, hub, 1024, func(s wire.TextStats) bool { return s.Drops[wire.DropSlow] > 0 })
+	if s := hub.TextStats(); s.Clients != 2 || s.Drops[wire.DropSlow] != 1 {
+		t.Fatalf("after the eviction: clients %d, drops %v; want 2 and one slow", s.Clients, s.Drops)
 	}
 
 	// Shutdown: the remaining clients drop with reason=shutdown.
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("broadcaster did not shut down")
+	waitForClients(t, hub, 0)
+	s := hub.TextStats()
+	m = scrape(t, admin.URL)
+	for _, want := range []string{
+		"gpsserve_clients 0",
+		"gpsserve_connects_total 3",
+		`gpsserve_drops_total{reason="slow"} 1`,
+		`gpsserve_drops_total{reason="shutdown"} 2`,
+		`gpsserve_drops_total{reason="write"} 0`,
+		fmt.Sprintf("gpsserve_sentences_total %d", 2*s.Fixes),
+		fmt.Sprintf("gpsserve_sentences_dropped_total %d", 2*s.Shed),
+	} {
+		if !strings.Contains(m, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
-	m := b.Metrics
-	if got := m.ShutdownDrops.Value(); got != 2 {
-		t.Errorf("shutdown drops = %d, want 2", got)
+	if s.Fixes == 0 || s.Shed == 0 {
+		t.Errorf("fixes %d, shed %d; want both counted", s.Fixes, s.Shed)
 	}
-	if b.ClientCount() != 0 {
-		t.Errorf("ClientCount = %d after shutdown", b.ClientCount())
+}
+
+// scrape fetches the admin endpoint's /metrics text.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Clients.Value(); got != 0 {
-		t.Errorf("clients gauge = %v after shutdown, want 0", got)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if connects, drops := m.Connects.Value(), m.Drops(); connects != drops {
-		t.Errorf("conservation violated: connects %d != drops %d at quiescence", connects, drops)
-	}
-	if got := m.Sentences.Value(); got == 0 {
-		t.Error("no sentences counted despite broadcasts")
-	}
+	return string(body)
 }
 
 func TestRunEmptyDataset(t *testing.T) {
@@ -563,25 +611,11 @@ func TestRunEmptyDataset(t *testing.T) {
 }
 
 // TestBroadcasterStatsConsistency churns connections while hammering
-// Stats: because every connect/drop mutates the counters under the
-// broadcaster mutex, each snapshot must satisfy the conservation law
-// connects − drops == clients even mid-churn. (Reading ClientCount and
-// Metrics.Drops separately, as healthz used to, violates this
-// transiently.)
+// TextStats: every connect and drop moves the counters under one lock,
+// so each snapshot must satisfy the conservation law
+// connects − drops == clients even mid-churn.
 func TestBroadcasterStatsConsistency(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBroadcaster()
-	b.Metrics = NewBroadcasterMetrics(telemetry.NewRegistry())
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = b.Serve(ctx, ln)
-	}()
-	addr := ln.Addr().String()
+	hub, addr, cancel := startText(t)
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
@@ -604,15 +638,18 @@ func TestBroadcasterStatsConsistency(t *testing.T) {
 			}
 		}()
 	}
+	// Publishing lets the writers notice departed clients mid-churn.
+	gga, rmc := []byte("$GPGGA,churn*00"), []byte("$GPRMC,churn*00")
 	deadline := time.Now().Add(2 * time.Second)
 	checks := 0
 	for time.Now().Before(deadline) {
-		clients, connects, drops := b.Stats()
-		if connects-drops != uint64(clients) {
+		hub.PublishText(gga, rmc)
+		s := hub.TextStats()
+		if s.Connects-totalDrops(s) != uint64(s.Clients) {
 			close(stop)
 			churn.Wait()
-			t.Fatalf("conservation violated in snapshot: connects %d − drops %d != clients %d",
-				connects, drops, clients)
+			t.Fatalf("conservation violated in snapshot: connects %d − drops %v != clients %d",
+				s.Connects, s.Drops, s.Clients)
 		}
 		checks++
 	}
@@ -622,15 +659,9 @@ func TestBroadcasterStatsConsistency(t *testing.T) {
 		t.Fatal("no snapshots taken")
 	}
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("broadcaster did not shut down")
-	}
 	// Quiescent: all churned connections eventually drop.
-	waitForClients(t, b, 0)
-	clients, connects, drops := b.Stats()
-	if clients != 0 || connects != drops {
-		t.Errorf("quiescent snapshot: clients %d, connects %d, drops %d", clients, connects, drops)
+	waitForClients(t, hub, 0)
+	if s := hub.TextStats(); s.Connects != totalDrops(s) {
+		t.Errorf("quiescent snapshot: connects %d, drops %v", s.Connects, s.Drops)
 	}
 }

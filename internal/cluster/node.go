@@ -65,8 +65,9 @@ type NodeConfig struct {
 	// Rate is the paced serving rate (epochs per second) for adopted
 	// engines; ≤ 0 means 1.
 	Rate float64
-	// Hub sizes the wire hub (keyframe cadence, replay ring, queues).
-	Hub wire.HubConfig
+	// Hub is the fan-out the node publishes into and serves from; nil
+	// builds one with default sizes.
+	Hub *wire.Hub
 	// Registry receives the node's cluster metrics; nil disables them.
 	Registry *telemetry.Registry
 	// Log, when set, receives adoption and restore events.
@@ -98,9 +99,12 @@ func NewNode(ctx context.Context, cfg NodeConfig) *Node {
 	if cfg.Rate <= 0 {
 		cfg.Rate = 1
 	}
+	if cfg.Hub == nil {
+		cfg.Hub = wire.NewHub(wire.HubConfig{})
+	}
 	reg := cfg.Registry
 	return &Node{
-		Hub: wire.NewHub(cfg.Hub),
+		Hub: cfg.Hub,
 		cfg: cfg,
 		ctx: ctx,
 		restoreFailures: reg.Counter("gps_restore_failures_total",

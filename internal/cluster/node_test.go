@@ -62,7 +62,7 @@ func startTestNode(t *testing.T, name string, ids []int, seed int64) *testNode {
 	node = NewNode(ctx, NodeConfig{
 		Base:     base,
 		Rate:     200,
-		Hub:      wire.HubConfig{KeyframeEvery: testCkptEvery},
+		Hub:      wire.NewHub(wire.HubConfig{KeyframeEvery: testCkptEvery}),
 		Registry: reg,
 		OnRestore: func(o RestoreOutcome) {
 			tn.mu.Lock()

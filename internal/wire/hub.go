@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // HubConfig sizes a Hub.
@@ -42,16 +43,19 @@ func (c HubConfig) withDefaults() HubConfig {
 	return c
 }
 
-// Hub fans encoded FIX frames out to binary subscribers. Each session
-// is encoded exactly once per epoch — the same frame buffer is stored
-// in the replay ring and queued to every subscriber — and the delta
-// chain lives here, not per client.
+// Hub owns every subscriber queue of a serving node. It fans encoded
+// FIX frames out to binary subscribers: each session is encoded exactly
+// once per epoch — the same frame buffer is stored in the replay ring
+// and queued to every subscriber — and the delta chain lives here, not
+// per client. Beside the per-session streams it carries one node-wide
+// NMEA text stream (PublishText, SubscribeText).
 type Hub struct {
 	cfg HubConfig
 
 	mu      sync.RWMutex
 	streams map[int]*stream
 	down    bool
+	text    textStream
 
 	published atomic.Uint64 // frames encoded
 	bytesOut  atomic.Uint64 // frame bytes queued to subscribers
@@ -83,22 +87,28 @@ type stream struct {
 	subs   map[*Subscriber]struct{}
 }
 
-// Subscriber is one attached binary client. Frames arrive on C in
-// publish order; the channel closes when the subscriber is evicted for
-// slowness or the Hub shuts down.
+// Subscriber is one attached client: binary (Subscribe) or NMEA text
+// (SubscribeText). Buffers arrive on C in publish order; the channel
+// closes when the subscriber is evicted for slowness, closed, or (binary
+// only) the Hub shuts down.
 type Subscriber struct {
-	// C delivers encoded frames (envelope included, ready to write).
+	// C delivers ready-to-write buffers: encoded frames (envelope
+	// included) or one fix's NMEA sentences.
 	C <-chan []byte
-	// Resume is the verdict the subscription was answered with.
+	// Resume is the verdict a binary subscription was answered with.
 	Resume Resume
 
 	ch     chan []byte
 	hub    *Hub
-	st     *stream
+	st     *stream // nil for a text subscriber
 	closed bool
 	// awaitKey: no chain start was available; skip non-miss frames
 	// until the next keyframe.
 	awaitKey bool
+	// overflow is a text subscriber's run of overflowing publishes,
+	// which began at stalled.
+	overflow int
+	stalled  time.Time
 }
 
 // HubStats is a point-in-time snapshot of Hub counters.
@@ -348,9 +358,14 @@ func (h *Hub) Subscribe(id int, ack int64) *Subscriber {
 	return sub
 }
 
-// Close detaches the subscriber. Safe to call more than once and
-// concurrently with Publish.
+// Close detaches the subscriber; a text subscriber's departure counts
+// as a DropWrite. Safe to call more than once and concurrently with
+// Publish.
 func (s *Subscriber) Close() {
+	if s.st == nil {
+		s.hub.text.drop(s, DropWrite)
+		return
+	}
 	s.st.mu.Lock()
 	if !s.closed {
 		if _, ok := s.st.subs[s]; ok {
@@ -363,8 +378,10 @@ func (s *Subscriber) Close() {
 	s.st.mu.Unlock()
 }
 
-// Shutdown closes every subscriber and makes future Subscribes answer
-// StatusUnknown on an already-closed channel.
+// Shutdown closes every binary subscriber and makes future Subscribes
+// answer StatusUnknown on an already-closed channel. Text subscribers
+// stay attached, so a graceful Flush can follow; they end with their
+// server's context.
 func (h *Hub) Shutdown() {
 	h.mu.Lock()
 	h.down = true

@@ -1,9 +1,9 @@
 #!/bin/bash
 # Smoke test for the gpsserve admin endpoint, in two phases:
 #   1. the default one-receiver server with -journal: scrape /metrics and
-#      /healthz, assert the key engine, clock and serving metric families
-#      are exposed, then stop it and require gpsinspect replay to re-solve
-#      the journal's captured epochs bit-identically
+#      /healthz, assert the key engine and clock families and every
+#      gpsserve_* family are exposed, then stop it and require gpsinspect
+#      replay to re-solve the journal's captured epochs bit-identically
 #   2. two receivers with -journal and -incident-dir: assert the flight
 #      journal and incident counters are exported
 # Exits non-zero on any miss.
@@ -60,6 +60,15 @@ for name in engine_solve_seconds engine_solve_failures_total engine_fixes_total 
     gps_clock_resets_total gpsserve_clients gpsserve_epochs_total; do
     if ! printf '%s\n' "$metrics" | grep -q "$name"; then
         echo "FAIL: /metrics missing $name"
+        status=1
+    fi
+done
+# Every gpsserve_* family, so a rename in the serving path fails here.
+for name in gpsserve_clients gpsserve_connects_total gpsserve_drops_total \
+    gpsserve_sentences_total gpsserve_sentences_dropped_total \
+    gpsserve_epochs_total gpsserve_fixes_total gpsserve_hdop; do
+    if ! printf '%s\n' "$metrics" | grep -q "^# TYPE $name "; then
+        echo "FAIL: /metrics missing the $name family"
         status=1
     fi
 done
