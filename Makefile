@@ -7,11 +7,11 @@ FUZZTIME ?= 30s
 
 .PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-check bench-gate determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
 
-# bench-gate compares the change with its base commit on the fixbench
-# workloads and the broadcast bytes/fix with the committed
-# BENCH_broadcast.json; refreshing that baseline (bench-broadcast) is a
-# deliberate step, not part of all, or the gate would compare the tree
-# with itself.
+# bench-check regenerates every committed BENCH_*.json and requires it
+# byte for byte; refreshing a record (bench-quality, bench-faults,
+# bench-recovery, bench-broadcast) is a deliberate step, not part of
+# all, or the check would compare the tree with itself. bench-gate
+# compares the change with its base commit on the fixbench workloads.
 all: build vet lint test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-check bench-gate
 
 # build, vet and test also cover the fix-pipeline benchmark, its own
@@ -45,10 +45,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Serving fan-out comparison: NMEA text vs binary delta frames across
-# subscriber counts (delivered fixes/sec, bytes/sec, bytes/fix), written
-# to BENCH_broadcast.json. The bytes-per-fix series is gated by
-# bench-gate; a frame-size growth fails the build.
+# Serving fan-out comparison: the engine's fixes published through a
+# wire.Hub, NMEA text vs binary delta frames (payload bytes and bytes
+# per fix, exact for the seed), written to BENCH_broadcast.json and
+# held to the byte by bench-check. Fan-out time is fixbench's
+# wire.publish_* layers.
 bench-broadcast:
 	$(GO) run ./cmd/gpsbench -broadcast -broadcast-json BENCH_broadcast.json
 
@@ -58,17 +59,17 @@ bench-broadcast:
 bench-quality:
 	$(GO) run ./cmd/gpsbench -quality -quality-json BENCH_quality.json
 
-# Committed-record check: reruns the deterministic sweeps (-quality,
-# -faults, -recovery) and requires each committed BENCH_*.json to match
-# byte for byte, the recovery record's save/load milliseconds excepted.
-# A record the code can no longer produce fails the build.
+# Committed-record check: reruns the sweeps behind every committed
+# record (-quality, -faults, -recovery, -broadcast) and requires each
+# BENCH_*.json to match byte for byte, with no line exempt. A record the
+# code can no longer produce fails the build.
 bench-check:
 	GO="$(GO)" ./scripts/bench_check.sh
 
 # Regression gate: 5 alternating pairs of 3 s fixbench runs per
 # workload, base commit against the working tree, judged by the
 # BENCHMARK.json end-to-end bounds (base: BASE, else HEAD when tracked
-# files differ from it, else HEAD~1); plus the broadcast bytes/fix gate.
+# files differ from it, else HEAD~1). Byte counts are bench-check's.
 bench-gate:
 	GO="$(GO)" ./scripts/bench_gate.sh
 
@@ -78,7 +79,8 @@ bench-faults:
 	$(GO) run ./cmd/gpsbench -faults
 
 # Checkpoint-recovery comparison: cold restart (NR re-warm-up) vs
-# -restore from a checkpoint, written to BENCH_recovery.json.
+# -restore from a checkpoint round-tripped through the checkpoint codec,
+# written to BENCH_recovery.json.
 bench-recovery:
 	$(GO) run ./cmd/gpsbench -recovery
 

@@ -1,38 +1,34 @@
 package main
 
-import (
-	"testing"
+import "testing"
 
-	"gpsdl/internal/wire"
-)
-
-// The -broadcast byte counts are the hub's: the wire arm's payload
-// equals wire.Hub's BytesOut with one subscriber per session, and the
-// NMEA arm's equals the bytes the hub's text stream queues, for the
-// same events.
-func TestBroadcastBytesMatchHub(t *testing.T) {
-	cfg := broadcastBenchConfig{receivers: 4, epochs: 200, seed: 2009}
-	events, err := collectBroadcastEvents(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestRunBroadcastBench: -broadcast counts bytes, not time, so two runs
+// on the same config write byte-identical JSON. Every good fix reaches
+// both arms, and the binary frames carry the fixes in at most half the
+// NMEA text's bytes, the claim the wire protocol exists for.
+func TestRunBroadcastBench(t *testing.T) {
+	const receivers, epochs = 2, 300
+	var report broadcastReport
+	decodeTwoIdenticalRuns(t, func(path string) error {
+		return runBroadcastBench(broadcastBenchConfig{
+			receivers: receivers, epochs: epochs, seed: 2009, jsonPath: path,
+		})
+	}, &report)
+	if len(report.Arms) != 2 || report.Arms[0].Arm != "nmea" || report.Arms[1].Arm != "wire" {
+		t.Fatalf("arms = %+v, want nmea then wire", report.Arms)
 	}
-
-	h := wire.NewHub(wire.HubConfig{QueueFrames: len(events)})
-	for id := 0; id < cfg.receivers; id++ {
-		h.Register(id)
-		h.Subscribe(id, -1)
+	nmea, bin := report.Arms[0], report.Arms[1]
+	for _, a := range report.Arms {
+		if want := uint64(receivers * epochs); a.Fixes != want {
+			t.Errorf("%s arm: %d fixes, want receivers × epochs = %d", a.Arm, a.Fixes, want)
+		}
 	}
-	text := h.SubscribeText()
-	var textBytes uint64
-	for i := range events {
-		h.Publish(&events[i].fix)
-		h.PublishText(events[i].gga, events[i].rmc)
-		textBytes += uint64(len(<-text.C))
+	if 2*bin.BytesPerFix > nmea.BytesPerFix {
+		t.Errorf("wire frames %.2f bytes/fix, more than half of NMEA's %.2f", bin.BytesPerFix, nmea.BytesPerFix)
 	}
-	if got, want := benchBroadcastArm("wire", events, 1).PayloadBytes, h.Stats().BytesOut; got != want {
-		t.Errorf("wire arm payload %d bytes, hub wrote %d", got, want)
-	}
-	if got := benchBroadcastArm("nmea", events, 1).PayloadBytes; got != textBytes {
-		t.Errorf("nmea arm payload %d bytes, hub queued %d", got, textBytes)
+	// Frames run about 5.8x smaller than the text here, so a doubled
+	// frame still clears the half bound; a quarter catches it.
+	if 4*bin.BytesPerFix > nmea.BytesPerFix {
+		t.Errorf("wire frames %.2f bytes/fix, more than a quarter of NMEA's %.2f", bin.BytesPerFix, nmea.BytesPerFix)
 	}
 }

@@ -53,23 +53,22 @@ type benchConfig struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("gpsbench", flag.ContinueOnError)
 	var (
-		fig             = fs.String("fig", "", "figure to reproduce: table, 5.1, 5.2 or all")
-		ablation        = fs.String("ablation", "", "ablation to run: base, clock, gls, direct, dgps, noise, selection or all")
-		duration        = fs.Float64("duration", 7200, "seconds of data per station")
-		step            = fs.Float64("step", 5, "epoch spacing in seconds")
-		seed            = fs.Int64("seed", 2009, "generation seed")
-		epochs          = fs.Int("epochs", 0, "max epochs per satellite count (0 = all)")
-		plot            = fs.Bool("plot", false, "render ASCII charts of the figure curves")
-		csvDir          = fs.String("csv", "", "also write the figure series as CSV files into this directory")
-		faultsOn        = fs.Bool("faults", false, "run the fault-degradation sweep (availability and eta vs fault intensity)")
-		faultsJSON      = fs.String("faults-json", "BENCH_faults.json", "write the -faults degradation series as JSON to this file (empty disables)")
-		qualityOn       = fs.Bool("quality", false, "run the solution-quality sweep (quality digests and SLO verdicts per solver across degradation scenarios)")
-		qualityJSON     = fs.String("quality-json", "BENCH_quality.json", "write the -quality sweep as JSON to this file (empty disables)")
-		recoveryOn      = fs.Bool("recovery", false, "run the checkpoint-recovery benchmark (cold NR re-warm-up vs restored clock calibration)")
-		recoveryJSON    = fs.String("recovery-json", "BENCH_recovery.json", "write the -recovery comparison as JSON to this file (empty disables)")
-		broadcastOn     = fs.Bool("broadcast", false, "run the serving fan-out benchmark (NMEA text vs binary delta frames across subscriber counts)")
-		broadcastTrials = fs.Int("broadcast-trials", 5, "runs per (arm, clients) cell for -broadcast; the fastest is kept")
-		broadcastJSON   = fs.String("broadcast-json", "BENCH_broadcast.json", "write the -broadcast sweep as JSON to this file (empty disables)")
+		fig           = fs.String("fig", "", "figure to reproduce: table, 5.1, 5.2 or all")
+		ablation      = fs.String("ablation", "", "ablation to run: base, clock, gls, direct, dgps, noise, selection or all")
+		duration      = fs.Float64("duration", 7200, "seconds of data per station")
+		step          = fs.Float64("step", 5, "epoch spacing in seconds")
+		seed          = fs.Int64("seed", 2009, "generation seed")
+		epochs        = fs.Int("epochs", 0, "max epochs per satellite count (0 = all)")
+		plot          = fs.Bool("plot", false, "render ASCII charts of the figure curves")
+		csvDir        = fs.String("csv", "", "also write the figure series as CSV files into this directory")
+		faultsOn      = fs.Bool("faults", false, "run the fault-degradation sweep (availability and eta vs fault intensity)")
+		faultsJSON    = fs.String("faults-json", "BENCH_faults.json", "write the -faults degradation series as JSON to this file (empty disables)")
+		qualityOn     = fs.Bool("quality", false, "run the solution-quality sweep (quality digests and SLO verdicts per solver across degradation scenarios)")
+		qualityJSON   = fs.String("quality-json", "BENCH_quality.json", "write the -quality sweep as JSON to this file (empty disables)")
+		recoveryOn    = fs.Bool("recovery", false, "run the checkpoint-recovery benchmark (cold NR re-warm-up vs restored clock calibration)")
+		recoveryJSON  = fs.String("recovery-json", "BENCH_recovery.json", "write the -recovery comparison as JSON to this file (empty disables)")
+		broadcastOn   = fs.Bool("broadcast", false, "run the serving fan-out benchmark (NMEA text vs binary delta frames, bytes per fix through a wire.Hub)")
+		broadcastJSON = fs.String("broadcast-json", "BENCH_broadcast.json", "write the -broadcast byte counts as JSON to this file (empty disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,8 +97,7 @@ func run(args []string) error {
 	}
 	if *broadcastOn {
 		if err := runBroadcastBench(broadcastBenchConfig{
-			receivers: 4, epochs: 1500, clients: []int{1, 4, 16, 64},
-			trials: *broadcastTrials, seed: *seed, jsonPath: *broadcastJSON,
+			receivers: 4, epochs: 1500, seed: *seed, jsonPath: *broadcastJSON,
 		}); err != nil {
 			return err
 		}

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,5 +132,31 @@ func TestWriteCSVLeavesEmptyRowUnmeasured(t *testing.T) {
 	}
 	if got := full[len(header)-4]; got != "100.000" {
 		t.Errorf("measured row eta_dlo_pct = %s, want 100.000 (DLO error equals NR's)", got)
+	}
+}
+
+// decodeTwoIdenticalRuns runs a benchmark twice, each writing its JSON
+// record to a fresh path, requires the two records to be byte-identical
+// (no benchmark record holds a timing) and decodes the record into v.
+func decodeTwoIdenticalRuns(t *testing.T, run func(jsonPath string) error, v any) {
+	t.Helper()
+	dir := t.TempDir()
+	var runs [2][]byte
+	for i := range runs {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+		if err := run(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = data
+	}
+	if !bytes.Equal(runs[0], runs[1]) {
+		t.Fatalf("two runs wrote different JSON:\n%s\n%s", runs[0], runs[1])
+	}
+	if err := json.Unmarshal(runs[0], v); err != nil {
+		t.Fatal(err)
 	}
 }

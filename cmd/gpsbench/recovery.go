@@ -6,15 +6,15 @@
 // the restored arm resumes from the checkpointed D and r of eq. 4-3 and
 // produces primary-solver fixes immediately. BENCH_recovery.json records
 // the recovery gap in epochs, both arms' accuracy, their ratio on the
-// eq. 5-2 scale, and the checkpoint's save/load cost.
+// eq. 5-2 scale, and the checkpoint's encoded size. The checkpoint
+// round-trips in memory through checkpoint.Encode and Decode, the codec
+// the cluster handoff uses, so every field is exact for a seed; what a
+// checkpoint costs in time is fixbench's to measure.
 package main
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"time"
 
 	"gpsdl/internal/checkpoint"
 	"gpsdl/internal/engine"
@@ -62,11 +62,8 @@ type recoveryReport struct {
 	CutEpoch  int    `json:"cut_epoch"`
 	Epochs    int    `json:"epochs"`
 	Seed      int64  `json:"seed"`
-	// Checkpoint cost: encoded size and wall-clock for the atomic save
-	// and the load+verify, measured through a real temp file.
-	CheckpointBytes  int64       `json:"checkpoint_bytes"`
-	SaveMillis       float64     `json:"save_millis"`
-	LoadMillis       float64     `json:"load_millis"`
+	// CheckpointBytes is the encoded checkpoint's size, header included.
+	CheckpointBytes  int         `json:"checkpoint_bytes"`
 	RestoredSessions int         `json:"restored_sessions"`
 	Cold             recoveryArm `json:"cold"`
 	Restored         recoveryArm `json:"restored"`
@@ -160,24 +157,14 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 	if err := serving.Run(ctx, cfg.cut); err != nil {
 		return err
 	}
-	state := serving.SnapshotFinal()
-	path := filepath.Join(os.TempDir(), fmt.Sprintf("gpsbench-recovery-%d.ckpt", os.Getpid()))
-	defer os.Remove(path)
-	start := time.Now()
-	if err := checkpoint.Save(path, state); err != nil {
-		return err
-	}
-	saveMs := float64(time.Since(start).Nanoseconds()) / 1e6
-	info, err := os.Stat(path)
+	data, err := checkpoint.Encode(serving.SnapshotFinal())
 	if err != nil {
 		return err
 	}
-	start = time.Now()
-	loaded, err := checkpoint.Load(path)
+	loaded, err := checkpoint.Decode(data)
 	if err != nil {
 		return err
 	}
-	loadMs := float64(time.Since(start).Nanoseconds()) / 1e6
 
 	runArm := func(name string, restore *checkpoint.State) (recoveryArm, int, error) {
 		col := newRecoveryCollector(truth)
@@ -217,9 +204,7 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 		CutEpoch:         cfg.cut,
 		Epochs:           cfg.epochs,
 		Seed:             cfg.seed,
-		CheckpointBytes:  info.Size(),
-		SaveMillis:       saveMs,
-		LoadMillis:       loadMs,
+		CheckpointBytes:  len(data),
 		RestoredSessions: nRestored,
 		Cold:             cold,
 		Restored:         restoredArm,
@@ -228,8 +213,8 @@ func runRecoveryBench(cfg recoveryBenchConfig) error {
 	if cold.RecoveryEpochs >= 0 && restoredArm.RecoveryEpochs >= 0 {
 		report.RecoveryAdvantageEpochs = cold.RecoveryEpochs - restoredArm.RecoveryEpochs
 	}
-	fmt.Printf("recovery: solver=%s receivers=%d cut=%d window=[%d,%d) checkpoint=%dB save=%.2fms load=%.2fms\n",
-		benchSolver, cfg.receivers, cfg.cut, cfg.cut, cfg.epochs, info.Size(), saveMs, loadMs)
+	fmt.Printf("recovery: solver=%s receivers=%d cut=%d window=[%d,%d) checkpoint=%dB\n",
+		benchSolver, cfg.receivers, cfg.cut, cfg.cut, cfg.epochs, len(data))
 	fmt.Printf("%10s %16s %12s %14s\n", "arm", "recovery_epochs", "fixes", "mean_error_m")
 	for _, a := range []recoveryArm{cold, restoredArm} {
 		fmt.Printf("%10s %16d %12d %14.3f\n", a.Arm, a.RecoveryEpochs, a.Fixes, a.MeanErrorM)

@@ -1,34 +1,25 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestRunRecoveryBench: a small -recovery run sees the cold arm re-warm
 // its predictors through the NR fallback (recovery > 0 epochs) and the
 // restored arm serve primary fixes from the cut, and both arms count
-// every receiver's fixes over the whole window.
+// every receiver's fixes over the whole window. The record holds no
+// timing, so two runs write byte-identical JSON.
 func TestRunRecoveryBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end")
 	}
 	const receivers, cut, epochs = 3, 100, 200
-	path := filepath.Join(t.TempDir(), "r.json")
-	if err := runRecoveryBench(recoveryBenchConfig{
-		receivers: receivers, cut: cut, epochs: epochs, seed: 2009, jsonPath: path,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var report recoveryReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
+	decodeTwoIdenticalRuns(t, func(path string) error {
+		return runRecoveryBench(recoveryBenchConfig{
+			receivers: receivers, cut: cut, epochs: epochs, seed: 2009, jsonPath: path,
+		})
+	}, &report)
+	if report.CheckpointBytes <= 0 {
+		t.Errorf("checkpoint_bytes = %d, want > 0", report.CheckpointBytes)
 	}
 	if report.Cold.RecoveryEpochs <= 0 {
 		t.Errorf("cold recovery_epochs = %d, want > 0", report.Cold.RecoveryEpochs)

@@ -27,8 +27,11 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+# phase names the running phase in failure messages.
+phase="setup"
+
 fail() {
-    echo "FAIL: $1"
+    echo "FAIL ($phase): $1"
     echo "--- server log ---"
     cat "$log"
     exit 1
@@ -44,7 +47,12 @@ wait_grep() {
     fail "$3 never appeared"
 }
 
+# start_server ARGS...: launch gpsserve into an emptied $log. The log is
+# emptied here, not by the backgrounded redirection, which truncates only
+# once the child runs: until then wait_grep would match the previous
+# phase's admin banner and sed would read the file as it is truncated.
 start_server() {
+    : >"$log"
     "$bin" "$@" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
         -checkpoint "$ckpt" -checkpoint-every 10 -checkpoint-interval 200ms \
         >"$log" 2>&1 &
@@ -67,6 +75,7 @@ healthz_field() {
 "$GO" build -race -o "$bin" ./cmd/gpsserve
 
 # ---- Phase 1: panic isolation + backpressure + SIGTERM drain ----------
+phase="phase 1: panic, slow client, drain"
 # Every receiver panics once at T=30 (epoch 30 at 1 s steps); the
 # supervisor must convert both panics into quarantine+restart and keep
 # the server up. The rate is high so the stalled client's kernel socket
@@ -121,6 +130,7 @@ grep -q 'gpsserve: drained: .*conserved=true' "$log" || fail "no conserved drain
 exec 3<&- 3>&- 4<&- 4>&-
 
 # ---- Phase 2: kill-and-restore ----------------------------------------
+phase="phase 2: restore"
 start_server -receivers 2 -station all -rate 500 -restore
 grep -q 'gpsserve: restored 2 sessions' "$log" || fail "restart did not restore the checkpoint"
 kill -TERM "$pid"
@@ -128,6 +138,7 @@ wait "$pid" || fail "restored server exited non-zero on SIGTERM"
 pid=
 
 # ---- Phase 3: corrupt checkpoint falls back to cold start -------------
+phase="phase 3: corrupt checkpoint"
 printf 'X' | dd of="$ckpt" bs=1 seek=12 count=1 conv=notrunc 2>/dev/null
 start_server -receivers 2 -station all -rate 500 -restore
 wait_grep "$log" 'cold start' "cold-start fallback log"
