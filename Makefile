@@ -99,9 +99,9 @@ fault-determinism:
 
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences, journals, checkpoint
-# files and cluster handoff bodies, wire frames) or an operator (dataset
-# files in both the JSON-lines and binary formats, the -faults
-# fault-program spec and the -slo objective spec grammars), plus
+# files and cluster handoff bodies, wire frames) or an operator (binary
+# dataset files, the -faults fault-program spec and the -slo objective
+# spec grammars), plus
 # the NMEA fixed-point formatter against strconv, the one-pass GGA+RMC
 # pair against the two sentence encoders and the C/N0 weight's pow10
 # against math.Pow. Each target gets FUZZTIME; seed corpora and past

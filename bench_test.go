@@ -242,7 +242,7 @@ func BenchmarkSubsystems(b *testing.B) {
 		fix := nmea.Fix{TimeOfDay: 3723.5, Pos: st.Pos.ToLLA(), Quality: nmea.QualityGPS, NumSats: 9, HDOP: 1.2}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = nmea.GGA(fix)
+			_ = string(nmea.AppendGGA(nil, fix))
 		}
 	})
 	b.Run("RAIMCheck", func(b *testing.B) {

@@ -1,13 +1,14 @@
 // Command gpsgen generates the paper's evaluation datasets (Table 5.1):
 // synthetic 24-hour observation sets for the four CORS stations, written
-// as JSON-lines datasets and/or RINEX 2.11 observation + navigation files.
+// as binary datasets (the format gpsrun and gpsserve -dataset load) or as
+// RINEX 2.11 observation + navigation files for export.
 //
 // Usage:
 //
 //	gpsgen -table                         # print Table 5.1
 //	gpsgen -station YYR1 -duration 3600   # one hour for one station
 //	gpsgen -station all -out data/        # all four stations
-//	gpsgen -station SRZN -format rinex    # RINEX obs + nav instead of JSON
+//	gpsgen -station SRZN -format rinex    # RINEX obs + nav instead
 package main
 
 import (
@@ -37,7 +38,7 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 2009, "generation seed")
 		duration = fs.Float64("duration", 86400, "dataset length in seconds (paper: 86400)")
 		step     = fs.Float64("step", 1, "epoch spacing in seconds (paper: 1)")
-		format   = fs.String("format", "json", "output format: json, bin or rinex")
+		format   = fs.String("format", "bin", "output format: bin or rinex")
 		outDir   = fs.String("out", ".", "output directory")
 		table    = fs.Bool("table", false, "print Table 5.1 and exit")
 		almanac  = fs.Bool("almanac", false, "also write the constellation as a YUMA almanac")
@@ -47,6 +48,9 @@ func run(args []string) error {
 	}
 	if *table {
 		return eval.FormatTable51(os.Stdout, scenario.Table51Stations())
+	}
+	if *format != "bin" && *format != "rinex" {
+		return fmt.Errorf("unknown format %q (want bin or rinex)", *format)
 	}
 	stations, err := resolveStations(*station)
 	if err != nil {
@@ -74,38 +78,28 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("generate %s: %w", st.ID, err)
 		}
-		switch *format {
-		case "json":
-			path := filepath.Join(*outDir, strings.ToLower(st.ID)+".jsonl")
+		if *format == "bin" {
+			path := filepath.Join(*outDir, strings.ToLower(st.ID)+".bin")
 			if err := ds.SaveFile(path); err != nil {
 				return err
 			}
 			fmt.Printf("  wrote %s (%d epochs, %d-%d satellites)\n",
 				path, ds.Len(), ds.MinSatCount(), ds.MaxSatCount())
-		case "bin":
-			path := filepath.Join(*outDir, strings.ToLower(st.ID)+".bin")
-			if err := ds.SaveBinaryFile(path); err != nil {
-				return err
-			}
-			fmt.Printf("  wrote %s (%d epochs, %d-%d satellites)\n",
-				path, ds.Len(), ds.MinSatCount(), ds.MaxSatCount())
-		case "rinex":
-			obsPath := filepath.Join(*outDir, strings.ToLower(st.ID)+".09o")
-			if err := writeFile(obsPath, func(f *os.File) error {
-				return rinex.WriteObs(f, ds)
-			}); err != nil {
-				return err
-			}
-			navPath := filepath.Join(*outDir, strings.ToLower(st.ID)+".09n")
-			if err := writeFile(navPath, func(f *os.File) error {
-				return rinex.WriteNav(f, orbit.DefaultConstellation().Satellites())
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("  wrote %s + %s (%d epochs)\n", obsPath, navPath, ds.Len())
-		default:
-			return fmt.Errorf("unknown format %q (want json, bin or rinex)", *format)
+			continue
 		}
+		obsPath := filepath.Join(*outDir, strings.ToLower(st.ID)+".09o")
+		if err := writeFile(obsPath, func(f *os.File) error {
+			return rinex.WriteObs(f, ds)
+		}); err != nil {
+			return err
+		}
+		navPath := filepath.Join(*outDir, strings.ToLower(st.ID)+".09n")
+		if err := writeFile(navPath, func(f *os.File) error {
+			return rinex.WriteNav(f, orbit.DefaultConstellation().Satellites())
+		}); err != nil {
+			return err
+		}
+		fmt.Printf("  wrote %s + %s (%d epochs)\n", obsPath, navPath, ds.Len())
 	}
 	return nil
 }

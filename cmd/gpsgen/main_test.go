@@ -16,13 +16,13 @@ func TestRunTable(t *testing.T) {
 	}
 }
 
-func TestRunGeneratesJSON(t *testing.T) {
+func TestRunGeneratesBinaryByDefault(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{"-station", "YYR1", "-duration", "30", "-out", dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := scenario.LoadFile(filepath.Join(dir, "yyr1.jsonl"))
+	ds, err := scenario.LoadFile(filepath.Join(dir, "yyr1.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestRunAllStations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"srzn", "yyr1", "fai1", "kycp"} {
-		if _, err := os.Stat(filepath.Join(dir, name+".jsonl")); err != nil {
-			t.Errorf("missing %s.jsonl: %v", name, err)
+		if _, err := os.Stat(filepath.Join(dir, name+".bin")); err != nil {
+			t.Errorf("missing %s.bin: %v", name, err)
 		}
 	}
 }
@@ -85,6 +85,7 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{"unknown station", []string{"-station", "NOPE", "-duration", "1"}},
 		{"bad format", []string{"-station", "YYR1", "-duration", "1", "-format", "xml"}},
+		{"retired json format", []string{"-station", "YYR1", "-duration", "1", "-format", "json"}},
 		{"bad flag", []string{"-bogus"}},
 	}
 	for _, tt := range tests {
@@ -120,7 +121,7 @@ func TestRunGeneratesBinary(t *testing.T) {
 	if err := run([]string{"-station", "KYCP", "-duration", "15", "-format", "bin", "-out", dir}); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := scenario.LoadBinaryFile(filepath.Join(dir, "kycp.bin"))
+	ds, err := scenario.LoadFile(filepath.Join(dir, "kycp.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}

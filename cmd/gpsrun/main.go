@@ -1,46 +1,52 @@
-// Command gpsrun processes a dataset with one positioning algorithm and
-// prints fix statistics: per-epoch error distribution, solve times, DOP.
+// Command gpsrun processes a binary dataset from gpsgen with one
+// positioning algorithm and prints fix statistics: error distribution,
+// iterations, fixes and failures. Its output is deterministic: two runs
+// on the same file print the same bytes.
 //
 // Usage:
 //
-//	gpsrun -dataset yyr1.jsonl -solver dlg
-//	gpsrun -dataset yyr1.jsonl -solver nr -sats 6 -epochs 1000
+//	gpsrun -dataset yyr1.bin -solver dlg
+//	gpsrun -dataset yyr1.bin -solver nr -sats 6 -epochs 1000
+//	gpsrun -dataset yyr1.bin -nmea 5
 //
-// To re-solve fixes captured by a running server, use gpsinspect replay
-// on its flight journal or an incident bundle.
+// -nmea N then prints the GGA/RMC sentences a one-session fix engine
+// serves over the first N epochs: the same path, and the same bytes, as
+// gpsserve -dataset. To re-solve fixes captured by a running server,
+// use gpsinspect replay on its flight journal or an incident bundle.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"gpsdl/internal/clock"
 	"gpsdl/internal/core"
+	"gpsdl/internal/engine"
 	"gpsdl/internal/eval"
 	"gpsdl/internal/fault"
-	"gpsdl/internal/geo"
-	"gpsdl/internal/nmea"
 	"gpsdl/internal/scenario"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gpsrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("gpsrun", flag.ContinueOnError)
 	var (
-		dataset   = fs.String("dataset", "", "path to a JSON-lines dataset from gpsgen (required)")
+		dataset   = fs.String("dataset", "", "path to a binary dataset from gpsgen (required)")
 		solver    = fs.String("solver", "dlg", "algorithm: nr, dlo, dlg, bancroft or trisat")
 		sats      = fs.Int("sats", 8, "satellites per epoch (4-12)")
 		epochs    = fs.Int("epochs", 0, "max epochs to process (0 = all)")
 		seed      = fs.Int64("seed", 1, "satellite-selection seed")
-		nmeaN     = fs.Int("nmea", 0, "emit NMEA GGA/RMC sentences for the first N fixes")
+		nmeaN     = fs.Int("nmea", 0, "print the fix engine's NMEA GGA/RMC sentences for the first N epochs")
 		faults    = fs.String("faults", "", "apply a fault-injection program to the dataset first, e.g. 'step:prn=7,bias=400,from=100;burst:sigma=8'")
 		faultSeed = fs.Int64("fault-seed", 1, "fault-injector seed (burst noise stream) for -faults")
 	)
@@ -50,11 +56,11 @@ func run(args []string) error {
 	if *dataset == "" {
 		return fmt.Errorf("-dataset is required")
 	}
-	ds, err := loadDataset(*dataset)
+	ds, err := scenario.LoadFile(*dataset)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dataset %s: station %s (%s clock), %d epochs, %d-%d satellites\n",
+	fmt.Fprintf(w, "dataset %s: station %s (%s clock), %d epochs, %d-%d satellites\n",
 		*dataset, ds.Station.ID, ds.Station.Clock, ds.Len(), ds.MinSatCount(), ds.MaxSatCount())
 	if *faults != "" {
 		prog, err := fault.ParseSpec(*faults)
@@ -67,18 +73,19 @@ func run(args []string) error {
 		for _, ev := range log {
 			byKind[ev.Kind.String()]++
 		}
-		fmt.Printf("faults applied: %s (seed %d): %d events", prog.String(), *faultSeed, len(log))
+		fmt.Fprintf(w, "faults applied: %s (seed %d): %d events", prog.String(), *faultSeed, len(log))
 		for _, k := range []string{"drop", "step", "ramp", "burst", "clockjump", "shrink"} {
 			if byKind[k] > 0 {
-				fmt.Printf(" %s=%d", k, byKind[k])
+				fmt.Fprintf(w, " %s=%d", k, byKind[k])
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
+	name := strings.ToLower(*solver)
 	pred := eval.DefaultPredictor(ds.Station.Clock)
 	var s core.Solver
-	switch strings.ToLower(*solver) {
+	switch name {
 	case "nr":
 		s = &core.NRSolver{}
 	case "dlo":
@@ -98,64 +105,47 @@ func run(args []string) error {
 		return err
 	}
 	st := stats[0]
-	fmt.Printf("%s over %d epochs (m=%d):\n", st.Name, st.Fixes+st.Failures, *sats)
-	fmt.Printf("  mean error      %8.3f m\n", st.MeanError)
-	fmt.Printf("  rms error       %8.3f m\n", st.RMSError)
-	fmt.Printf("  max error       %8.3f m\n", st.MaxError)
-	fmt.Printf("  mean solve time %8.0f ns\n", st.MeanNanos)
-	fmt.Printf("  mean iterations %8.2f\n", st.MeanIterations)
-	fmt.Printf("  fixes/failures  %d/%d\n", st.Fixes, st.Failures)
+	fmt.Fprintf(w, "%s over %d epochs (m=%d):\n", st.Name, st.Fixes+st.Failures, *sats)
+	fmt.Fprintf(w, "  mean error      %8.3f m\n", st.MeanError)
+	fmt.Fprintf(w, "  rms error       %8.3f m\n", st.RMSError)
+	fmt.Fprintf(w, "  max error       %8.3f m\n", st.MaxError)
+	fmt.Fprintf(w, "  mean iterations %8.2f\n", st.MeanIterations)
+	fmt.Fprintf(w, "  fixes/failures  %d/%d\n", st.Fixes, st.Failures)
 	if *nmeaN > 0 {
-		return emitNMEA(ds, s, pred, *nmeaN)
+		return printNMEA(w, ds, name, *nmeaN)
 	}
 	return nil
 }
 
-// emitNMEA streams the first n fixes as NMEA GGA + RMC sentences.
-func emitNMEA(ds *scenario.Dataset, s core.Solver, pred clock.Predictor, n int) error {
-	var nr core.NRSolver
-	emitted := 0
-	for i := range ds.Epochs {
-		if emitted >= n {
-			break
-		}
-		e := &ds.Epochs[i]
-		obs := make([]core.Observation, 0, len(e.Obs))
-		for _, o := range e.Obs {
-			obs = append(obs, core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation})
-		}
-		// Maintain the predictor for direct solvers.
-		if nrSol, err := nr.Solve(e.T, obs); err == nil {
-			pred.Observe(clock.Fix{T: e.T, Bias: nrSol.ClockBias / geo.SpeedOfLight})
-		}
-		sol, err := s.Solve(e.T, obs)
-		if err != nil {
-			continue
-		}
-		hdop := 0.0
-		if dop, err := core.DOPFromObs(sol.Pos, obs); err == nil {
-			hdop = dop.HDOP
-		}
-		fix := nmea.Fix{
-			TimeOfDay: e.T,
-			Pos:       sol.Pos.ToLLA(),
-			Quality:   nmea.QualityGPS,
-			NumSats:   len(obs),
-			HDOP:      hdop,
-		}
-		fmt.Println(nmea.GGA(fix))
-		fmt.Println(nmea.RMC(fix))
-		emitted++
+// printNMEA prints the GGA and RMC sentences of a one-session engine
+// over the first n epochs of ds, the gpsserve -dataset path: the engine
+// solves each recorded epoch through its fallback chain with RAIM and
+// the warm NR clock feed. Epochs that neither solve nor coast print
+// nothing.
+func printNMEA(w io.Writer, ds *scenario.Dataset, solver string, n int) error {
+	var out []byte
+	eng, err := engine.New(engine.Config{
+		Receivers: 1,
+		Workers:   1,
+		Solver:    solver,
+		Step:      ds.Config.Step,
+		Stations:  []scenario.Station{ds.Station},
+		Sink: func(e engine.FixEvent) {
+			if e.Err == nil {
+				out = append(append(out, e.GGA...), '\n')
+				out = append(append(out, e.RMC...), '\n')
+			}
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("-nmea: %w", err)
 	}
-	return nil
-}
-
-// loadDataset loads a dataset in either on-disk format by extension.
-func loadDataset(path string) (*scenario.Dataset, error) {
-	if strings.HasSuffix(path, ".bin") {
-		return scenario.LoadBinaryFile(path)
+	eng.Preload(ds.Epochs)
+	if err := eng.RunRange(context.Background(), 0, min(n, ds.Len())); err != nil {
+		return err
 	}
-	return scenario.LoadFile(path)
+	_, err = w.Write(out)
+	return err
 }
 
 // predictorFor returns the predictor to feed NR fixes to, or nil for

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"gpsdl/internal/checkpoint"
@@ -132,25 +131,6 @@ func resolveStations(id string) ([]scenario.Station, error) {
 	return []scenario.Station{st}, nil
 }
 
-// loadDataset loads a dataset in either on-disk format by extension and
-// rejects an empty one.
-func loadDataset(path string) (*scenario.Dataset, error) {
-	var ds *scenario.Dataset
-	var err error
-	if strings.HasSuffix(path, ".bin") {
-		ds, err = scenario.LoadBinaryFile(path)
-	} else {
-		ds, err = scenario.LoadFile(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("dataset %s has no epochs", path)
-	}
-	return ds, nil
-}
-
 // runEngine serves fixes from p.receivers concurrent sessions, paced at
 // p.rate epochs per second per receiver, until ctx ends (or, with
 // -dataset, until the recording's last epoch has been served).
@@ -162,7 +142,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 		err      error
 	)
 	if p.dataset != "" {
-		if ds, err = loadDataset(p.dataset); err != nil {
+		if ds, err = scenario.LoadFile(p.dataset); err != nil {
 			return err
 		}
 		stations, step = []scenario.Station{ds.Station}, ds.Config.Step

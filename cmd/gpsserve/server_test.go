@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -431,7 +432,7 @@ func TestServeReplayDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/fai1.bin"
-	if err := ds.SaveBinaryFile(path); err != nil {
+	if err := ds.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -500,10 +501,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad log level", []string{"-log-level", "loud"}},
 		{"bad log format", []string{"-log-format", "xml"}},
 		{"bad admin address", []string{"-addr", "127.0.0.1:0", "-admin", "256.256.256.256:99999"}},
-		{"missing dataset", []string{"-dataset", "/does/not/exist.jsonl"}},
+		{"missing dataset", []string{"-dataset", "/does/not/exist.bin"}},
 		{"bad listen address", []string{"-addr", "256.256.256.256:99999"}},
 		{"zero receivers", []string{"-receivers", "0"}},
-		{"engine with dataset", []string{"-receivers", "2", "-dataset", "/does/not/exist.jsonl"}},
+		{"engine with dataset", []string{"-receivers", "2", "-dataset", "/does/not/exist.bin"}},
 		// Unknown flags (there is no -raim or -trace*) must be rejected,
 		// never ignored.
 		{"engine with raim", []string{"-receivers", "2", "-raim"}},
@@ -602,11 +603,22 @@ func TestRunEmptyDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/empty.bin"
-	if err := ds.SaveBinaryFile(path); err != nil {
+	if err := ds.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), []string{"-dataset", path}); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+func TestRunRejectsJSONLinesDataset(t *testing.T) {
+	path := t.TempDir() + "/yyr1.jsonl"
+	if err := os.WriteFile(path, []byte(`{"station":{"id":"YYR1"},"config":{},"epochs":0}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"-dataset", path})
+	if err == nil || !strings.Contains(err.Error(), "gpsgen -format bin") {
+		t.Errorf("err = %v, want one naming gpsgen -format bin", err)
 	}
 }
 

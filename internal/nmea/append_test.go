@@ -149,10 +149,10 @@ func TestAppendMatchesSprintf(t *testing.T) {
 func TestFieldsCarrySixty(t *testing.T) {
 	wrap := Fix{TimeOfDay: 86399.999, Pos: lla(45.9999999, -122.99999999, 0)}
 	tests := []struct{ got, want string }{
-		{GGA(wrap), "$GPGGA,000000.00,4600.0000,N,12300.0000,W,0,00,0.0,0.0,M,0.0,M,,*4D"},
-		{RMC(wrap), "$GPRMC,000000.00,V,4600.0000,N,12300.0000,W,0.0,0.0,,,*34"},
-		{GGA(Fix{TimeOfDay: 119.996}), "$GPGGA,000200.00,0000.0000,N,00000.0000,E,0,00,0.0,0.0,M,0.0,M,,*5F"},
-		{GGA(Fix{TimeOfDay: 3599.999}), "$GPGGA,010000.00,0000.0000,N,00000.0000,E,0,00,0.0,0.0,M,0.0,M,,*5C"},
+		{string(AppendGGA(nil, wrap)), "$GPGGA,000000.00,4600.0000,N,12300.0000,W,0,00,0.0,0.0,M,0.0,M,,*4D"},
+		{string(AppendRMC(nil, wrap)), "$GPRMC,000000.00,V,4600.0000,N,12300.0000,W,0.0,0.0,,,*34"},
+		{string(AppendGGA(nil, Fix{TimeOfDay: 119.996})), "$GPGGA,000200.00,0000.0000,N,00000.0000,E,0,00,0.0,0.0,M,0.0,M,,*5F"},
+		{string(AppendGGA(nil, Fix{TimeOfDay: 3599.999})), "$GPGGA,010000.00,0000.0000,N,00000.0000,E,0,00,0.0,0.0,M,0.0,M,,*5C"},
 	}
 	for _, tt := range tests {
 		if tt.got != tt.want {
@@ -168,9 +168,9 @@ func TestFieldsCarrySixty(t *testing.T) {
 func TestDegenerateFields(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	tests := []struct{ got, want string }{
-		{GGA(Fix{TimeOfDay: math.NaN(), Pos: geo.LLA{Lat: math.Inf(-1), Lon: math.NaN()}, Quality: QualityGPS}),
+		{string(AppendGGA(nil, Fix{TimeOfDay: math.NaN(), Pos: geo.LLA{Lat: math.Inf(-1), Lon: math.NaN()}, Quality: QualityGPS})),
 			"$GPGGA,,,,,,1,00,0.0,0.0,M,0.0,M,,*49"},
-		{GGA(Fix{Pos: geo.LLA{Lat: negZero, Lon: negZero}, Quality: QualityGPS}),
+		{string(AppendGGA(nil, Fix{Pos: geo.LLA{Lat: negZero, Lon: negZero}, Quality: QualityGPS})),
 			"$GPGGA,000000.00,0000.0000,N,00000.0000,E,1,00,0.0,0.0,M,0.0,M,,*5C"},
 	}
 	for _, tt := range tests {

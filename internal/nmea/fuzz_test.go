@@ -34,8 +34,8 @@ func FuzzValidate(f *testing.F) {
 // fields are finite — ParseFloat legitimately accepts NaN/Inf spellings
 // the fixed-width renderer cannot reproduce.
 func FuzzParseGGA(f *testing.F) {
-	f.Add(GGA(Fix{TimeOfDay: 43210, Pos: geo.LLA{Lat: 0.84, Lon: -0.02, Alt: 35}, Quality: QualityGPS, NumSats: 8, HDOP: 1.1}))
-	f.Add(GGA(Fix{TimeOfDay: 86399.99, Pos: geo.LLA{Lat: -1.2, Lon: 3.1, Alt: -10}, Quality: QualityEstimated, NumSats: 3, HDOP: 9.9}))
+	f.Add(string(AppendGGA(nil, Fix{TimeOfDay: 43210, Pos: geo.LLA{Lat: 0.84, Lon: -0.02, Alt: 35}, Quality: QualityGPS, NumSats: 8, HDOP: 1.1})))
+	f.Add(string(AppendGGA(nil, Fix{TimeOfDay: 86399.99, Pos: geo.LLA{Lat: -1.2, Lon: 3.1, Alt: -10}, Quality: QualityEstimated, NumSats: 3, HDOP: 9.9})))
 	f.Add("$GPGGA,not,enough,fields*00")
 	f.Fuzz(func(t *testing.T, s string) {
 		fix, err := ParseGGA(s)
@@ -47,7 +47,7 @@ func FuzzParseGGA(f *testing.F) {
 				return
 			}
 		}
-		again := GGA(fix)
+		again := string(AppendGGA(nil, fix))
 		if _, err := ParseGGA(again); err != nil {
 			t.Fatalf("re-parse of re-rendered %q (from %q): %v", again, s, err)
 		}

@@ -54,12 +54,6 @@ type Fix struct {
 	CourseDeg  float64
 }
 
-// GGA renders a $GPGGA sentence.
-func GGA(f Fix) string { return string(AppendGGA(nil, f)) }
-
-// RMC renders a $GPRMC sentence.
-func RMC(f Fix) string { return string(AppendRMC(nil, f)) }
-
 // Checksum returns the XOR of all bytes of the body (between $ and *).
 func Checksum[T string | []byte](body T) byte {
 	var c byte

@@ -24,7 +24,7 @@ func sampleFix() Fix {
 }
 
 func TestGGAFormat(t *testing.T) {
-	s := GGA(sampleFix())
+	s := string(AppendGGA(nil, sampleFix()))
 	if !strings.HasPrefix(s, "$GPGGA,123456.78,") {
 		t.Errorf("GGA prefix wrong: %s", s)
 	}
@@ -37,7 +37,7 @@ func TestGGAFormat(t *testing.T) {
 }
 
 func TestRMCFormat(t *testing.T) {
-	s := RMC(sampleFix())
+	s := string(AppendRMC(nil, sampleFix()))
 	if !strings.HasPrefix(s, "$GPRMC,123456.78,A,") {
 		t.Errorf("RMC prefix wrong: %s", s)
 	}
@@ -46,7 +46,7 @@ func TestRMCFormat(t *testing.T) {
 	}
 	bad := sampleFix()
 	bad.Quality = QualityInvalid
-	if s := RMC(bad); !strings.Contains(s, ",V,") {
+	if s := string(AppendRMC(nil, bad)); !strings.Contains(s, ",V,") {
 		t.Errorf("invalid fix not flagged V: %s", s)
 	}
 }
@@ -82,7 +82,7 @@ func TestValidateRejects(t *testing.T) {
 
 func TestGGARoundTrip(t *testing.T) {
 	f := sampleFix()
-	got, err := ParseGGA(GGA(f))
+	got, err := ParseGGA(string(AppendGGA(nil, f)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPropGGARoundTripGlobal(t *testing.T) {
 			NumSats: 4 + r.Intn(9),
 			HDOP:    0.5 + r.Float64()*5,
 		}
-		got, err := ParseGGA(GGA(fix))
+		got, err := ParseGGA(string(AppendGGA(nil, fix)))
 		if err != nil {
 			return false
 		}
@@ -137,7 +137,7 @@ func TestPropGGARoundTripGlobal(t *testing.T) {
 }
 
 func TestParseGGARejectsOtherSentences(t *testing.T) {
-	if _, err := ParseGGA(RMC(sampleFix())); err == nil {
+	if _, err := ParseGGA(string(AppendRMC(nil, sampleFix()))); err == nil {
 		t.Error("RMC accepted as GGA")
 	}
 }

@@ -3,16 +3,16 @@ package scenario
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 )
 
-// Compact binary dataset format: a fixed header, then per epoch a
-// timestamp + observation count + fixed-width observation records. A full
-// 24 h × 1 Hz dataset is ~3× smaller than the JSON-lines form and
-// proportionally faster to load. Little-endian throughout.
+// Binary dataset format, the one on-disk dataset form: a fixed header,
+// then per epoch a timestamp + observation count + fixed-width
+// observation records. Little-endian throughout.
 //
 // Layout (version 3):
 //
@@ -30,7 +30,8 @@ import (
 // satellite velocity per observation (v1 without cn0), a codeOnly config
 // byte, and the seed as a float64. The generator no longer synthesizes
 // those observables, so ReadBinary rejects both versions; regenerate such
-// files with gpsgen -format bin.
+// files with gpsgen -format bin. The same goes for the retired JSON-lines
+// datasets, which ReadBinary recognizes by their leading '{'.
 const (
 	binaryMagic   = "GPSDLBIN"
 	binaryVersion = 3
@@ -123,6 +124,9 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("scenario: read magic: %w", err)
 	}
 	if string(magic) != binaryMagic {
+		if magic[0] == '{' {
+			return nil, errors.New("scenario: JSON-lines datasets are retired; regenerate the file with gpsgen -format bin")
+		}
 		return nil, fmt.Errorf("scenario: bad magic %q", magic)
 	}
 	le := binary.LittleEndian
@@ -259,8 +263,8 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
-// SaveBinaryFile writes the dataset to path in the binary format.
-func (d *Dataset) SaveBinaryFile(path string) (err error) {
+// SaveFile writes the dataset to path in the binary format.
+func (d *Dataset) SaveFile(path string) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("scenario: create %s: %w", path, err)
@@ -273,14 +277,22 @@ func (d *Dataset) SaveBinaryFile(path string) (err error) {
 	return d.WriteBinary(f)
 }
 
-// LoadBinaryFile reads a binary dataset from path.
-func LoadBinaryFile(path string) (*Dataset, error) {
+// LoadFile reads a binary dataset from path and rejects one without
+// epochs.
+func LoadFile(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: open %s: %w", path, err)
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	ds, err := ReadBinary(f)
+	if err != nil {
+		return nil, err
+	}
+	if ds.Len() == 0 {
+		return nil, fmt.Errorf("scenario: dataset %s has no epochs", path)
+	}
+	return ds, nil
 }
 
 func boolByte(b bool) byte {

@@ -3,12 +3,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
-
-	"gpsdl/internal/geo"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -54,27 +52,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinarySmallerThanJSON(t *testing.T) {
-	st, _ := StationByID("SRZN")
-	g := NewGenerator(st, DefaultConfig(44))
-	ds, err := g.GenerateRange(0, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jsonBuf, binBuf bytes.Buffer
-	if err := ds.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteBinary(&binBuf); err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(jsonBuf.Len()) / float64(binBuf.Len())
-	t.Logf("JSON %d B, binary %d B (%.1fx smaller)", jsonBuf.Len(), binBuf.Len(), ratio)
-	if ratio < 2 {
-		t.Errorf("binary only %.1fx smaller than JSON", ratio)
-	}
-}
-
 func TestBinaryRejectsGarbage(t *testing.T) {
 	tests := []struct {
 		name string
@@ -112,20 +89,53 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 }
 
 // TestBinaryRejectsRetiredVersions checks that version 1 and 2 files,
-// which carry the retired carrier/L2/Doppler records, fail with an error
-// that names the version and says how to regenerate the file.
+// which carry the retired carrier/L2/Doppler records, and JSON-lines
+// files, the retired text format, fail with an error that names what
+// the file is and says how to regenerate it.
 func TestBinaryRejectsRetiredVersions(t *testing.T) {
-	for _, version := range []byte{1, 2} {
-		in := binaryMagic + string([]byte{version, 0}) + "rest of an old header"
-		_, err := ReadBinary(strings.NewReader(in))
+	tests := []struct {
+		in, want string
+	}{
+		{binaryMagic + "\x01\x00rest of an old header", "version 1"},
+		{binaryMagic + "\x02\x00rest of an old header", "version 2"},
+		{`{"station":{"id":"SRZN"},"config":{},"epochs":1}` + "\n", "JSON-lines"},
+	}
+	for _, tt := range tests {
+		_, err := ReadBinary(strings.NewReader(tt.in))
 		if err == nil {
-			t.Fatalf("version %d accepted", version)
+			t.Fatalf("%s accepted", tt.want)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d", version), "gpsgen -format bin"} {
+		for _, want := range []string{tt.want, "gpsgen -format bin"} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("version %d: error %q does not mention %q", version, err, want)
+				t.Errorf("%s: error %q does not mention %q", tt.want, err, want)
 			}
 		}
+	}
+}
+
+// TestBinaryFileHelpers checks what LoadFile rejects: a missing path,
+// a dataset with no epochs, and a retired JSON-lines file.
+// TestDatasetSaveLoadFile checks the round trip.
+func TestBinaryFileHelpers(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := LoadFile(dir + "/missing.bin"); err == nil {
+		t.Error("LoadFile of missing path succeeded")
+	}
+	st, _ := StationByID("FAI1")
+	empty := &Dataset{Station: st, Config: DefaultConfig(2)}
+	emptyPath := dir + "/empty.bin"
+	if err := empty.SaveFile(emptyPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(emptyPath); err == nil || !strings.Contains(err.Error(), "no epochs") {
+		t.Errorf("LoadFile of an empty dataset: err = %v, want a no-epochs error", err)
+	}
+	jsonPath := dir + "/old.jsonl"
+	if err := os.WriteFile(jsonPath, []byte(`{"station":{"id":"FAI1"},"config":{},"epochs":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(jsonPath); err == nil || !strings.Contains(err.Error(), "gpsgen -format bin") {
+		t.Errorf("LoadFile of a JSON-lines file: err = %v, want the gpsgen -format bin hint", err)
 	}
 }
 
@@ -170,64 +180,5 @@ func TestReadBinaryTrustsNoEpochCount(t *testing.T) {
 	}
 	if alloc > decoderAllocBudget {
 		t.Errorf("ReadBinary allocated %d B for a %d B file", alloc, len(data))
-	}
-}
-
-// TestReadJSONTrustsNoEpochCount is the JSON-lines counterpart: an epoch
-// count beyond any slice capacity must give an error, not a panic.
-func TestReadJSONTrustsNoEpochCount(t *testing.T) {
-	in := `{"station":{},"config":{},"epochs":9223372036854775807}`
-	var err error
-	alloc := allocatedBy(t, func() { _, err = ReadJSON(strings.NewReader(in)) })
-	if err == nil {
-		t.Error("ReadJSON accepted a file missing its epochs")
-	}
-	if alloc > decoderAllocBudget {
-		t.Errorf("ReadJSON allocated %d B for a %d B file", alloc, len(in))
-	}
-}
-
-// TestReadJSONIgnoresRetiredKeys checks that JSON-lines datasets written
-// before the generator dropped the carrier, L2 and Doppler observables
-// (keys pr2, cp, dop, vel and the config's CodeOnly) still load, with
-// every surviving field intact.
-func TestReadJSONIgnoresRetiredKeys(t *testing.T) {
-	in := `{"station":{"id":"SRZN","pos":{"X":1,"Y":2,"Z":3},"date":"2009/08/12","clock":1},` +
-		`"config":{"Seed":7,"ElevMaskDeg":7,"NoiseSigma":2,"IonoRemainder":0.3,"TropoRemainder":0.1,"Multipath":true,"Step":1,"CodeOnly":true},"epochs":1}
-{"t":5,"obs":[{"prn":12,"pos":{"X":4,"Y":5,"Z":6},"pr":2.1e7,"pr2":2.1e7,"cp":2.2e7,"dop":-310.5,"vel":{"X":1,"Y":2,"Z":3},"elev":0.7,"cn0":44.5}]}
-`
-	ds, err := ReadJSON(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Station.ID != "SRZN" || ds.Config.Seed != 7 || ds.Config.Step != 1 || ds.Len() != 1 {
-		t.Fatalf("header: %+v %+v, %d epochs", ds.Station, ds.Config, ds.Len())
-	}
-	want := SatObs{PRN: 12, Pos: geo.ECEF{X: 4, Y: 5, Z: 6}, Pseudorange: 2.1e7, Elevation: 0.7, CN0: 44.5}
-	if e := ds.Epochs[0]; e.T != 5 || len(e.Obs) != 1 || e.Obs[0] != want {
-		t.Errorf("epoch: %+v, want one obs %+v", e, want)
-	}
-}
-
-func TestBinaryFileHelpers(t *testing.T) {
-	st, _ := StationByID("FAI1")
-	g := NewGenerator(st, DefaultConfig(2))
-	ds, err := g.GenerateRange(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/ds.bin"
-	if err := ds.SaveBinaryFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 3 {
-		t.Errorf("loaded %d epochs", back.Len())
-	}
-	if _, err := LoadBinaryFile(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
 	}
 }

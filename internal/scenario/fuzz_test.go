@@ -2,18 +2,17 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
 	"gpsdl/internal/geo"
 )
 
-// FuzzReadDataset drives both dataset decoders, which read operator-
+// FuzzReadDataset drives the dataset decoder, which reads operator-
 // supplied files (gpsserve -dataset, gpsrun -dataset), with arbitrary
-// bytes. Neither may panic, and any dataset either accepts must survive
-// a WriteBinary/ReadBinary round trip bit for bit. A JSON-decoded
-// dataset may instead hold a value the binary format cannot store (a PRN
-// beyond uint16, say), which WriteBinary must then reject with an error.
+// bytes. It may not panic, and any dataset it accepts must survive a
+// WriteBinary/ReadBinary round trip bit for bit.
 func FuzzReadDataset(f *testing.F) {
 	st, err := StationByID("KYCP")
 	if err != nil {
@@ -23,49 +22,43 @@ func FuzzReadDataset(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var bin, js bytes.Buffer
+	var bin, header bytes.Buffer
 	if err := ds.WriteBinary(&bin); err != nil {
 		f.Fatal(err)
 	}
-	if err := ds.WriteJSON(&js); err != nil {
+	if err := (&Dataset{Station: st, Config: ds.Config}).WriteBinary(&header); err != nil {
 		f.Fatal(err)
+	}
+	withCount := func(n uint32, tail ...byte) []byte {
+		b := bytes.Clone(header.Bytes())
+		binary.LittleEndian.PutUint32(b[len(b)-4:], n) // the epoch count ends the header
+		return append(b, tail...)
 	}
 	f.Add(bin.Bytes())
 	f.Add(bin.Bytes()[:bin.Len()-3])
-	f.Add(js.Bytes())
-	f.Add([]byte(`{"station":{},"config":{},"epochs":9223372036854775807}`))
-	f.Add([]byte(`{"station":{},"config":{},"epochs":1}` + "\n" + `{"t":1,"obs":[{"prn":70000}]}`))
+	f.Add(withCount(10_000_000))
+	f.Add(withCount(1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0xff, 0xff)) // t = 1, 65535 observations claimed
 	f.Add([]byte(binaryMagic + "\x02\x00"))
+	f.Add([]byte(`{"station":{},"config":{},"epochs":1}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if ds, err := ReadBinary(bytes.NewReader(data)); err == nil {
-			binaryRoundTrip(t, ds, false)
-		}
-		if ds, err := ReadJSON(bytes.NewReader(data)); err == nil {
-			binaryRoundTrip(t, ds, true)
-		}
-	})
-}
-
-// binaryRoundTrip checks that ds re-encodes and decodes to an identical
-// dataset. mayReject allows WriteBinary to refuse ds with an error.
-func binaryRoundTrip(t *testing.T, ds *Dataset, mayReject bool) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		if mayReject {
+		ds, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
-		t.Fatalf("decoded dataset does not re-encode: %v", err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("re-encoded dataset does not decode: %v", err)
-	}
-	if !sameDataset(ds, back) {
-		t.Fatalf("round trip changed the dataset:\n%+v\n%+v", ds, back)
-	}
+		var buf bytes.Buffer
+		if err := ds.WriteBinary(&buf); err != nil {
+			t.Fatalf("decoded dataset does not re-encode: %v", err)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded dataset does not decode: %v", err)
+		}
+		if !sameDataset(ds, back) {
+			t.Fatalf("round trip changed the dataset:\n%+v\n%+v", ds, back)
+		}
+	})
 }
 
 // sameDataset reports whether a and b are identical, comparing floats by
