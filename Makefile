@@ -5,14 +5,15 @@ GO ?= go
 # Per-target budget for the fuzz smoke pass (Go -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint test race bench bench-broadcast bench-quality bench-faults bench-recovery bench-check bench-gate determinism fault-determinism fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
+.PHONY: all build vet lint test race bench bench-records bench-check bench-gate fuzz-smoke figures ablations cover test-cover metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke clean
 
-# bench-check regenerates every committed BENCH_*.json and requires it
-# byte for byte; refreshing a record (bench-quality, bench-faults,
-# bench-recovery, bench-broadcast) is a deliberate step, not part of
-# all, or the check would compare the tree with itself. bench-gate
-# compares the change with its base commit on the fixbench workloads.
-all: build vet lint test determinism fault-determinism race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-check bench-gate
+# test holds every committed BENCH_*.json and every example's output to
+# the byte (TestCommittedRecords and the examples' golden tests), so all
+# runs each check once; refreshing the records (bench-records) is a
+# deliberate step, not part of all, or the check would compare the tree
+# with itself. bench-gate compares the change with its base commit on
+# the fixbench workloads.
+all: build vet lint test race fuzz-smoke metrics-smoke chaos-smoke slo-smoke incident-smoke cluster-smoke bench-gate
 
 # build, vet and test also cover the fix-pipeline benchmark, its own
 # module (fixbench/go.mod), so a change that breaks what it calls fails
@@ -45,57 +46,25 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Serving fan-out comparison: the engine's fixes published through a
-# wire.Hub, NMEA text vs binary delta frames (payload bytes and bytes
-# per fix, exact for the seed), written to BENCH_broadcast.json and
-# held to the byte by bench-check. Fan-out time is fixbench's
-# wire.publish_* layers.
-bench-broadcast:
-	$(GO) run ./cmd/gpsbench -broadcast -broadcast-json BENCH_broadcast.json
+# Rewrites every committed BENCH_*.json from its gpsbench sweep (the
+# records table in cmd/gpsbench). A record whose sweep has not moved
+# rewrites to the same bytes.
+bench-records:
+	$(GO) run ./cmd/gpsbench -quality -faults -recovery -broadcast
 
-# Solution-quality sweep: each solver through the canonical degradation
-# scenarios (clean/burst/step/shrink/clockjump) with the quality layer
-# and default SLOs enabled, written to BENCH_quality.json.
-bench-quality:
-	$(GO) run ./cmd/gpsbench -quality -quality-json BENCH_quality.json
-
-# Committed-record check: reruns the sweeps behind every committed
-# record (-quality, -faults, -recovery, -broadcast) and requires each
-# BENCH_*.json to match byte for byte, with no line exempt. A record the
-# code can no longer produce fails the build.
+# Committed-record check alone: TestCommittedRecords reruns each sweep in
+# process and requires its BENCH_*.json byte for byte, no line exempt.
+# make test runs it too.
 bench-check:
-	GO="$(GO)" ./scripts/bench_check.sh
+	$(GO) test -count=1 -run TestCommittedRecords ./cmd/gpsbench
 
 # Regression gate: 5 alternating pairs of 3 s fixbench runs per
 # workload, base commit against the working tree, judged by the
 # BENCHMARK.json end-to-end bounds (base: BASE, else HEAD when tracked
-# files differ from it, else HEAD~1). Byte counts are bench-check's.
+# files differ from it, else HEAD~1). Byte counts are the committed
+# records' (TestCommittedRecords).
 bench-gate:
 	GO="$(GO)" ./scripts/bench_gate.sh
-
-# Degradation curve under the composite fault program: accuracy rate η
-# and availability vs fault intensity, written to BENCH_faults.json.
-bench-faults:
-	$(GO) run ./cmd/gpsbench -faults
-
-# Checkpoint-recovery comparison: cold restart (NR re-warm-up) vs
-# -restore from a checkpoint round-tripped through the checkpoint codec,
-# written to BENCH_recovery.json.
-bench-recovery:
-	$(GO) run ./cmd/gpsbench -recovery
-
-# Timebase determinism property: serial and parallel generation agree
-# bit-for-bit for awkward step sizes (0.1, 1/3, 86400/7); the Golden
-# pins catch cross-version drift of EpochAt output.
-determinism:
-	$(GO) test -run 'Determinism|Golden' ./internal/scenario/...
-
-# Fault-injection determinism: the same (program, seed) pair mutates the
-# observation stream identically on every worker count, so degradation
-# runs stay byte-replayable. The Golden pins catch cross-version drift
-# of faulted observations, events, NMEA and wire bytes.
-fault-determinism:
-	$(GO) test -run 'Determinism|Golden' ./internal/fault/ ./internal/engine/
 
 # Short native-fuzzing pass over every parser facing external input
 # (RINEX obs/nav, YUMA almanacs, NMEA sentences, journals, checkpoint

@@ -8,8 +8,8 @@
 // each arm reports the bytes its subscribers received. Every subscriber
 // gets the same buffer, so bytes per fix do not depend on how many are
 // attached. The counts are exact for a seed: -broadcast-json writes them
-// as BENCH_broadcast.json, which make bench-check regenerates byte for
-// byte. What the fan-out costs in time is fixbench's wire.publish_*.
+// as BENCH_broadcast.json, which TestCommittedRecords regenerates byte
+// for byte. What the fan-out costs in time is fixbench's wire.publish_*.
 package main
 
 import (

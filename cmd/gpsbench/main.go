@@ -41,6 +41,38 @@ func main() {
 	}
 }
 
+// record is one committed BENCH_<name>.json: the sweep that writes it,
+// at the fixed size the committed file was written with. Its flags are
+// -<name>, which runs the sweep, and -<name>-json, the output path.
+type record struct {
+	name  string
+	usage string
+	run   func(seed int64, jsonPath string) error
+}
+
+// records is the one list of committed records. TestCommittedRecords
+// holds each file to the byte, and make bench-records rewrites them all.
+var records = []record{
+	{"faults", "run the fault-degradation sweep (availability and eta vs fault intensity)",
+		func(seed int64, jsonPath string) error {
+			return runFaultBench(faultBenchConfig{receivers: 4, epochs: 600, seed: seed, jsonPath: jsonPath})
+		}},
+	{"quality", "run the solution-quality sweep (quality digests and SLO verdicts per solver across degradation scenarios)",
+		func(seed int64, jsonPath string) error {
+			return runQualityBench(qualityBenchConfig{
+				receivers: 4, epochs: 600, solvers: []string{"nr", "dlg"}, seed: seed, jsonPath: jsonPath,
+			})
+		}},
+	{"recovery", "run the checkpoint-recovery benchmark (cold NR re-warm-up vs restored clock calibration)",
+		func(seed int64, jsonPath string) error {
+			return runRecoveryBench(recoveryBenchConfig{receivers: 4, cut: 300, epochs: 600, seed: seed, jsonPath: jsonPath})
+		}},
+	{"broadcast", "run the serving fan-out benchmark (NMEA text vs binary delta frames, bytes per fix through a wire.Hub)",
+		func(seed int64, jsonPath string) error {
+			return runBroadcastBench(broadcastBenchConfig{receivers: 4, epochs: 1500, seed: seed, jsonPath: jsonPath})
+		}},
+}
+
 type benchConfig struct {
 	duration float64
 	step     float64
@@ -53,56 +85,36 @@ type benchConfig struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("gpsbench", flag.ContinueOnError)
 	var (
-		fig           = fs.String("fig", "", "figure to reproduce: table, 5.1, 5.2 or all")
-		ablation      = fs.String("ablation", "", "ablation to run: base, clock, gls, direct, dgps, noise, selection or all")
-		duration      = fs.Float64("duration", 7200, "seconds of data per station")
-		step          = fs.Float64("step", 5, "epoch spacing in seconds")
-		seed          = fs.Int64("seed", 2009, "generation seed")
-		epochs        = fs.Int("epochs", 0, "max epochs per satellite count (0 = all)")
-		plot          = fs.Bool("plot", false, "render ASCII charts of the figure curves")
-		csvDir        = fs.String("csv", "", "also write the figure series as CSV files into this directory")
-		faultsOn      = fs.Bool("faults", false, "run the fault-degradation sweep (availability and eta vs fault intensity)")
-		faultsJSON    = fs.String("faults-json", "BENCH_faults.json", "write the -faults degradation series as JSON to this file (empty disables)")
-		qualityOn     = fs.Bool("quality", false, "run the solution-quality sweep (quality digests and SLO verdicts per solver across degradation scenarios)")
-		qualityJSON   = fs.String("quality-json", "BENCH_quality.json", "write the -quality sweep as JSON to this file (empty disables)")
-		recoveryOn    = fs.Bool("recovery", false, "run the checkpoint-recovery benchmark (cold NR re-warm-up vs restored clock calibration)")
-		recoveryJSON  = fs.String("recovery-json", "BENCH_recovery.json", "write the -recovery comparison as JSON to this file (empty disables)")
-		broadcastOn   = fs.Bool("broadcast", false, "run the serving fan-out benchmark (NMEA text vs binary delta frames, bytes per fix through a wire.Hub)")
-		broadcastJSON = fs.String("broadcast-json", "BENCH_broadcast.json", "write the -broadcast byte counts as JSON to this file (empty disables)")
+		fig      = fs.String("fig", "", "figure to reproduce: table, 5.1, 5.2 or all")
+		ablation = fs.String("ablation", "", "ablation to run: base, clock, gls, direct, dgps, noise, selection or all")
+		duration = fs.Float64("duration", 7200, "seconds of data per station")
+		step     = fs.Float64("step", 5, "epoch spacing in seconds")
+		seed     = fs.Int64("seed", 2009, "generation seed")
+		epochs   = fs.Int("epochs", 0, "max epochs per satellite count (0 = all)")
+		plot     = fs.Bool("plot", false, "render ASCII charts of the figure curves")
+		csvDir   = fs.String("csv", "", "also write the figure series as CSV files into this directory")
 	)
+	on := make([]*bool, len(records))
+	paths := make([]*string, len(records))
+	for i, r := range records {
+		on[i] = fs.Bool(r.name, false, r.usage)
+		paths[i] = fs.String(r.name+"-json", "BENCH_"+r.name+".json",
+			"write the -"+r.name+" record as JSON to this file (empty disables)")
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *faultsOn {
-		if err := runFaultBench(faultBenchConfig{
-			receivers: 4, epochs: 600, seed: *seed, jsonPath: *faultsJSON,
-		}); err != nil {
+	anyRecord := false
+	for i, r := range records {
+		if !*on[i] {
+			continue
+		}
+		anyRecord = true
+		if err := r.run(*seed, *paths[i]); err != nil {
 			return err
 		}
 	}
-	if *qualityOn {
-		if err := runQualityBench(qualityBenchConfig{
-			receivers: 4, epochs: 600, solvers: []string{"nr", "dlg"},
-			seed: *seed, jsonPath: *qualityJSON,
-		}); err != nil {
-			return err
-		}
-	}
-	if *recoveryOn {
-		if err := runRecoveryBench(recoveryBenchConfig{
-			receivers: 4, cut: 300, epochs: 600, seed: *seed, jsonPath: *recoveryJSON,
-		}); err != nil {
-			return err
-		}
-	}
-	if *broadcastOn {
-		if err := runBroadcastBench(broadcastBenchConfig{
-			receivers: 4, epochs: 1500, seed: *seed, jsonPath: *broadcastJSON,
-		}); err != nil {
-			return err
-		}
-	}
-	if *fig == "" && *ablation == "" && !*faultsOn && !*recoveryOn && !*qualityOn && !*broadcastOn {
+	if *fig == "" && *ablation == "" && !anyRecord {
 		*fig = "all"
 	}
 	cfg := benchConfig{duration: *duration, step: *step, seed: *seed, epochs: *epochs, plot: *plot, csvDir: *csvDir}

@@ -8,7 +8,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -21,13 +23,16 @@ import (
 const fixNoise = 15e-9
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "clockcal:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	if err := flag.NewFlagSet("clockcal", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
 	steering := &clock.SteeringModel{
 		Offset:    30e-9,
 		Amplitude: 4e-9,
@@ -40,14 +45,14 @@ func run() error {
 		Threshold: 1e-3, // 1 ms receiver slew
 	}
 
-	fmt.Println("=== steering clock (CORS discipline: bias held near a constant) ===")
-	if err := track("steering", steering, newSteeringPredictors()); err != nil {
+	fmt.Fprintln(w, "=== steering clock (CORS discipline: bias held near a constant) ===")
+	if err := track(w, "steering", steering, newSteeringPredictors()); err != nil {
 		return err
 	}
-	fmt.Println("\n=== threshold clock (free-running quartz, 1 ms reset slews) ===")
+	fmt.Fprintln(w, "\n=== threshold clock (free-running quartz, 1 ms reset slews) ===")
 	resets := threshold.ResetTimes(0, 86400)
-	fmt.Printf("truth resets over 24 h: %d (every %.0f s)\n", len(resets), 1e-3/1e-7)
-	return track("threshold", threshold, newThresholdPredictors())
+	fmt.Fprintf(w, "truth resets over 24 h: %d (every %.0f s)\n", len(resets), 1e-3/1e-7)
+	return track(w, "threshold", threshold, newThresholdPredictors())
 }
 
 type arm struct {
@@ -79,7 +84,7 @@ func newThresholdPredictors() []arm {
 
 // track feeds a day of noisy fixes to each predictor and reports the
 // range-domain prediction error it would inject into DLO/DLG.
-func track(label string, model clock.Model, arms []arm) error {
+func track(w io.Writer, label string, model clock.Model, arms []arm) error {
 	rng := rand.New(rand.NewSource(3))
 	type acc struct {
 		sum, worst float64
@@ -110,12 +115,12 @@ func track(label string, model clock.Model, arms []arm) error {
 		if accs[j].n == 0 {
 			return fmt.Errorf("%s/%s produced no predictions", label, a.name)
 		}
-		fmt.Printf("  %-20s mean range error %7.3f m, worst %8.3f m over 24 h\n",
+		fmt.Fprintf(w, "  %-20s mean range error %7.3f m, worst %8.3f m over 24 h\n",
 			a.name, accs[j].sum/float64(accs[j].n), accs[j].worst)
 		if lp, ok := a.p.(*clock.LinearPredictor); ok {
 			d, r, err := lp.Coefficients()
 			if err == nil {
-				fmt.Printf("  %-20s fitted D = %.3g s, r = %.3g s/s, resets detected: %d\n",
+				fmt.Fprintf(w, "  %-20s fitted D = %.3g s, r = %.3g s/s, resets detected: %d\n",
 					"", d, r, lp.Recalibrations)
 			}
 		}

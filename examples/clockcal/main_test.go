@@ -1,0 +1,26 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestDefaultOutput holds the example's default output to the byte.
+// Regenerate the golden with
+//
+//	go run ./examples/clockcal > examples/clockcal/testdata/output.txt
+func TestDefaultOutput(t *testing.T) {
+	var got bytes.Buffer
+	if err := run(nil, &got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("output differs from testdata/output.txt\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}

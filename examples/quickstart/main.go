@@ -5,7 +5,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gpsdl/internal/clock"
@@ -16,20 +18,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	if err := flag.NewFlagSet("quickstart", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
 	// 1. Pick a station from the paper's Table 5.1 and build a generator.
 	station, err := scenario.StationByID("YYR1")
 	if err != nil {
 		return err
 	}
 	gen := scenario.NewGenerator(station, scenario.DefaultConfig(42))
-	fmt.Printf("station %s at %v (%s clock)\n\n", station.ID, station.Pos, station.Clock)
+	fmt.Fprintf(w, "station %s at %v (%s clock)\n\n", station.ID, station.Pos, station.Clock)
 
 	// 2. Calibrate the clock predictor from NR fixes over the first
 	//    minute (Section 5.2.2 of the paper).
@@ -79,10 +84,10 @@ func run() error {
 			iters[j] += sol.Iterations
 		}
 	}
-	fmt.Printf("%d satellites in view; mean over %d epochs:\n\n", len(obs), epochs)
-	fmt.Printf("%-10s %-14s %s\n", "solver", "mean err (m)", "mean iterations")
+	fmt.Fprintf(w, "%d satellites in view; mean over %d epochs:\n\n", len(obs), epochs)
+	fmt.Fprintf(w, "%-10s %-14s %s\n", "solver", "mean err (m)", "mean iterations")
 	for j, s := range solvers {
-		fmt.Printf("%-10s %-14.3f %.1f\n",
+		fmt.Fprintf(w, "%-10s %-14.3f %.1f\n",
 			s.Name(), sums[j]/epochs, float64(iters[j])/epochs)
 	}
 
@@ -91,7 +96,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ngeometry: GDOP %.2f, PDOP %.2f, HDOP %.2f, VDOP %.2f\n",
+	fmt.Fprintf(w, "\ngeometry: GDOP %.2f, PDOP %.2f, HDOP %.2f, VDOP %.2f\n",
 		dop.GDOP, dop.PDOP, dop.HDOP, dop.VDOP)
 
 	// 5. What a receiver would report as its own accuracy: the post-fit
@@ -105,7 +110,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("formal accuracy (last NR fix): sigma %.2f m, horizontal %.2f m, vertical %.2f m\n",
+	fmt.Fprintf(w, "formal accuracy (last NR fix): sigma %.2f m, horizontal %.2f m, vertical %.2f m\n",
 		est.SigmaUERE, est.Horizontal, est.Vertical)
 	return nil
 }

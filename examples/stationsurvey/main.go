@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gpsdl/internal/clock"
@@ -19,19 +20,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "stationsurvey:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("stationsurvey", flag.ContinueOnError)
 	var (
-		stationID = flag.String("station", "YYR1", "Table 5.1 station ID")
-		hours     = flag.Float64("hours", 2, "survey length in hours")
-		step      = flag.Float64("step", 5, "epoch spacing in seconds")
+		stationID = fs.String("station", "YYR1", "Table 5.1 station ID")
+		hours     = fs.Float64("hours", 2, "survey length in hours")
+		step      = fs.Float64("step", 5, "epoch spacing in seconds")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	station, err := scenario.StationByID(*stationID)
 	if err != nil {
 		return err
@@ -39,7 +43,7 @@ func run() error {
 	cfg := scenario.DefaultConfig(7)
 	cfg.Step = *step
 	gen := scenario.NewGenerator(station, cfg)
-	fmt.Printf("surveying %s (%s clock) for %.1f h at %.0f s epochs\n\n",
+	fmt.Fprintf(w, "surveying %s (%s clock) for %.1f h at %.0f s epochs\n\n",
 		station.ID, station.Clock, *hours, *step)
 
 	pred := eval.DefaultPredictor(station.Clock)
@@ -83,7 +87,7 @@ func run() error {
 		}
 		if i++; i%printEvery == 0 {
 			avg := sum.Scale(1 / float64(fixes))
-			fmt.Printf("t=%5.0f min: %6d fixes, mean epoch error %6.2f m, surveyed position off by %6.3f m\n",
+			fmt.Fprintf(w, "t=%5.0f min: %6d fixes, mean epoch error %6.2f m, surveyed position off by %6.3f m\n",
 				t/60, fixes, sumErr/float64(fixes), avg.DistanceTo(station.Pos))
 		}
 	}
@@ -92,11 +96,11 @@ func run() error {
 	}
 	avg := sum.Scale(1 / float64(fixes))
 	enu := geo.ToENU(station.Pos, avg)
-	fmt.Printf("\nfinal survey over %d fixes:\n", fixes)
-	fmt.Printf("  mean per-epoch error  %8.3f m (worst %.3f m)\n", sumErr/float64(fixes), worst)
-	fmt.Printf("  surveyed position     %8.3f m from published coordinates\n", avg.DistanceTo(station.Pos))
-	fmt.Printf("  offset ENU            (%.3f, %.3f, %.3f) m\n", enu.E, enu.N, enu.U)
+	fmt.Fprintf(w, "\nfinal survey over %d fixes:\n", fixes)
+	fmt.Fprintf(w, "  mean per-epoch error  %8.3f m (worst %.3f m)\n", sumErr/float64(fixes), worst)
+	fmt.Fprintf(w, "  surveyed position     %8.3f m from published coordinates\n", avg.DistanceTo(station.Pos))
+	fmt.Fprintf(w, "  offset ENU            (%.3f, %.3f, %.3f) m\n", enu.E, enu.N, enu.U)
 	lat, lon := avg.ToLLA().Degrees()
-	fmt.Printf("  geodetic              %.6f°, %.6f°, %.1f m\n", lat, lon, avg.ToLLA().Alt)
+	fmt.Fprintf(w, "  geodetic              %.6f°, %.6f°, %.1f m\n", lat, lon, avg.ToLLA().Alt)
 	return nil
 }

@@ -9,7 +9,9 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -21,13 +23,16 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "urbancanyon:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	if err := flag.NewFlagSet("urbancanyon", flag.ContinueOnError).Parse(args); err != nil {
+		return err
+	}
 	station, err := scenario.StationByID("SRZN")
 	if err != nil {
 		return err
@@ -91,16 +96,16 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("street canyon, %d epochs over 24 h:\n", epochs)
-	fmt.Printf("  epochs with <3 satellites        %5d (no fix possible)\n", under3)
-	fmt.Printf("  epochs with exactly 3            %5d (4-sat algorithms blind)\n", exactly3)
-	fmt.Printf("  DLG fixes (needs >= 4)           %5d, mean error %6.1f m\n",
+	fmt.Fprintf(w, "street canyon, %d epochs over 24 h:\n", epochs)
+	fmt.Fprintf(w, "  epochs with <3 satellites        %5d (no fix possible)\n", under3)
+	fmt.Fprintf(w, "  epochs with exactly 3            %5d (4-sat algorithms blind)\n", exactly3)
+	fmt.Fprintf(w, "  DLG fixes (needs >= 4)           %5d, mean error %6.1f m\n",
 		dlgAcc.fixes, mean(dlgAcc))
-	fmt.Printf("  TriSat fixes (needs 3 + clock)   %5d, mean error %6.1f m\n",
+	fmt.Fprintf(w, "  TriSat fixes (needs 3 + clock)   %5d, mean error %6.1f m\n",
 		triAcc.fixes, mean(triAcc))
 	gain := float64(triAcc.fixes-dlgAcc.fixes) / float64(epochs) * 100
-	fmt.Printf("\nclock-aided 3-satellite positioning recovers %.0f%% more epochs;\n", gain)
-	fmt.Println("accuracy is worse (weak geometry), but a degraded fix beats none.")
+	fmt.Fprintf(w, "\nclock-aided 3-satellite positioning recovers %.0f%% more epochs;\n", gain)
+	fmt.Fprintln(w, "accuracy is worse (weak geometry), but a degraded fix beats none.")
 	return nil
 }
 

@@ -119,6 +119,28 @@ func TestEvaluatorPageAndHysteresis(t *testing.T) {
 
 // The availability objective must ignore RMS/chi2 and vice versa:
 // missing fixes with no RMS data burn availability only.
+// TestBurnStateThresholds pins the documented alert thresholds: an
+// objective pages when its budget burns at >= 10x over the fast window
+// while the slow window has spent it (slow burn >= 1), and warns at a
+// fast burn >= 2x or a spent slow budget alone.
+func TestBurnStateThresholds(t *testing.T) {
+	tests := []struct {
+		fast, slow float64
+		want       State
+	}{
+		{10, 1, StatePage},
+		{9.99, 1, StateWarn},
+		{10, 0.99, StateWarn},
+		{2, 0, StateWarn},
+		{1.99, 0.99, StateOK},
+	}
+	for _, tt := range tests {
+		if got := burnState(tt.fast, tt.slow); got != tt.want {
+			t.Errorf("burnState(fast %v, slow %v) = %v, want %v", tt.fast, tt.slow, got, tt.want)
+		}
+	}
+}
+
 func TestObjectiveIndependence(t *testing.T) {
 	e, err := NewEvaluator(testObjectives())
 	if err != nil {

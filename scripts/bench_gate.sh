@@ -12,7 +12,7 @@
 # archive` copy under .bench_build/gate/base, whose own .bench_build
 # keeps its warm Go build cache between runs. Byte counts such as the
 # broadcast record's bytes/fix are not gated here: they are exact, so
-# make bench-check holds them to the byte.
+# TestCommittedRecords (go test ./cmd/gpsbench) holds them to the byte.
 set -euo pipefail
 
 GO=${GO:-go}
