@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
 	"gpsdl/internal/fault"
+	"gpsdl/internal/journal"
 	"gpsdl/internal/nmea"
 	"gpsdl/internal/wire"
 )
@@ -149,5 +152,76 @@ func TestEngineFaultedGolden(t *testing.T) {
 	}
 	if got := goldenDigest(wireOut); got != faultedGoldenWire {
 		t.Errorf("wire digest %s, want %s", got, faultedGoldenWire)
+	}
+}
+
+// journalGolden pins the flight-journal frames of an unweighted run
+// under faultedGoldenSpec on one worker (one shard, so frame order is
+// fixed): record batches with residuals, RAIM exclusions, coasts,
+// misses and captured observation sets, plus the periodic sync frames.
+// The header is left out of the digest because its meta carries the
+// wall-clock creation stamp.
+const journalGolden = "733a547cf5f7685fad105418"
+
+// TestEngineJournalGolden compares a digest of every journal frame
+// after the header with the committed pin, and checks the run recorded
+// an exclusion, a coast and a captured observation set.
+func TestEngineJournalGolden(t *testing.T) {
+	prog, err := fault.ParseSpec(faultedGoldenSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	eng, err := New(Config{
+		Receivers:           4,
+		Workers:             1,
+		Seed:                7,
+		Faults:              prog,
+		FaultSeed:           5,
+		JournalSink:         &buf,
+		JournalCaptureEvery: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background(), 150); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	res, err := journal.Scan(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var excluded, coast, captured int
+	for i := range res.Records {
+		r := &res.Records[i]
+		if r.Has(journal.FlagExcluded) {
+			excluded++
+		}
+		if r.Has(journal.FlagCoast) {
+			coast++
+		}
+		if r.Has(journal.FlagObs) {
+			captured++
+		}
+	}
+	if res.Torn || excluded == 0 || coast == 0 || captured == 0 {
+		t.Errorf("journal torn=%v with %d exclusions, %d coasts, %d captures; want untorn, all > 0",
+			res.Torn, excluded, coast, captured)
+	}
+	// Header: magic(4) | version(1) | metaLen uvarint | meta | crc(4).
+	mlen, n := binary.Uvarint(b[5:])
+	if n <= 0 {
+		t.Fatal("journal header has no meta length")
+	}
+	frames := b[5+n+int(mlen)+4:]
+	if len(frames) == 0 {
+		t.Fatal("journal has no frames")
+	}
+	if got := goldenDigest([][]byte{frames}); got != journalGolden {
+		t.Errorf("journal digest %s, want %s", got, journalGolden)
 	}
 }
