@@ -23,6 +23,7 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -101,7 +102,9 @@ func run(args []string) error {
 		paths[i] = fs.String(r.name+"-json", "BENCH_"+r.name+".json",
 			"write the -"+r.name+" record as JSON to this file (empty disables)")
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	anyRecord := false

@@ -160,3 +160,11 @@ func decodeTwoIdenticalRuns(t *testing.T, run func(jsonPath string) error, v any
 		t.Fatal(err)
 	}
 }
+
+// TestHelpReturnsNil: -h prints the usage and is not an error, so the
+// command exits 0.
+func TestHelpReturnsNil(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+}

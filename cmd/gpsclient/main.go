@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -62,7 +63,9 @@ func run(ctx context.Context, args []string, out, errOut *os.File) error {
 		budget  = fs.Int("retry-budget", 0, "consecutive failed reconnects before giving up (0 uses the default)")
 		events  = fs.Bool("events", false, "print lifecycle events (connect/resume/gap/retry) to stderr")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	if *session < 0 {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +44,9 @@ func run(args []string) error {
 		table    = fs.Bool("table", false, "print Table 5.1 and exit")
 		almanac  = fs.Bool("almanac", false, "also write the constellation as a YUMA almanac")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	if *table {

@@ -129,3 +129,11 @@ func TestRunGeneratesBinary(t *testing.T) {
 		t.Errorf("binary dataset has %d epochs", ds.Len())
 	}
 }
+
+// TestHelpReturnsNil: -h prints the usage and is not an error, so the
+// command exits 0.
+func TestHelpReturnsNil(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+}

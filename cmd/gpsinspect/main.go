@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,6 +74,29 @@ func run(w io.Writer, args []string) error {
 	}
 }
 
+// parseLoad parses a command's flags and loads its n journal or bundle
+// arguments. It returns nil results with a nil error for -h, which has
+// printed the command's usage.
+func parseLoad(fs *flag.FlagSet, args []string, n int) ([]*journal.ScanResult, error) {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	if fs.NArg() != n {
+		return nil, fmt.Errorf("%s takes exactly %d journal or bundle path(s), have %d",
+			strings.TrimPrefix(fs.Name(), "gpsinspect "), n, fs.NArg())
+	}
+	rs := make([]*journal.ScanResult, n)
+	for i := range rs {
+		var err error
+		if rs[i], err = load(fs.Arg(i)); err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
+}
+
 // load scans a journal file, or the journal.gpsj inside an incident
 // bundle directory.
 func load(path string) (*journal.ScanResult, error) {
@@ -120,16 +144,11 @@ func reportTear(w io.Writer, res *journal.ScanResult) {
 
 func runInfo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gpsinspect info", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
+	rs, err := parseLoad(fs, args, 1)
+	if rs == nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("info takes exactly one journal or bundle, have %d", fs.NArg())
-	}
-	res, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
+	res := rs[0]
 	m := &res.Meta
 	fmt.Fprintf(w, "journal: solver=%s seed=%d step=%gs receivers=%d capture_every=%d\n",
 		m.Solver, m.Seed, m.Step, m.Receivers, m.CaptureEvery)
@@ -233,16 +252,11 @@ func runTimeline(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gpsinspect timeline", flag.ContinueOnError)
 	f := filterFlags(fs)
 	all := fs.Bool("all", false, "print every record, not just events")
-	if err := fs.Parse(args); err != nil {
+	rs, err := parseLoad(fs, args, 1)
+	if rs == nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("timeline takes exactly one journal or bundle, have %d", fs.NArg())
-	}
-	res, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
+	res := rs[0]
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "EPOCH\tRECV\tSTATE\tSOLVER\tCHAIN\tEVENT\tRMS\tPDOP\n")
 	shown, matched := 0, 0
@@ -283,16 +297,11 @@ func runAttribute(w io.Writer, args []string) error {
 	f := filterFlags(fs)
 	top := fs.Int("top", 8, "satellites to rank")
 	allEpochs := fs.Bool("all-epochs", false, "attribute over every epoch with residuals, not just chi2 failures")
-	if err := fs.Parse(args); err != nil {
+	rs, err := parseLoad(fs, args, 1)
+	if rs == nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("attribute takes exactly one journal or bundle, have %d", fs.NArg())
-	}
-	res, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
+	res := rs[0]
 	sigma := res.Meta.Sigma
 	if sigma <= 0 {
 		// Older engines left σ out of the header when the quality
@@ -413,20 +422,11 @@ func runDiff(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gpsinspect diff", flag.ContinueOnError)
 	f := filterFlags(fs)
 	limit := fs.Int("limit", 10, "differing records to print")
-	if err := fs.Parse(args); err != nil {
+	rs, err := parseLoad(fs, args, 2)
+	if rs == nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("diff takes exactly two journals or bundles, have %d", fs.NArg())
-	}
-	a, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	b, err := load(fs.Arg(1))
-	if err != nil {
-		return err
-	}
+	a, b := rs[0], rs[1]
 	am, bm := metaComparable(a.Meta), metaComparable(b.Meta)
 	if am != bm {
 		fmt.Fprintf(w, "meta differs:\n  a: %+v\n  b: %+v\n", am, bm)
@@ -520,16 +520,11 @@ func runReplay(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gpsinspect replay", flag.ContinueOnError)
 	f := filterFlags(fs)
 	verbose := fs.Bool("v", false, "print every replayed epoch")
-	if err := fs.Parse(args); err != nil {
+	rs, err := parseLoad(fs, args, 1)
+	if rs == nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("replay takes exactly one journal or bundle, have %d", fs.NArg())
-	}
-	res, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
+	res := rs[0]
 	var replayed, mismatches, failures int
 	for i := range res.Records {
 		r := &res.Records[i]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -227,5 +228,16 @@ func TestUsageAndErrors(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "attribute") {
 		t.Errorf("usage missing commands:\n%s", out.String())
+	}
+}
+
+// TestHelpReturnsNil: -h on gpsinspect and on each of its commands
+// prints the usage and is not an error, so the command exits 0.
+func TestHelpReturnsNil(t *testing.T) {
+	for _, args := range [][]string{{"-h"}, {"info", "-h"}, {"timeline", "-h"},
+		{"attribute", "-h"}, {"diff", "-h"}, {"replay", "-h"}} {
+		if err := run(io.Discard, args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
 	}
 }

@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,7 +51,9 @@ func run(args []string, w io.Writer) error {
 		faults    = fs.String("faults", "", "apply a fault-injection program to the dataset first, e.g. 'step:prn=7,bias=400,from=100;burst:sigma=8'")
 		faultSeed = fs.Int64("fault-seed", 1, "fault-injector seed (burst noise stream) for -faults")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	if *dataset == "" {

@@ -149,3 +149,11 @@ func TestRunLoadsBinaryDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHelpReturnsNil: -h prints the usage and is not an error, so the
+// command exits 0.
+func TestHelpReturnsNil(t *testing.T) {
+	if err := run([]string{"-h"}, io.Discard); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+}

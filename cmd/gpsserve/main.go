@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,9 @@ func run(ctx context.Context, args []string) error {
 		wireAddr   = fs.String("wire", "", "binary fix-stream listener address for cluster serving (resume tokens, delta frames)")
 		sessions   = fs.String("session-ids", "", "comma-separated global session ids this node hosts, e.g. '0,1' (cluster mode; replaces -receivers)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	setFlags := map[string]bool{}

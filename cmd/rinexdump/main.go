@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,7 +27,9 @@ func run(args []string) error {
 		obsPath = fs.String("obs", "", "RINEX observation file to dump")
 		navPath = fs.String("nav", "", "RINEX navigation file to dump")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	if *obsPath == "" && *navPath == "" {

@@ -70,3 +70,11 @@ func TestRunErrors(t *testing.T) {
 		t.Error("nav file parsed as obs")
 	}
 }
+
+// TestHelpReturnsNil: -h prints the usage and is not an error, so the
+// command exits 0.
+func TestHelpReturnsNil(t *testing.T) {
+	if err := run([]string{"-h"}); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,9 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
-	if err := flag.NewFlagSet("clockcal", flag.ContinueOnError).Parse(args); err != nil {
+	if err := flag.NewFlagSet("clockcal", flag.ContinueOnError).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	steering := &clock.SteeringModel{

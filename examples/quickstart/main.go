@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,7 +26,9 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
-	if err := flag.NewFlagSet("quickstart", flag.ContinueOnError).Parse(args); err != nil {
+	if err := flag.NewFlagSet("quickstart", flag.ContinueOnError).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	// 1. Pick a station from the paper's Table 5.1 and build a generator.

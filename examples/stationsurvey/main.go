@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,7 +34,9 @@ func run(args []string, w io.Writer) error {
 		hours     = fs.Float64("hours", 2, "survey length in hours")
 		step      = fs.Float64("step", 5, "epoch spacing in seconds")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	station, err := scenario.StationByID(*stationID)

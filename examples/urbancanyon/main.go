@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,9 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
-	if err := flag.NewFlagSet("urbancanyon", flag.ContinueOnError).Parse(args); err != nil {
+	if err := flag.NewFlagSet("urbancanyon", flag.ContinueOnError).Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	station, err := scenario.StationByID("SRZN")

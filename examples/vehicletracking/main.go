@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,9 @@ func run(args []string, w io.Writer) error {
 		radius   = fs.Float64("radius", 10000, "track radius in meters")
 		duration = fs.Float64("duration", 600, "tracking time in seconds")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	station, err := scenario.StationByID("SRZN")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,5 +23,13 @@ func TestDefaultOutput(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("output differs from testdata/output.txt\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// TestHelpReturnsNil: -h prints the usage and is not an error, so the
+// command exits 0.
+func TestHelpReturnsNil(t *testing.T) {
+	if err := run([]string{"-h"}, io.Discard); err != nil {
+		t.Fatalf("-h: %v", err)
 	}
 }

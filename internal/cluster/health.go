@@ -17,8 +17,6 @@ type HealthConfig struct {
 	// down (≤ 0 means 3). One failed scrape is noise; Threshold in a
 	// row is a death certificate.
 	Threshold int
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
@@ -30,9 +28,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 3
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -97,7 +92,7 @@ func (m *Monitor) probe(ctx context.Context, node string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := m.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}

@@ -70,9 +70,6 @@ type ProxyConfig struct {
 	Registry *telemetry.Registry
 	// Log, when set, receives failover and relay events.
 	Log *slog.Logger
-	// Client overrides the admin HTTP client (tests); nil means a 3 s
-	// timeout client.
-	Client *http.Client
 }
 
 // Proxy routes binary subscribers across serving nodes and re-homes
@@ -118,14 +115,11 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 3 * time.Second}
-	}
 	reg := cfg.Registry
 	p := &Proxy{
 		cfg:    cfg,
 		ring:   NewRing(cfg.Replicas),
-		client: cfg.Client,
+		client: &http.Client{Timeout: 3 * time.Second},
 		owners: make(map[int]string),
 		heads:  make(map[int]int64),
 		hosted: make(map[string]map[int]bool),
@@ -528,6 +522,8 @@ func (p *Proxy) backoff(n int) time.Duration {
 // stays consistent because the skipped values equal the client's
 // existing chain state). Until then everything is forwarded, so a
 // fresh client decoder always sees its chain-priming replay in full.
+// A forwarded frame is the verified envelope exactly as read, so
+// relaying costs no copy and no second checksum.
 func (p *Proxy) pipe(ctx context.Context, down net.Conn, addr NodeAddr,
 	req wire.Subscribe, lastRelayed *int64) (progressed bool, err error) {
 	d := net.Dialer{Timeout: 2 * time.Second}
@@ -551,7 +547,7 @@ func (p *Proxy) pipe(ctx context.Context, down net.Conn, addr NodeAddr,
 		switch wire.Kind(pl) {
 		case wire.KindResume:
 			down.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, werr := down.Write(wire.AppendFrame(nil, pl)); werr != nil {
+			if _, werr := down.Write(ufr.Frame()); werr != nil {
 				return progressed, errClientGone
 			}
 			progressed = true
@@ -564,7 +560,7 @@ func (p *Proxy) pipe(ctx context.Context, down net.Conn, addr NodeAddr,
 				continue // failover replay the client already decoded
 			}
 			down.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, werr := down.Write(wire.AppendFrame(nil, pl)); werr != nil {
+			if _, werr := down.Write(ufr.Frame()); werr != nil {
 				return progressed, errClientGone
 			}
 			if int64(epoch) > *lastRelayed {

@@ -128,10 +128,7 @@ func (s *session) journalFix(i int, t float64, res *core.FallbackResult,
 		r.Flags |= journal.FlagExcluded
 		r.ExcludedPRN = satObs[res.Excluded].PRN
 	}
-	if s.state != jq.prevState {
-		r.Flags |= journal.FlagStateChange
-		jq.prevState = s.state
-	}
+	jq.noteState(r, s.state)
 	// Post-fit residuals against the final solution for every
 	// observation, the excluded satellite included — its residual is
 	// exactly what per-PRN attribution needs.
@@ -150,16 +147,22 @@ func (s *session) journalFix(i int, t float64, res *core.FallbackResult,
 			r.PredBias = bias
 		}
 		// Capture the set the recorded solution was solved from: RAIM's
-		// excluded satellite (if any) is dropped, so replaying Obs
-		// through the named solver reproduces Pos bit-for-bit.
+		// excluded satellite (if any) is dropped, and each σ is the one
+		// the solver weighted with (disruption inflation included), so
+		// replaying Obs through the named solver reproduces Pos
+		// bit-for-bit.
 		cobs := jq.obs[:0]
 		for j := range satObs {
 			if j == res.Excluded {
 				continue
 			}
 			o := &satObs[j]
+			sigma := s.obs[j].Sigma
+			if sigma != 0 {
+				r.Flags |= journal.FlagSigma
+			}
 			cobs = append(cobs, journal.CapturedObs{
-				PRN: o.PRN, Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation,
+				PRN: o.PRN, Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation, Sigma: sigma,
 			})
 		}
 		jq.obs = cobs
@@ -185,11 +188,17 @@ func (s *session) journalCoast(i int, sol core.Solution) {
 		Pos:       sol.Pos,
 		ClockBias: sol.ClockBias,
 	}
-	if s.state != jq.prevState {
-		r.Flags |= journal.FlagStateChange
-		jq.prevState = s.state
-	}
+	jq.noteState(r, s.state)
 	jq.enc.Add(r)
+}
+
+// noteState flags r when the session's health state differs from the
+// previous record's.
+func (jq *sessionJournal) noteState(r *journal.Record, st SessionState) {
+	if st != jq.prevState {
+		r.Flags |= journal.FlagStateChange
+		jq.prevState = st
+	}
 }
 
 // journalMiss records an epoch that produced no fix at all (solve
@@ -202,10 +211,7 @@ func (s *session) journalMiss(i int) {
 	}
 	r := &jq.rec
 	*r = journal.Record{Receiver: s.recv, Epoch: uint64(i), State: uint8(s.state)}
-	if s.state != jq.prevState {
-		r.Flags |= journal.FlagStateChange
-		jq.prevState = s.state
-	}
+	jq.noteState(r, s.state)
 	jq.enc.Add(r)
 }
 

@@ -152,6 +152,69 @@ func TestJournalCapturedObsReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestJournalWeightedReplayBitIdentical: every captured fix replays
+// bit-for-bit through eval.ReplayInputFromRecord's solver whether the
+// engine solved it plain, weighted by C/N0 (eq. 4-26), with σ inflated
+// by the disruption detector under a spoof, or both. The weighted
+// cases must carry their σ (FlagSigma); the plain one must not.
+func TestJournalWeightedReplayBitIdentical(t *testing.T) {
+	prog, err := fault.ParseSpec("spoof:n=2,bias=500,from=70,until=130;step:prn=7,bias=400,from=140,until=170")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                  string
+		weighting, disruption bool
+		faults                fault.Program
+	}{
+		{"unweighted", false, false, nil},
+		{"weighting", true, false, nil},
+		{"disruption", false, true, prog},
+		{"both", true, true, prog},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runJournaled(t, Config{
+				Receivers: 2, Workers: 2, Seed: 17, Quality: &QualityConfig{},
+				Weighting: tc.weighting, Disruption: tc.disruption,
+				Faults: tc.faults, FaultSeed: 3,
+				JournalCaptureEvery: 8,
+			}, 200)
+			var replayed, sigma, mismatches int
+			for i := range res.Records {
+				rec := &res.Records[i]
+				if !rec.Has(journal.FlagFix|journal.FlagObs) || rec.Has(journal.FlagCoast) {
+					continue
+				}
+				if rec.Has(journal.FlagSigma) {
+					sigma++
+				}
+				in, err := eval.ReplayInputFromRecord(&res.Meta, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sv := in.ReplaySolver()
+				if sv == nil {
+					t.Fatalf("captured solver %q not replayable", in.Solver)
+				}
+				sol, err := sv.Solve(in.T, in.Obs)
+				if err != nil || sol.Pos != rec.Pos {
+					mismatches++
+				}
+				replayed++
+			}
+			if replayed < 2*200/8 {
+				t.Fatalf("only %d captured fixes replayed", replayed)
+			}
+			if mismatches != 0 {
+				t.Errorf("%d of %d captured fixes did not replay bit-identically", mismatches, replayed)
+			}
+			if weighted := tc.weighting || tc.disruption; weighted != (sigma > 0) {
+				t.Errorf("%d of %d captured fixes carry σ; want some iff the engine weights", sigma, replayed)
+			}
+		})
+	}
+}
+
 // TestJournalFaultAttribution: under a step fault on PRN 14 that evades
 // RAIM but fails χ², the faulted satellite must dominate the recorded
 // residuals in the fault window.

@@ -11,8 +11,9 @@ import (
 // ReplayInputFromRecord lifts a journal record that captured its full
 // observation set (FlagObs) into a ReplayInput, which gpsinspect replay
 // re-solves for journals and incident bundles. The journal stores observation and
-// solution floats bit-exactly, so a successful replay must reproduce
-// rec.Pos bit-for-bit.
+// solution floats bit-exactly, each observation's σ included when the
+// solver weighted it (FlagSigma), so a successful replay must
+// reproduce rec.Pos bit-for-bit.
 func ReplayInputFromRecord(m *journal.Meta, rec *journal.Record) (*ReplayInput, error) {
 	if rec.Flags&journal.FlagObs == 0 || len(rec.Obs) == 0 {
 		return nil, fmt.Errorf("eval: record (recv %d, epoch %d) captured no observations", rec.Receiver, rec.Epoch)
@@ -40,7 +41,7 @@ func ReplayInputFromRecord(m *journal.Meta, rec *journal.Record) (*ReplayInput, 
 	}
 	in.Obs = make([]core.Observation, len(rec.Obs))
 	for i, o := range rec.Obs {
-		in.Obs[i] = core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation}
+		in.Obs[i] = core.Observation{Pos: o.Pos, Pseudorange: o.Pseudorange, Elevation: o.Elevation, Sigma: o.Sigma}
 	}
 	return in, nil
 }

@@ -38,13 +38,17 @@ type ReplayInput struct {
 // covariance paths are listed separately: they agree to numerical
 // precision but not bit for bit, so a replay must re-run the exact
 // variant the capture names to reproduce the fix byte-identically.
+// NR and DLG weigh each observation by its σ (WLS via SigmaWeight, the
+// heteroscedastic Ψ of eq. 4-26), as the engine solves weighted and
+// disruption-scored fixes; an unset σ weighs exactly 1, which
+// reproduces an unweighted solve bit for bit.
 func (in *ReplayInput) Solvers() []core.Solver {
 	pred := clock.Constant{Bias: in.ClockBias}
 	return []core.Solver{
-		&core.NRSolver{},
+		&core.NRSolver{Weight: core.SigmaWeight},
 		&core.DLOSolver{Predictor: pred},
-		&core.DLGSolver{Predictor: pred},
-		&core.DLGSolver{Predictor: pred, Variant: core.VariantFast},
+		&core.DLGSolver{Predictor: pred, Weighted: true},
+		&core.DLGSolver{Predictor: pred, Variant: core.VariantFast, Weighted: true},
 		core.BancroftSolver{},
 	}
 }

@@ -1,6 +1,10 @@
 package journal
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"gpsdl/internal/frame"
+)
 
 // Encoder builds one FrameRecords payload. Each engine shard owns one
 // Encoder and appends records while stepping a batch; the accumulated
@@ -21,11 +25,14 @@ import "encoding/binary"
 //	[FlagFix]      posX f64le posY f64le posZ f64le clockBias f64le |
 //	[FlagRMS]      rms_mm uvarint |
 //	[FlagDOP]      pdop_milli uvarint hdop_milli uvarint |
-//	[FlagClock]    zigzag(clockInnov_mm) uvarint |
+//	[FlagClock]    clockInnov_mm zigzag varint |
 //	[FlagExcluded] excludedPRN uvarint |
-//	nres uvarint { prn uvarint zigzag(res_mm) uvarint }* |
+//	nres uvarint { prn uvarint res_mm zigzag varint }* |
 //	[FlagObs]      predBias f64le nobs uvarint
-//	               { prn uvarint posX posY posZ pr elev (f64le) }*
+//	               { prn uvarint posX posY posZ pr elev (f64le)
+//	                 [FlagSigma] sigma f64le }*
+//
+// mm and milli fields are frame.Quant's; RMS and DOP clamp at 0.
 type Encoder struct {
 	buf   []byte
 	count int
@@ -58,20 +65,20 @@ func (e *Encoder) Add(r *Record) {
 	b = binary.AppendUvarint(b, uint64(r.Flags))
 	b = append(b, r.State, r.Chain, r.Solver)
 	if r.Flags&FlagFix != 0 {
-		b = appendFloat(b, r.Pos.X)
-		b = appendFloat(b, r.Pos.Y)
-		b = appendFloat(b, r.Pos.Z)
-		b = appendFloat(b, r.ClockBias)
+		b = frame.AppendFloat(b, r.Pos.X)
+		b = frame.AppendFloat(b, r.Pos.Y)
+		b = frame.AppendFloat(b, r.Pos.Z)
+		b = frame.AppendFloat(b, r.ClockBias)
 	}
 	if r.Flags&FlagRMS != 0 {
-		b = binary.AppendUvarint(b, quant(r.RMS))
+		b = binary.AppendUvarint(b, uint64(max(frame.Quant(r.RMS), 0)))
 	}
 	if r.Flags&FlagDOP != 0 {
-		b = binary.AppendUvarint(b, quant(r.PDOP))
-		b = binary.AppendUvarint(b, quant(r.HDOP))
+		b = binary.AppendUvarint(b, uint64(max(frame.Quant(r.PDOP), 0)))
+		b = binary.AppendUvarint(b, uint64(max(frame.Quant(r.HDOP), 0)))
 	}
 	if r.Flags&FlagClock != 0 {
-		b = binary.AppendUvarint(b, zigzag(quantSigned(r.ClockInnov)))
+		b = binary.AppendVarint(b, frame.Quant(r.ClockInnov))
 	}
 	if r.Flags&FlagExcluded != 0 {
 		b = binary.AppendUvarint(b, uint64(r.ExcludedPRN))
@@ -79,19 +86,22 @@ func (e *Encoder) Add(r *Record) {
 	b = binary.AppendUvarint(b, uint64(len(r.Residuals)))
 	for i := range r.Residuals {
 		b = binary.AppendUvarint(b, uint64(r.Residuals[i].PRN))
-		b = binary.AppendUvarint(b, zigzag(quantSigned(r.Residuals[i].Meters)))
+		b = binary.AppendVarint(b, frame.Quant(r.Residuals[i].Meters))
 	}
 	if r.Flags&FlagObs != 0 {
-		b = appendFloat(b, r.PredBias)
+		b = frame.AppendFloat(b, r.PredBias)
 		b = binary.AppendUvarint(b, uint64(len(r.Obs)))
 		for i := range r.Obs {
 			o := &r.Obs[i]
 			b = binary.AppendUvarint(b, uint64(o.PRN))
-			b = appendFloat(b, o.Pos.X)
-			b = appendFloat(b, o.Pos.Y)
-			b = appendFloat(b, o.Pos.Z)
-			b = appendFloat(b, o.Pseudorange)
-			b = appendFloat(b, o.Elevation)
+			b = frame.AppendFloat(b, o.Pos.X)
+			b = frame.AppendFloat(b, o.Pos.Y)
+			b = frame.AppendFloat(b, o.Pos.Z)
+			b = frame.AppendFloat(b, o.Pseudorange)
+			b = frame.AppendFloat(b, o.Elevation)
+			if r.Flags&FlagSigma != 0 {
+				b = frame.AppendFloat(b, o.Sigma)
+			}
 		}
 	}
 	e.buf = b

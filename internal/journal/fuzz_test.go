@@ -92,7 +92,12 @@ func makeFuzzRecord(i int, epoch uint64) Record {
 	if i%3 == 0 {
 		r.Flags |= FlagObs
 		r.PredBias = 1e-4
-		r.Obs = []CapturedObs{{PRN: 7, Pseudorange: 2e7, Elevation: 0.5}}
+		r.Obs = []CapturedObs{{PRN: 7, Pseudorange: 2e7, Elevation: 0.5}, {PRN: 9, Pseudorange: 2.1e7, Elevation: 0.7}}
+	}
+	if i == 0 {
+		// A weighted capture, so the seeds cover FlagSigma's layout.
+		r.Flags |= FlagSigma
+		r.Obs[0].Sigma = 3.5
 	}
 	return r
 }

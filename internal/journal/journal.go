@@ -11,6 +11,11 @@
 //	header := magic "GPSJ" | version u8 | metaLen uvarint | metaJSON | crc32(metaJSON) u32le
 //	frame  := marker 0xA7 | payloadLen uvarint | payload | crc32(payload) u32le
 //
+// The header is the magic followed by one envelope whose marker is the
+// version byte. Both envelopes, the payload decoder and the millimetre
+// quantiser are internal/frame's, shared with the wire protocol; this
+// package owns the markers, the 64 MiB payload cap and the layouts.
+//
 // The first payload byte is the frame kind: FrameRecords carries a
 // delta/varint-encoded batch of Records from one shard; FrameSync is a
 // periodic sync point (epoch high-water mark plus cumulative frame and
@@ -24,12 +29,13 @@
 // quantized to millimetre fixed point (residuals, RMS, clock
 // innovation) or 1/1000 units (DOP) and varint-packed, while solution
 // coordinates and captured observations keep raw float64 bits so that
-// incident fixes replay bit-for-bit through eval.ReplayInput.
+// incident fixes replay bit-for-bit through eval.ReplayInput. A
+// captured set also keeps each observation's σ (FlagSigma) when the
+// solver saw one, so weighted and disruption-scored fixes replay too.
 package journal
 
 import (
-	"encoding/binary"
-	"math"
+	"strconv"
 
 	"gpsdl/internal/geo"
 )
@@ -66,6 +72,7 @@ const (
 	FlagClock                   // ClockInnov valid
 	FlagObs                     // full observation set captured (PredBias/Obs valid)
 	FlagStateChange             // session health state differs from the previous epoch
+	FlagSigma                   // captured observations carry σ (with FlagObs; some σ non-zero)
 )
 
 // Meta is the journal file header payload: enough engine configuration
@@ -94,6 +101,10 @@ type CapturedObs struct {
 	Pos         geo.ECEF
 	Pseudorange float64
 	Elevation   float64
+	// Sigma is the 1σ pseudo-range noise (metres) the solver weighted
+	// the observation with, after any disruption inflation; 0 means
+	// unweighted. Stored only in records with FlagSigma.
+	Sigma float64
 }
 
 // Record is one session-epoch of flight data. The writer encodes it
@@ -137,7 +148,7 @@ func StateName(s uint8) string {
 	if int(s) < len(stateNames) {
 		return stateNames[s]
 	}
-	return "state(" + itoa(int(s)) + ")"
+	return "state(" + strconv.Itoa(int(s)) + ")"
 }
 
 // solverNames indexes the solver identifiers that appear in
@@ -163,70 +174,3 @@ func SolverName(idx uint8) string {
 	}
 	return ""
 }
-
-func itoa(v int) string {
-	// strconv-free to keep this file dependency-light; v is tiny.
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-// Quantization helpers. Scalars are stored as millimetre (or 1/1000
-// unit) fixed point; quantize saturates at ±1e12 mm and maps
-// non-finite values to the saturation bound so corrupt inputs cannot
-// produce unbounded varints.
-const quantMax = 1 << 40 // ~1.1e12 mm ≈ 1.1e9 m, beyond any GPS quantity
-
-func quant(v float64) uint64 {
-	if math.IsNaN(v) || v <= 0 {
-		return 0
-	}
-	q := math.Round(v * 1000)
-	if q > quantMax {
-		return quantMax
-	}
-	return uint64(q)
-}
-
-func unquant(q uint64) float64 { return float64(q) / 1000 }
-
-func quantSigned(v float64) int64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	q := math.Round(v * 1000)
-	if q > quantMax {
-		return quantMax
-	}
-	if q < -quantMax {
-		return -quantMax
-	}
-	return int64(q)
-}
-
-func unquantSigned(q int64) float64 { return float64(q) / 1000 }
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func mathFloat(bits uint64) float64 { return math.Float64frombits(bits) }

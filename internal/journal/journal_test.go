@@ -48,6 +48,11 @@ func makeRecord(recv int, epoch uint64, withObs bool) Record {
 			{PRN: 3, Pos: geo.ECEF{X: 1.5e7, Y: 2.1e7, Z: 3.3e6}, Pseudorange: 2.123456789e7, Elevation: 0.61},
 			{PRN: 14, Pos: geo.ECEF{X: -1.1e7, Y: 1.9e7, Z: 1.2e7}, Pseudorange: 2.234567891e7, Elevation: 0.35},
 		}
+		if epoch%2 == 1 {
+			// A weighted capture: σ round-trips bit for bit, zeros too.
+			r.Flags |= FlagSigma
+			r.Obs[0].Sigma = 4.503599627370497
+		}
 	}
 	return r
 }
@@ -150,8 +155,15 @@ func TestRoundTrip(t *testing.T) {
 	if len(res.Records) != len(want) {
 		t.Fatalf("record count: got %d want %d", len(res.Records), len(want))
 	}
+	sigma := 0
 	for i := range want {
 		expectRecord(t, &res.Records[i], &want[i])
+		if want[i].Has(FlagSigma) {
+			sigma++
+		}
+	}
+	if sigma == 0 {
+		t.Fatal("no record captured σ")
 	}
 	if len(res.SyncPoints) == 0 {
 		t.Fatal("no sync points recorded")

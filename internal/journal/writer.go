@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
 	"sync"
 	"time"
 
+	"gpsdl/internal/frame"
 	"gpsdl/internal/telemetry"
 )
 
@@ -20,15 +20,6 @@ type Options struct {
 	// DefaultSyncEvery; negative disables sync frames entirely.
 	// Explicit Sync and Close always flush synchronously.
 	SyncEvery int
-
-	// SyncInterval rate-limits background fsyncs: consecutive flushes
-	// are at least this far apart, with kicks coalescing in between.
-	// This bounds the durability window by time — a crash loses at
-	// most roughly the last SyncInterval of records — instead of
-	// letting a high-throughput burst burn a flush per SyncEvery
-	// frames. 0 selects DefaultSyncInterval; negative flushes on
-	// every sync point.
-	SyncInterval time.Duration
 
 	// TailFrames is how many recent frames the in-memory tail ring
 	// retains for incident segments. 0 selects DefaultTailFrames;
@@ -44,10 +35,16 @@ type Options struct {
 }
 
 const (
-	DefaultSyncEvery    = 16
-	DefaultTailFrames   = 256
-	DefaultSyncInterval = 250 * time.Millisecond
+	DefaultSyncEvery  = 16
+	DefaultTailFrames = 256
 )
+
+// syncInterval rate-limits background fsyncs: consecutive flushes are
+// at least this far apart, with kicks coalescing in between. This
+// bounds the durability window by time — a crash loses at most
+// roughly the last syncInterval of records — instead of letting a
+// high-throughput burst burn a flush per SyncEvery frames.
+const syncInterval = 250 * time.Millisecond
 
 // tailBudget bounds the tail ring's memory. Live-paced batch frames are a
 // few KB, so incident segments keep all TailFrames of them; catch-up
@@ -86,10 +83,9 @@ type Writer struct {
 	// never blocks WriteRecords. Kicks coalesce while a flush is in
 	// flight; the first fsync failure is latched in syncErr and
 	// surfaced by the next write.
-	kick         chan struct{}
-	done         chan struct{}
-	syncErr      error
-	syncInterval time.Duration
+	kick    chan struct{}
+	done    chan struct{}
+	syncErr error
 
 	bytesTotal *telemetry.Counter
 	fsyncTotal *telemetry.Counter
@@ -104,12 +100,7 @@ func NewWriter(w io.Writer, meta Meta, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, len(mj)+16)
-	hdr = append(hdr, magic[:]...)
-	hdr = append(hdr, Version)
-	hdr = binary.AppendUvarint(hdr, uint64(len(mj)))
-	hdr = append(hdr, mj...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(mj))
+	hdr := frame.Append(append(make([]byte, 0, len(mj)+16), magic[:]...), Version, mj)
 	if _, err := w.Write(hdr); err != nil {
 		return nil, err
 	}
@@ -134,10 +125,6 @@ func NewWriter(w io.Writer, meta Meta, opt Options) (*Writer, error) {
 		jw.bytesTotal.Add(uint64(len(hdr)))
 	}
 	if jw.syncer != nil {
-		jw.syncInterval = opt.SyncInterval
-		if jw.syncInterval == 0 {
-			jw.syncInterval = DefaultSyncInterval
-		}
 		jw.kick = make(chan struct{}, 1)
 		jw.done = make(chan struct{})
 		go jw.syncLoop()
@@ -155,8 +142,8 @@ func (w *Writer) syncLoop() {
 	defer close(w.done)
 	var last time.Time
 	for range w.kick {
-		if w.syncInterval > 0 && !last.IsZero() {
-			if d := w.syncInterval - time.Since(last); d > 0 {
+		if !last.IsZero() {
+			if d := syncInterval - time.Since(last); d > 0 {
 				time.Sleep(d)
 			}
 		}
@@ -244,11 +231,7 @@ func (w *Writer) syncLocked(flush bool) error {
 }
 
 func (w *Writer) writeFrameLocked(payload []byte) error {
-	b := w.scratch[:0]
-	b = append(b, FrameMarker)
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b := frame.Append(w.scratch[:0], FrameMarker, payload)
 	w.scratch = b
 	if _, err := w.w.Write(b); err != nil {
 		return err

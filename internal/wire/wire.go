@@ -10,7 +10,10 @@
 //
 //	frame := marker 0xB5 | payloadLen uvarint | payload | crc32(payload) u32le
 //
-// The first payload byte is the frame kind. Every frame is
+// The envelope, the payload decoder and the millimetre quantiser are
+// internal/frame's, shared with the flight journal; this package owns
+// the marker, the 64 KiB payload cap and the payload layouts. The
+// first payload byte is the frame kind. Every frame is
 // independently checksummed, so a torn TCP stream or a flipped byte
 // fails loudly at the reader instead of decoding into plausible
 // garbage positions.
@@ -50,13 +53,12 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
+
+	"gpsdl/internal/frame"
 )
 
 // Protocol constants. Version bumps whenever the frame or field
@@ -180,36 +182,9 @@ func (f *Fix) flags() byte {
 	return fl
 }
 
-// Quantization: millimetre fixed point, saturating like the flight
-// journal's, so non-finite or absurd inputs cannot produce unbounded
-// varints.
-const quantMax = 1 << 40
-
-func quant(v float64) int64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	q := math.Round(v * 1000)
-	if q > quantMax {
-		return quantMax
-	}
-	if q < -quantMax {
-		return -quantMax
-	}
-	return int64(q)
-}
-
-func unquant(q int64) float64 { return float64(q) / 1000 }
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// AppendFrame wraps payload in the frame envelope and appends it.
+// AppendFrame wraps payload in the wire envelope and appends it.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = append(dst, FrameMarker)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return frame.Append(dst, FrameMarker, payload)
 }
 
 // AppendSubscribe appends a SUBSCRIBE frame for token (session, ack).
@@ -217,7 +192,7 @@ func AppendSubscribe(dst []byte, session int, ack int64) []byte {
 	p := make([]byte, 0, 16)
 	p = append(p, KindSubscribe, Version)
 	p = binary.AppendUvarint(p, uint64(session))
-	p = binary.AppendUvarint(p, zigzag(ack))
+	p = binary.AppendVarint(p, ack)
 	return AppendFrame(dst, p)
 }
 
@@ -228,54 +203,21 @@ func AppendResume(dst []byte, r Resume) []byte {
 	p = binary.AppendUvarint(p, uint64(r.Session))
 	p = append(p, r.Status)
 	p = binary.AppendUvarint(p, r.Resume)
-	p = binary.AppendUvarint(p, zigzag(r.Head))
+	p = binary.AppendVarint(p, r.Head)
 	return AppendFrame(dst, p)
-}
-
-// errTruncated reports a payload shorter than its fields claim.
-var errTruncated = errors.New("wire: truncated payload")
-
-// payloadReader walks a frame payload.
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *payloadReader) byte() byte {
-	if r.err != nil || r.off >= len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *payloadReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = errTruncated
-		return 0
-	}
-	r.off += n
-	return v
 }
 
 // DecodeSubscribe parses a SUBSCRIBE payload (kind byte included).
 func DecodeSubscribe(p []byte) (Subscribe, error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindSubscribe {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindSubscribe {
 		return Subscribe{}, fmt.Errorf("wire: subscribe: kind %d", k)
 	}
-	s := Subscribe{Version: int(r.byte())}
-	s.Session = int(r.uvarint())
-	s.Ack = unzigzag(r.uvarint())
-	if r.err != nil {
-		return Subscribe{}, fmt.Errorf("wire: subscribe: %w", r.err)
+	s := Subscribe{Version: int(r.Byte())}
+	s.Session = int(r.Uvarint())
+	s.Ack = r.Varint()
+	if err := r.Err(); err != nil {
+		return Subscribe{}, fmt.Errorf("wire: subscribe: %w", err)
 	}
 	if s.Version != Version {
 		return Subscribe{}, fmt.Errorf("wire: subscribe: unsupported protocol version %d", s.Version)
@@ -285,17 +227,17 @@ func DecodeSubscribe(p []byte) (Subscribe, error) {
 
 // DecodeResume parses a RESUME payload (kind byte included).
 func DecodeResume(p []byte) (Resume, error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindResume {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindResume {
 		return Resume{}, fmt.Errorf("wire: resume: kind %d", k)
 	}
 	var res Resume
-	res.Session = int(r.uvarint())
-	res.Status = r.byte()
-	res.Resume = r.uvarint()
-	res.Head = unzigzag(r.uvarint())
-	if r.err != nil {
-		return Resume{}, fmt.Errorf("wire: resume: %w", r.err)
+	res.Session = int(r.Uvarint())
+	res.Status = r.Byte()
+	res.Resume = r.Uvarint()
+	res.Head = r.Varint()
+	if err := r.Err(); err != nil {
+		return Resume{}, fmt.Errorf("wire: resume: %w", err)
 	}
 	return res, nil
 }
@@ -304,15 +246,15 @@ func DecodeResume(p []byte) (Resume, error) {
 // without delta state — what a relay needs to route and deduplicate
 // frames it cannot (and must not) decode.
 func PeekFix(p []byte) (session int, epoch uint64, keyframe bool, err error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindFix {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindFix {
 		return 0, 0, false, fmt.Errorf("wire: fix: kind %d", k)
 	}
-	session = int(r.uvarint())
-	epoch = r.uvarint()
-	flags := r.byte()
-	if r.err != nil {
-		return 0, 0, false, fmt.Errorf("wire: fix: %w", r.err)
+	session = int(r.Uvarint())
+	epoch = r.Uvarint()
+	flags := r.Byte()
+	if err := r.Err(); err != nil {
+		return 0, 0, false, fmt.Errorf("wire: fix: %w", err)
 	}
 	return session, epoch, flags&FixKeyframe != 0, nil
 }
@@ -326,8 +268,7 @@ type FixEncoder struct {
 
 	havePrev  bool
 	prevEpoch uint64   // epoch of the previous non-miss fix
-	prev      [4]int64 // qx qy qz qbias
-	prevHDOP  int64
+	prev      [5]int64 // its quantized x y z bias hdop
 
 	// payload is the reused FIX payload buffer: AppendFrame copies it
 	// into dst, so one buffer serves every fix of the stream.
@@ -344,36 +285,27 @@ func (e *FixEncoder) AppendFix(dst []byte, f *Fix) ([]byte, bool) {
 	if every <= 0 {
 		every = DefaultKeyframeEvery
 	}
-	p := append(e.payload[:0], KindFix)
-	p = binary.AppendUvarint(p, uint64(f.Session))
-	p = binary.AppendUvarint(p, f.Epoch)
 	flags := f.flags()
-	if f.Miss {
-		p = append(p, flags, f.State, f.Solver)
-		p = binary.AppendUvarint(p, uint64(f.Sats))
-		e.payload = p
-		return AppendFrame(dst, p), false
-	}
-	q := [4]int64{quant(f.X), quant(f.Y), quant(f.Z), quant(f.ClockBias)}
-	qh := quant(f.HDOP)
-	key := !e.havePrev || f.Epoch/uint64(every) != e.prevEpoch/uint64(every)
+	key := !f.Miss && (!e.havePrev || f.Epoch/uint64(every) != e.prevEpoch/uint64(every))
 	if key {
 		flags |= FixKeyframe
 	}
+	p := append(e.payload[:0], KindFix)
+	p = binary.AppendUvarint(p, uint64(f.Session))
+	p = binary.AppendUvarint(p, f.Epoch)
 	p = append(p, flags, f.State, f.Solver)
 	p = binary.AppendUvarint(p, uint64(f.Sats))
-	if key {
-		for _, v := range q {
-			p = binary.AppendUvarint(p, zigzag(v))
+	if !f.Miss {
+		q := [5]int64{frame.Quant(f.X), frame.Quant(f.Y), frame.Quant(f.Z), frame.Quant(f.ClockBias), frame.Quant(f.HDOP)}
+		var ref [5]int64 // a keyframe is a delta against zero
+		if !key {
+			ref = e.prev
 		}
-		p = binary.AppendUvarint(p, zigzag(qh))
-	} else {
 		for i, v := range q {
-			p = binary.AppendUvarint(p, zigzag(v-e.prev[i]))
+			p = binary.AppendVarint(p, v-ref[i])
 		}
-		p = binary.AppendUvarint(p, zigzag(qh-e.prevHDOP))
+		e.prev, e.havePrev, e.prevEpoch = q, true, f.Epoch
 	}
-	e.prev, e.prevHDOP, e.havePrev, e.prevEpoch = q, qh, true, f.Epoch
 	e.payload = p
 	return AppendFrame(dst, p), key
 }
@@ -383,8 +315,7 @@ func (e *FixEncoder) AppendFix(dst []byte, f *Fix) ([]byte, bool) {
 // values to the encoder.
 type FixDecoder struct {
 	havePrev bool
-	prev     [4]int64
-	prevHDOP int64
+	prev     [5]int64
 }
 
 // ErrDeltaWithoutKeyframe reports a delta frame arriving before any
@@ -395,100 +326,54 @@ var ErrDeltaWithoutKeyframe = errors.New("wire: delta fix before any keyframe")
 // DecodeFix parses a FIX payload (kind byte included) and updates the
 // delta chain.
 func (d *FixDecoder) DecodeFix(p []byte) (Fix, error) {
-	r := payloadReader{b: p}
-	if k := r.byte(); k != KindFix {
+	r := frame.NewDecoder(p)
+	if k := r.Byte(); k != KindFix {
 		return Fix{}, fmt.Errorf("wire: fix: kind %d", k)
 	}
 	var f Fix
-	f.Session = int(r.uvarint())
-	f.Epoch = r.uvarint()
-	flags := r.byte()
-	f.State = r.byte()
-	f.Solver = r.byte()
-	f.Sats = int(r.uvarint())
+	f.Session = int(r.Uvarint())
+	f.Epoch = r.Uvarint()
+	flags := r.Byte()
+	f.State = r.Byte()
+	f.Solver = r.Byte()
+	f.Sats = int(r.Uvarint())
 	f.Miss = flags&FixMiss != 0
 	f.Coast = flags&FixCoast != 0
 	f.Suspect = flags&FixSuspect != 0
 	f.Degraded = flags&FixDegraded != 0
 	if f.Miss {
-		if r.err != nil {
-			return Fix{}, fmt.Errorf("wire: fix: %w", r.err)
+		if err := r.Err(); err != nil {
+			return Fix{}, fmt.Errorf("wire: fix: %w", err)
 		}
 		return f, nil
 	}
-	var q [4]int64
-	var qh int64
-	if flags&FixKeyframe != 0 {
-		for i := range q {
-			q[i] = unzigzag(r.uvarint())
-		}
-		qh = unzigzag(r.uvarint())
-	} else {
+	var q [5]int64 // a keyframe is a delta against zero
+	if flags&FixKeyframe == 0 {
 		if !d.havePrev {
 			return Fix{}, ErrDeltaWithoutKeyframe
 		}
-		for i := range q {
-			q[i] = d.prev[i] + unzigzag(r.uvarint())
-		}
-		qh = d.prevHDOP + unzigzag(r.uvarint())
+		q = d.prev
 	}
-	if r.err != nil {
-		return Fix{}, fmt.Errorf("wire: fix: %w", r.err)
+	for i := range q {
+		q[i] += r.Varint()
 	}
-	d.prev, d.prevHDOP, d.havePrev = q, qh, true
-	f.X, f.Y, f.Z = unquant(q[0]), unquant(q[1]), unquant(q[2])
-	f.ClockBias = unquant(q[3])
-	f.HDOP = unquant(qh)
+	if err := r.Err(); err != nil {
+		return Fix{}, fmt.Errorf("wire: fix: %w", err)
+	}
+	d.prev, d.havePrev = q, true
+	f.X, f.Y, f.Z = frame.Unquant(q[0]), frame.Unquant(q[1]), frame.Unquant(q[2])
+	f.ClockBias, f.HDOP = frame.Unquant(q[3]), frame.Unquant(q[4])
 	return f, nil
 }
 
-// FrameReader reads framed payloads off a byte stream, verifying the
-// envelope CRC. The returned payload is valid until the next call.
-type FrameReader struct {
-	br  *bufio.Reader
-	buf []byte
-}
+// FrameReader reads wire frames off a byte stream, verifying each
+// envelope; see frame.Reader. The returned payload is valid until the
+// next call.
+type FrameReader = frame.Reader
 
 // NewFrameReader wraps r (buffered internally).
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 4096)}
-}
-
-// ErrBadFrame reports an envelope violation: bad marker, oversized
-// length prefix, or CRC mismatch. A stream that produced it cannot be
-// resynchronized and should be closed.
-var ErrBadFrame = errors.New("wire: bad frame")
-
-// Next returns the next frame's payload.
-func (fr *FrameReader) Next() ([]byte, error) {
-	m, err := fr.br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if m != FrameMarker {
-		return nil, fmt.Errorf("%w: marker %#x", ErrBadFrame, m)
-	}
-	n, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrBadFrame, n)
-	}
-	need := int(n) + 4
-	if cap(fr.buf) < need {
-		fr.buf = make([]byte, need)
-	}
-	buf := fr.buf[:need]
-	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return nil, err
-	}
-	payload := buf[:n]
-	want := binary.LittleEndian.Uint32(buf[n:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("%w: crc %08x, frame says %08x", ErrBadFrame, got, want)
-	}
-	return payload, nil
+	return frame.NewReader(r, FrameMarker, MaxFramePayload)
 }
 
 // Kind returns a payload's frame kind (0 when empty).

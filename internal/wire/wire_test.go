@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"gpsdl/internal/frame"
 	"gpsdl/internal/rng"
 )
 
@@ -31,11 +32,11 @@ func synthFix(s int, e uint64) Fix {
 }
 
 func quantized(f Fix) Fix {
-	f.X = unquant(quant(f.X))
-	f.Y = unquant(quant(f.Y))
-	f.Z = unquant(quant(f.Z))
-	f.ClockBias = unquant(quant(f.ClockBias))
-	f.HDOP = unquant(quant(f.HDOP))
+	f.X = frame.Unquant(frame.Quant(f.X))
+	f.Y = frame.Unquant(frame.Quant(f.Y))
+	f.Z = frame.Unquant(frame.Quant(f.Z))
+	f.ClockBias = frame.Unquant(frame.Quant(f.ClockBias))
+	f.HDOP = frame.Unquant(frame.Quant(f.HDOP))
 	return f
 }
 
@@ -177,9 +178,9 @@ func TestDecoderFromAnyKeyframe(t *testing.T) {
 	}
 }
 
-func payloadOf(t testing.TB, frame []byte) []byte {
+func payloadOf(t testing.TB, b []byte) []byte {
 	t.Helper()
-	fr := NewFrameReader(bytes.NewReader(frame))
+	fr := NewFrameReader(bytes.NewReader(b))
 	p, err := fr.Next()
 	if err != nil {
 		t.Fatalf("payloadOf: %v", err)
@@ -255,15 +256,33 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
-// TestQuantSaturation: non-finite and absurd values stay bounded.
+// TestQuantSaturation: non-finite and absurd fix values cross the wire
+// bounded (NaN as 0, the rest saturated at ±frame.QuantMax mm), in
+// keyframes and deltas alike, and metres round to the millimetre.
 func TestQuantSaturation(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300} {
-		q := quant(v)
-		if q > quantMax || q < -quantMax {
-			t.Fatalf("quant(%v) = %d out of range", v, q)
+	const bound = float64(frame.QuantMax) / 1000
+	var enc FixEncoder
+	var dec FixDecoder
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 1.0005} {
+		f := Fix{Session: 1, Epoch: uint64(i), X: v, Y: -v, Z: v, ClockBias: v, HDOP: v}
+		b, _ := enc.AppendFix(nil, &f)
+		got, err := dec.DecodeFix(payloadOf(t, b))
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		for _, q := range []float64{got.X, got.Y, got.Z, got.ClockBias, got.HDOP} {
+			if math.IsNaN(q) || q > bound || q < -bound {
+				t.Fatalf("%v crossed the wire as %v, outside ±%v", v, q, bound)
+			}
+		}
+		if math.IsNaN(v) && got.X != 0 {
+			t.Fatalf("NaN crossed the wire as %v, want 0", got.X)
+		}
+		if v == 1e300 && (got.X != bound || got.Y != -bound) {
+			t.Fatalf("1e300 crossed the wire as (%v, %v), want ±%v", got.X, got.Y, bound)
 		}
 	}
-	if quant(1.0005) != 1001 && quant(1.0005) != 1000 {
-		t.Fatalf("mm rounding broken: %d", quant(1.0005))
+	if q := frame.Quant(1.0005); q != 1001 && q != 1000 {
+		t.Fatalf("mm rounding broken: %d", q)
 	}
 }
