@@ -11,7 +11,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -166,18 +165,11 @@ func runEngine(ctx context.Context, p engineParams) error {
 	}
 	reg := telemetry.NewRegistry()
 	ckptEvery := 0
-	if p.ckptPath != "" {
-		ckptEvery = p.ckptEvery
-	}
-	if p.incidentDir != "" && ckptEvery == 0 {
-		// Incident bundles embed a live snapshot; the lock-free
-		// checkpoint cells must refresh even without -checkpoint.
-		ckptEvery = p.ckptEvery
-	}
-	if p.wireAddr != "" && ckptEvery == 0 {
-		// Cluster serving needs live checkpoint cells (the handoff
-		// payload) and uses the same cadence as the wire keyframe blocks,
-		// so a handoff point always lands on a chain-restart boundary.
+	if p.ckptPath != "" || p.incidentDir != "" || p.wireAddr != "" {
+		// Live checkpoint cells feed the checkpoint file, the snapshot
+		// an incident bundle embeds and the cluster handoff payload. The
+		// hub's keyframe blocks share the cadence, so a handoff point
+		// always lands on a chain-restart boundary.
 		ckptEvery = p.ckptEvery
 	}
 	hub := wire.NewHub(wire.HubConfig{KeyframeEvery: ckptEvery})
@@ -190,14 +182,6 @@ func runEngine(ctx context.Context, p engineParams) error {
 	tel := newServerTelemetry(reg, hub, maxAge)
 	h := tel.health
 	h.ckptPath = p.ckptPath
-	var jfile *os.File
-	if p.journalPath != "" {
-		jfile, err = os.Create(p.journalPath)
-		if err != nil {
-			return fmt.Errorf("-journal: %w", err)
-		}
-		defer jfile.Close()
-	}
 	var capturer *incidentCapturer
 	var onIncident func(engine.Incident)
 	if p.incidentDir != "" {
@@ -228,61 +212,76 @@ func runEngine(ctx context.Context, p engineParams) error {
 		ecfg.Receivers = 0
 		ecfg.SessionIDs = p.sessions
 	}
-	if jfile != nil {
-		ecfg.JournalSink = jfile
-		ecfg.JournalOptions = journal.Options{SyncEvery: p.journalSync}
-	}
-	eng, err := engine.New(ecfg)
-	if err != nil {
-		return err
-	}
-	if ds != nil {
-		eng.Preload(ds.Epochs)
-	}
-	tel.eng, tel.inc = eng, capturer
-	h.shards = eng.ShardHealth
-	var node *cluster.Node
+	// The Node hosts every engine of this process: the primary built
+	// here and, with -wire, one per accepted handoff. Adopted engines
+	// are built from a copy of this exact config (same seed/solver/
+	// stations), which is what makes handed-off streams bit-identical
+	// to the dead node's.
+	node := cluster.NewNode(ctx, cluster.NodeConfig{
+		Base:      ecfg,
+		Rate:      p.rate,
+		Hub:       hub,
+		Registry:  reg,
+		Log:       p.logs.Component("cluster"),
+		OnRestore: h.recordRestore,
+	})
 	if p.wireAddr != "" {
-		// The cluster serving tier: a Node owning the wire hub plus this
-		// primary engine, with the /cluster/* control plane on the admin
-		// mux. Adopted engines are built from a copy of this exact config
-		// (same seed/solver/stations), which is what makes handed-off
-		// streams bit-identical to the dead node's.
-		node = cluster.NewNode(ctx, cluster.NodeConfig{
-			Base:      ecfg,
-			Rate:      p.rate,
-			Hub:       hub,
-			Registry:  reg,
-			Log:       p.logs.Component("cluster"),
-			OnRestore: h.recordRestore,
-		})
-		node.Track(eng)
-		// Set before the engine runs, so shard goroutines only ever
+		// Set before any engine runs, so shard goroutines only ever
 		// observe the final value in the sink.
 		tel.node = node
 	}
+	var jfile *os.File
+	defer func() {
+		if jfile != nil {
+			jfile.Close()
+		}
+	}()
+	// build makes the primary engine. The node builds it again, cold,
+	// when the checkpoint is not restored, so each call (re)creates the
+	// journal file: the engine that serves writes it from the start.
+	build := func() (*engine.Engine, error) {
+		cfg := ecfg
+		if p.journalPath != "" {
+			if jfile != nil {
+				jfile.Close()
+			}
+			f, err := os.Create(p.journalPath)
+			if err != nil {
+				return nil, fmt.Errorf("-journal: %w", err)
+			}
+			jfile, cfg.JournalSink = f, f
+			cfg.JournalOptions = journal.Options{SyncEvery: p.journalSync}
+		}
+		eng, err := engine.New(cfg)
+		if err == nil && ds != nil {
+			eng.Preload(ds.Epochs)
+		}
+		return eng, err
+	}
+	restorePath := ""
+	if p.restore {
+		restorePath = p.ckptPath
+	}
+	eng, restored, err := node.Host(build, restorePath)
+	if err != nil {
+		return err
+	}
+	if restored.Outcome == "ok" {
+		fmt.Printf("gpsserve: restored %d sessions from %s, resuming at epoch %d\n",
+			restored.Sessions, p.ckptPath, restored.Epoch)
+	}
+	tel.eng, tel.inc = eng, capturer
+	h.shards = eng.ShardHealth
 	if capturer != nil {
 		capturer.start(eng, h, configSnapshot(p))
 	}
 	clog := p.logs.Component("checkpoint")
-	// One shared family for every restore path (startup and handoff
-	// adoptions) — the registry dedupes by name, so this is the same
-	// counter cluster.NewNode registered when -wire is on.
-	restoreFails := reg.Counter("gps_restore_failures_total",
-		"Checkpoint restore attempts that fell back to cold start (corrupt, unreadable, or rejected checkpoints).")
-	if p.restore {
-		restoreCheckpoint(eng, p.ckptPath, h, restoreFails, clog)
-	}
 	ln, err := net.Listen("tcp", p.addr)
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", p.addr, err)
 	}
-	nSessions := p.receivers
-	if len(p.sessions) > 0 {
-		nSessions = len(p.sessions)
-	}
 	fmt.Printf("gpsserve: engine mode, %d receivers × %s over %d workers on %s (%g epoch/s each)\n",
-		nSessions, p.solver, eng.Workers(), ln.Addr(), p.rate)
+		len(eng.SessionIDs()), p.solver, eng.Workers(), ln.Addr(), p.rate)
 	if ds != nil {
 		fmt.Printf("gpsserve: serving dataset %s once (%d epochs, station %s)\n", p.dataset, ds.Len(), ds.Station.ID)
 	}
@@ -312,7 +311,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 	}
 	flog := p.logs.Component("fanout")
 	srv := &wire.Server{Hub: hub, OnError: func(err error) { flog.Info("client dropped", "err", err) }}
-	if node != nil {
+	if p.wireAddr != "" {
 		wln, err := net.Listen("tcp", p.wireAddr)
 		if err != nil {
 			ln.Close()
@@ -324,7 +323,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ServeText(bctx, ln) }()
 
-	// Periodic checkpointing off the engine's lock-free snapshot cells.
+	// Periodic checkpointing off the hosted engines' lock-free snapshot cells.
 	saverStop := make(chan struct{})
 	saverDone := make(chan struct{})
 	go func() {
@@ -339,12 +338,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 			case <-saverStop:
 				return
 			case <-t.C:
-				if node != nil {
-					// The merged node snapshot covers adopted sessions too.
-					saveCheckpoint(node.Snapshot(), p.ckptPath, h, clog)
-				} else {
-					saveCheckpoint(eng.Snapshot(), p.ckptPath, h, clog)
-				}
+				saveCheckpoint(node.Snapshot(), p.ckptPath, h, clog)
 			}
 		}
 	}()
@@ -358,22 +352,16 @@ func runEngine(ctx context.Context, p engineParams) error {
 		// increasing epoch index.
 		ticks = countTicks(ctx, ticker.C, ds.Len()-eng.ResumeEpoch())
 	}
-	err = paceEngine(ctx, eng, ticks, p.logs.Component("engine"))
+	node.Pace(eng, ticks)
 
-	// Ordered drain. The engine is quiescent once RunPaced returns (and
-	// adopted engines once node.Wait returns — their pacers share ctx),
+	// Ordered drain. The primary engine is quiescent once Pace returns
+	// and adopted engines once node.Wait returns (their runs share ctx),
 	// so SnapshotFinal reads exact session state for the final checkpoint.
 	close(saverStop)
 	<-saverDone
-	if node != nil {
-		node.Wait()
-	}
+	node.Wait()
 	if p.ckptPath != "" {
-		if node != nil {
-			saveCheckpoint(node.SnapshotFinal(), p.ckptPath, h, clog)
-		} else {
-			saveCheckpoint(eng.SnapshotFinal(), p.ckptPath, h, clog)
-		}
+		saveCheckpoint(node.SnapshotFinal(), p.ckptPath, h, clog)
 	}
 	// The engine is quiescent: no further incidents will be delivered,
 	// so the capturer can drain its queue and the journal take its final
@@ -400,55 +388,7 @@ func runEngine(ctx context.Context, p engineParams) error {
 	fmt.Printf("gpsserve: drained: batches enqueued=%d done=%d aborted=%d drained=%d conserved=%v flushed=%v\n",
 		st.BatchesEnqueued, st.BatchesDone, st.BatchesAborted, st.BatchesDrained,
 		st.BatchesConserved(), flushed)
-	if err != nil && ctx.Err() == nil {
-		return err
-	}
 	return serveFailed
-}
-
-// restoreCheckpoint resumes eng from the checkpoint at path. Every
-// failure mode — missing file, corrupt or truncated payload,
-// configuration mismatch — degrades to a logged cold start rather than
-// an error: a server that cannot resume should still serve. Failures
-// are no longer silent beyond the log line: each one increments
-// gps_restore_failures_total, and the outcome (ok / cold-start /
-// corrupt / rejected) is recorded on the health tracker for /healthz
-// and /debug/status.
-func restoreCheckpoint(eng *engine.Engine, path string, h *health,
-	failures *telemetry.Counter, log *slog.Logger) {
-	record := func(outcome, detail string, sessions, epoch int) {
-		h.recordRestore(cluster.RestoreOutcome{
-			Outcome: outcome, Detail: detail, Sessions: sessions, Epoch: epoch,
-		})
-	}
-	st, err := checkpoint.Load(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// A missing file is the normal first boot, not a failure.
-		record("cold-start", "no checkpoint file", 0, 0)
-		log.Info("no checkpoint; cold start", "path", path)
-		return
-	case errors.Is(err, checkpoint.ErrCorrupt):
-		failures.Inc()
-		record("corrupt", err.Error(), 0, 0)
-		log.Warn("checkpoint corrupt; cold start", "path", path, "err", err)
-		return
-	case err != nil:
-		failures.Inc()
-		record("corrupt", err.Error(), 0, 0)
-		log.Warn("checkpoint unreadable; cold start", "path", path, "err", err)
-		return
-	}
-	n, err := eng.Restore(st)
-	if err != nil {
-		failures.Inc()
-		record("rejected", err.Error(), 0, 0)
-		log.Warn("checkpoint rejected; cold start", "path", path, "err", err)
-		return
-	}
-	record("ok", "", n, st.Epoch)
-	log.Info("restored from checkpoint", "path", path, "sessions", n, "epoch", st.Epoch)
-	fmt.Printf("gpsserve: restored %d sessions from %s, resuming at epoch %d\n", n, path, st.Epoch)
 }
 
 // saveCheckpoint writes one checkpoint state to path and records it on
@@ -486,34 +426,4 @@ func countTicks(ctx context.Context, src <-chan time.Time, n int) <-chan time.Ti
 		}
 	}()
 	return out
-}
-
-// paceEngine drives RunPaced off wall-clock ticks and logs a summary
-// when the run ends.
-func paceEngine(ctx context.Context, eng *engine.Engine, ticks <-chan time.Time, log *slog.Logger) error {
-	err := eng.RunPaced(ctx, ticks)
-	st := eng.Stats()
-	log.Info("engine stopped",
-		"fixes", st.Fixes,
-		"coast_fixes", st.CoastFixes,
-		"solve_failures", st.SolveFailures,
-		"epoch_errors", st.EpochErrors,
-		"fault_events", st.FaultEvents,
-		"fallbacks", st.Fallbacks,
-		"suspect_fixes", st.SuspectFixes,
-		"raim_exclusions", st.RAIMExclusions,
-		"batches_done", st.BatchesDone,
-		"batches_aborted", st.BatchesAborted,
-		"batches_drained", st.BatchesDrained,
-		"batches_conserved", st.BatchesConserved(),
-		"skipped_ticks", st.SkippedTicks,
-		"panics", st.Panics,
-		"restarts", st.Restarts,
-		"quarantined_epochs", st.QuarantinedEpochs,
-		"failed_epochs", st.FailedEpochs,
-		"breaker_opens", st.BreakerOpens)
-	if err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
 }

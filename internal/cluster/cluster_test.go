@@ -119,6 +119,23 @@ func TestMonitorThreshold(t *testing.T) {
 	}
 }
 
+// TestMonitorDefaultThreshold pins the documented default: with a
+// zero HealthConfig a node survives two missed probes and is declared
+// down at the third.
+func TestMonitorDefaultThreshold(t *testing.T) {
+	m := NewMonitor(map[string]string{"a": "unused"}, HealthConfig{})
+	for miss := 1; miss <= 2; miss++ {
+		m.Observe("a", false)
+		if !m.Up("a") {
+			t.Fatalf("down after %d missed probes", miss)
+		}
+	}
+	m.Observe("a", false)
+	if m.Up("a") {
+		t.Fatal("still up after 3 missed probes")
+	}
+}
+
 // TestMonitorEndToEnd: real HTTP probes against httptest servers; a
 // server starting to 500 transitions down within a few intervals.
 func TestMonitorEndToEnd(t *testing.T) {

@@ -18,10 +18,12 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,12 +57,13 @@ type RestoreOutcome struct {
 // NodeConfig configures a serving Node.
 type NodeConfig struct {
 	// Base is the engine configuration template adopted engines are
-	// built from. Seed, solver, stations and step must match the peers'
-	// — engine.Restore enforces it — and Base.Sink must publish fix
-	// events to this Node's hub (Node.Publish), or handed-off sessions
-	// would be adopted but never served. Receivers/SessionIDs, Registry
-	// and the journal/incident/quality hooks are overridden per
-	// adoption.
+	// built from. Restore checks its solver, seed and step, and each
+	// session's station, against a checkpoint; it does not check
+	// weighting, disruption or the fault program, so peers must agree
+	// on those too. Base.Sink must publish fix events to this Node's hub
+	// (Node.Publish), or handed-off sessions would be adopted but never
+	// served. Adopted engines get their own SessionIDs and run without
+	// Registry, journal, incident hook or quality windows.
 	Base engine.Config
 	// Rate is the paced serving rate (epochs per second) for adopted
 	// engines; ≤ 0 means 1.
@@ -70,7 +73,8 @@ type NodeConfig struct {
 	Hub *wire.Hub
 	// Registry receives the node's cluster metrics; nil disables them.
 	Registry *telemetry.Registry
-	// Log, when set, receives adoption and restore events.
+	// Log, when set, receives restore outcomes and engine stop
+	// summaries.
 	Log *slog.Logger
 	// OnRestore, when set, observes every restore outcome (the
 	// /debug/status surface hook).
@@ -94,13 +98,16 @@ type Node struct {
 	runs    sync.WaitGroup
 }
 
-// NewNode builds a Node whose adopted engines run until ctx ends.
+// NewNode builds a Node whose engines run until ctx ends.
 func NewNode(ctx context.Context, cfg NodeConfig) *Node {
 	if cfg.Rate <= 0 {
 		cfg.Rate = 1
 	}
 	if cfg.Hub == nil {
 		cfg.Hub = wire.NewHub(wire.HubConfig{})
+	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	reg := cfg.Registry
 	return &Node{
@@ -125,15 +132,8 @@ func (n *Node) Publish(e engine.FixEvent) {
 	n.Hub.Publish(&f)
 }
 
-// Track registers an externally built engine (the primary) with the
-// node: its sessions are marked hosted on the hub and its state joins
-// the merged checkpoint.
-func (n *Node) Track(eng *engine.Engine) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trackLocked(eng)
-}
-
+// trackLocked makes eng one of the node's engines: its sessions are
+// marked hosted on the hub and its state joins the merged checkpoint.
 func (n *Node) trackLocked(eng *engine.Engine) {
 	n.engines = append(n.engines, eng)
 	n.Hub.Register(eng.SessionIDs()...)
@@ -154,56 +154,60 @@ func (n *Node) hostedLocked() map[int]bool {
 // (they stop when the Node's context ends).
 func (n *Node) Wait() { n.runs.Wait() }
 
-// mergeSnapshots unions per-engine checkpoints into one node-wide
-// state. Engines refresh their checkpoint cells at the same absolute
-// epoch boundaries, so records normally agree on the epoch; a record
-// lagging the newest boundary (an engine adopted moments ago) is
-// dropped rather than kept — restoring old clock state and then
-// fast-forwarding past the missing epochs would silently diverge,
-// while a dropped record cold-starts loudly on the next failover.
-func mergeSnapshots(snaps []*checkpoint.State) *checkpoint.State {
-	out := &checkpoint.State{}
-	for i, s := range snaps {
-		if i == 0 {
-			out.Solver, out.Seed, out.Step = s.Solver, s.Seed, s.Step
-		}
-		if s.Epoch > out.Epoch {
-			out.Epoch = s.Epoch
-		}
+// hostedState narrows st to the records of ids and moves its epoch
+// to the newest of theirs, the restore point: a merged node checkpoint
+// holds each engine's records at that engine's own epoch. A handoff
+// drops the records behind that epoch: restoring old clock state and
+// replaying from the newer epoch would silently diverge from the
+// stream the dead peer served, while a dropped record cold-starts
+// loudly. A restart serves no peer's stream, so it keeps them; such a
+// session skips ahead to the restore point as if it had missed ticks.
+func hostedState(st *checkpoint.State, ids []int, handoff bool) *checkpoint.State {
+	st = st.Filter(ids)
+	st.Epoch = 0
+	for _, s := range st.Sessions {
+		st.Epoch = max(st.Epoch, s.Epoch)
 	}
-	for _, s := range snaps {
-		for i := range s.Sessions {
-			if s.Sessions[i].Epoch == out.Epoch {
-				out.Sessions = append(out.Sessions, s.Sessions[i])
+	if handoff {
+		kept := st.Sessions[:0]
+		for _, s := range st.Sessions {
+			if s.Epoch == st.Epoch {
+				kept = append(kept, s)
 			}
 		}
+		st.Sessions = kept
 	}
-	out.Receivers = len(out.Sessions)
-	return out
+	return st
 }
 
 // Snapshot merges the periodic lock-free checkpoints of every hosted
-// engine — what /cluster/checkpoint serves and the proxy caches.
-func (n *Node) Snapshot() *checkpoint.State {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	snaps := make([]*checkpoint.State, 0, len(n.engines))
-	for _, e := range n.engines {
-		snaps = append(snaps, e.Snapshot())
-	}
-	return mergeSnapshots(snaps)
-}
+// engine — what /cluster/checkpoint serves, the proxy caches and the
+// checkpoint file holds.
+func (n *Node) Snapshot() *checkpoint.State { return n.merge((*engine.Engine).Snapshot) }
 
 // SnapshotFinal merges exact quiescent checkpoints; callers must first
-// stop every run (primary and Wait() for adopted).
-func (n *Node) SnapshotFinal() *checkpoint.State {
+// stop every run (the primary's Pace and Wait() for adopted engines).
+func (n *Node) SnapshotFinal() *checkpoint.State { return n.merge((*engine.Engine).SnapshotFinal) }
+
+// merge unions one checkpoint per hosted engine into a node-wide
+// state. Each engine's records keep their own epochs: nodes count
+// epochs from their own boot, so an adopted engine may run far ahead
+// of or behind the primary. A restore picks one epoch per hosted set
+// (hostedState).
+func (n *Node) merge(snapshot func(*engine.Engine) *checkpoint.State) *checkpoint.State {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	snaps := make([]*checkpoint.State, 0, len(n.engines))
-	for _, e := range n.engines {
-		snaps = append(snaps, e.SnapshotFinal())
+	out := &checkpoint.State{}
+	for i, e := range n.engines {
+		s := snapshot(e)
+		if i == 0 {
+			out.Solver, out.Seed, out.Step = s.Solver, s.Seed, s.Step
+		}
+		out.Epoch = max(out.Epoch, s.Epoch)
+		out.Sessions = append(out.Sessions, s.Sessions...)
 	}
-	return mergeSnapshots(snaps)
+	out.Receivers = len(out.Sessions)
+	return out
 }
 
 // NodeStatus is the /debug/status cluster block.
@@ -229,6 +233,30 @@ func (n *Node) Status() NodeStatus {
 		Hub:             n.Hub.Stats(),
 		Sessions:        n.Hub.Sessions(),
 	}
+}
+
+// Host builds the process's own engine with build and tracks it. With
+// a non-empty ckptPath its sessions are restored from that file first:
+// startup restore is an adoption of the engine's sessions at the
+// checkpoint's own epoch, so nothing is fast-forwarded, and a missing,
+// corrupt or rejected file degrades to a cold start. build must return
+// a fresh engine on every call; it runs again when a checkpoint is not
+// restored.
+func (n *Node) Host(build func() (*engine.Engine, error), ckptPath string) (*engine.Engine, RestoreOutcome, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if ckptPath == "" {
+		return n.hostLocked(build, nil, RestoreOutcome{}, 0, false)
+	}
+	out := RestoreOutcome{Outcome: "cold-start"}
+	st, err := checkpoint.Load(ckptPath)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		out.Detail = "no checkpoint file" // the normal first boot
+	case err != nil:
+		out.Outcome, out.Detail = "corrupt", err.Error()
+	}
+	return n.hostLocked(build, st, out, 0, false)
 }
 
 // Adopt takes over the given sessions: decode and restore the
@@ -268,18 +296,10 @@ func (n *Node) Adopt(ids []int, resume int, ckptData []byte) (RestoreOutcome, er
 	var st *checkpoint.State
 	if len(ckptData) > 0 {
 		var err error
-		st, err = checkpoint.Decode(ckptData)
-		if err != nil {
+		if st, err = checkpoint.Decode(ckptData); err != nil {
 			out.Outcome, out.Detail = "corrupt", err.Error()
-			n.restoreFailures.Inc()
-			st = nil
-		} else {
-			// Defensive filter: only records for the adopted ids, with
-			// the Receivers echo rewritten to match the engine below.
-			st = st.Filter(ids)
 		}
 	}
-
 	build := func() (*engine.Engine, error) {
 		cfg := n.cfg.Base
 		cfg.Receivers = 0
@@ -290,50 +310,85 @@ func (n *Node) Adopt(ids []int, resume int, ckptData []byte) (RestoreOutcome, er
 		cfg.Quality = nil
 		return engine.New(cfg)
 	}
-	eng, err := build()
+	eng, out, err := n.hostLocked(build, st, out, resume, true)
 	if err != nil {
 		return RestoreOutcome{}, fmt.Errorf("cluster: adopt %v: %w", ids, err)
 	}
+	n.handoffs.Inc()
+	n.adopted.Add(uint64(len(ids)))
+	n.runs.Add(1)
+	go func() {
+		defer n.runs.Done()
+		t := time.NewTicker(time.Duration(float64(time.Second) / n.cfg.Rate))
+		defer t.Stop()
+		n.Pace(eng, t.C)
+	}()
+	return out, nil
+}
+
+// hostLocked is the one way an engine joins the node: build it,
+// restore st's records for its sessions, rebuild it cold unless that
+// restore took, move it to resume (replaying the epochs in between
+// after a restore) and track it. out arrives as the outcome of
+// obtaining st, empty when no restore was asked for; st is nil when
+// there is nothing usable to restore. handoff marks an adoption from
+// a peer rather than a restart.
+func (n *Node) hostLocked(build func() (*engine.Engine, error), st *checkpoint.State,
+	out RestoreOutcome, resume int, handoff bool) (*engine.Engine, RestoreOutcome, error) {
+	eng, err := build()
+	if err != nil {
+		return nil, RestoreOutcome{}, err
+	}
 	if st != nil {
-		restored, err := eng.Restore(st)
+		restored, err := eng.Restore(hostedState(st, eng.SessionIDs(), handoff))
 		switch {
 		case err != nil:
-			// Restore may have half-applied; rebuild cold.
 			out.Outcome, out.Detail = "rejected", err.Error()
-			n.restoreFailures.Inc()
-			if eng, err = build(); err != nil {
-				return RestoreOutcome{}, fmt.Errorf("cluster: adopt %v: %w", ids, err)
-			}
 		case restored == 0:
 			out.Detail = "checkpoint held no records for these sessions"
 		default:
 			out.Outcome, out.Sessions, out.Epoch = "ok", restored, eng.ResumeEpoch()
 		}
+		if out.Outcome != "ok" {
+			// A rejected restore may have applied the sessions before
+			// the one it refused, and any restore moves the resume
+			// point: start over from a cold engine. Closing the
+			// journal stops the discarded engine's sync goroutine.
+			if jw := eng.Journal(); jw != nil {
+				_ = jw.Close()
+			}
+			if eng, err = build(); err != nil {
+				return nil, RestoreOutcome{}, err
+			}
+		}
 	}
-
 	if out.Outcome == "ok" {
-		// Catch up from the checkpoint to the cluster's resume epoch.
-		// Every replayed epoch flows through the sink into the hub's
-		// replay ring, so resuming clients bridge the failover without
+		// Catch up from the checkpoint to the resume epoch. Every
+		// replayed epoch flows through the sink into the hub's replay
+		// ring, so resuming clients bridge a failover without
 		// duplicated or silently skipped fixes.
 		if err := eng.FastForward(n.ctx, resume); err != nil {
-			return RestoreOutcome{}, fmt.Errorf("cluster: adopt %v: fast-forward to %d: %w", ids, resume, err)
+			return nil, RestoreOutcome{}, fmt.Errorf("fast-forward to %d: %w", resume, err)
 		}
 	} else {
 		eng.SkipTo(resume)
 	}
-
+	if out.Outcome == "corrupt" || out.Outcome == "rejected" {
+		n.restoreFailures.Inc()
+	}
 	n.trackLocked(eng)
-	n.runs.Add(1)
-	go n.pace(eng)
-	n.handoffs.Inc()
-	n.adopted.Add(uint64(len(ids)))
-	if n.cfg.Log != nil {
-		n.cfg.Log.Info("sessions adopted", "sessions", ids, "outcome", out.Outcome,
-			"restored", out.Sessions, "resume", resume, "detail", out.Detail)
+	if out.Outcome == "" {
+		return eng, out, nil
+	}
+	attrs := []any{"handoff", handoff, "sessions", eng.SessionIDs(), "outcome", out.Outcome,
+		"restored", out.Sessions, "epoch", out.Epoch, "detail", out.Detail}
+	if out.Outcome == "ok" {
+		n.cfg.Log.Info("restored from checkpoint", attrs...)
+	} else {
+		n.cfg.Log.Warn("checkpoint not restored; cold start", attrs...)
 	}
 	n.report(out)
-	return out, nil
+	return eng, out, nil
 }
 
 func (n *Node) report(out RestoreOutcome) {
@@ -342,15 +397,32 @@ func (n *Node) report(out RestoreOutcome) {
 	}
 }
 
-// pace drives one adopted engine at the node serving rate until the
-// node context ends.
-func (n *Node) pace(eng *engine.Engine) {
-	defer n.runs.Done()
-	t := time.NewTicker(time.Duration(float64(time.Second) / n.cfg.Rate))
-	defer t.Stop()
-	if err := eng.RunPaced(n.ctx, t.C); err != nil && n.ctx.Err() == nil && n.cfg.Log != nil {
-		n.cfg.Log.Error("adopted engine stopped", "err", err)
-	}
+// Pace drives eng off ticks until the node's context ends or ticks
+// closes, then logs the engine's stop summary. It is the node's one
+// pacing loop: the primary engine passes its own tick source, adopted
+// engines a ticker at Rate.
+func (n *Node) Pace(eng *engine.Engine, ticks <-chan time.Time) {
+	_ = eng.RunPaced(n.ctx, ticks) // only ever the context's error
+	st := eng.Stats()
+	n.cfg.Log.Info("engine stopped",
+		"fixes", st.Fixes,
+		"coast_fixes", st.CoastFixes,
+		"solve_failures", st.SolveFailures,
+		"epoch_errors", st.EpochErrors,
+		"fault_events", st.FaultEvents,
+		"fallbacks", st.Fallbacks,
+		"suspect_fixes", st.SuspectFixes,
+		"raim_exclusions", st.RAIMExclusions,
+		"batches_done", st.BatchesDone,
+		"batches_aborted", st.BatchesAborted,
+		"batches_drained", st.BatchesDrained,
+		"batches_conserved", st.BatchesConserved(),
+		"skipped_ticks", st.SkippedTicks,
+		"panics", st.Panics,
+		"restarts", st.Restarts,
+		"quarantined_epochs", st.QuarantinedEpochs,
+		"failed_epochs", st.FailedEpochs,
+		"breaker_opens", st.BreakerOpens)
 }
 
 // Routes registers the cluster control-plane handlers on mux.
@@ -363,14 +435,11 @@ func (n *Node) Routes(mux *http.ServeMux) {
 // SessionsHandler serves GET /cluster/sessions: the hosted session ids
 // and their latest published epochs.
 func (n *Node) SessionsHandler(w http.ResponseWriter, r *http.Request) {
+	st := n.Status()
 	body := struct {
 		Engines  int                `json:"engines"`
 		Sessions []wire.SessionInfo `json:"sessions"`
-	}{}
-	n.mu.Lock()
-	body.Engines = len(n.engines)
-	n.mu.Unlock()
-	body.Sessions = n.Hub.Sessions()
+	}{st.Engines, st.Sessions}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_ = json.NewEncoder(w).Encode(body)
 }

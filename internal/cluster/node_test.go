@@ -72,16 +72,15 @@ func startTestNode(t *testing.T, name string, ids []int, seed int64) *testNode {
 	})
 	cfg := base
 	cfg.SessionIDs = append([]int(nil), ids...)
-	eng, err := engine.New(cfg)
+	eng, _, err := node.Host(func() (*engine.Engine, error) { return engine.New(cfg) }, "")
 	if err != nil {
 		cancel()
 		t.Fatal(err)
 	}
-	node.Track(eng)
 	go func() {
 		tk := time.NewTicker(5 * time.Millisecond)
 		defer tk.Stop()
-		_ = eng.RunPaced(ctx, tk.C)
+		node.Pace(eng, tk.C)
 	}()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -346,6 +345,34 @@ func TestNodeHandoffValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET handoff: HTTP %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHostedState: a restore resumes at the newest epoch among the
+// hosted records, not at the merged checkpoint's epoch (another
+// engine's). A handoff drops the hosted records behind it; a restart
+// keeps them.
+func TestHostedState(t *testing.T) {
+	st := &checkpoint.State{Receivers: 4, Epoch: 900, Sessions: []checkpoint.Session{
+		{Receiver: 0, Epoch: 200}, {Receiver: 1, Epoch: 190}, {Receiver: 2, Epoch: 900},
+	}}
+	for _, handoff := range []bool{true, false} {
+		got := hostedState(st, []int{0, 1, 3}, handoff)
+		var ids []int
+		for _, s := range got.Sessions {
+			ids = append(ids, s.Receiver)
+		}
+		want := "[0 1]"
+		if handoff {
+			want = "[0]"
+		}
+		if got.Epoch != 200 || got.Receivers != 3 || fmt.Sprint(ids) != want {
+			t.Errorf("handoff=%v: epoch %d, receivers %d, records %v; want 200, 3, %s",
+				handoff, got.Epoch, got.Receivers, ids, want)
+		}
+	}
+	if len(st.Sessions) != 3 || st.Epoch != 900 {
+		t.Errorf("hostedState modified its input: %+v", st)
 	}
 }
 

@@ -59,8 +59,8 @@ func (e *Engine) SnapshotFinal() *checkpoint.State {
 // paper prices as the expensive recalibration case), last good fix, and
 // health state. RunPaced resumes at the checkpoint epoch; batch mode
 // should use RunRange(ctx, st.Epoch, end). It returns the number of
-// sessions restored. A configuration mismatch returns an error and
-// leaves the engine untouched — callers fall back to a cold start.
+// sessions restored, or an error for a mismatch — after which earlier
+// records may already be applied: a cold start needs a fresh engine.
 func (e *Engine) Restore(st *checkpoint.State) (int, error) {
 	if st.Solver != e.cfg.Solver || st.Seed != e.cfg.Seed ||
 		st.Step != e.cfg.Step || st.Receivers != e.cfg.Receivers {

@@ -225,3 +225,29 @@ func TestEngineJournalGolden(t *testing.T) {
 		t.Errorf("journal digest %s, want %s", got, journalGolden)
 	}
 }
+
+// TestEngineJournalDefaultCaptureCadence pins the documented default
+// capture cadence: a default-configured engine journals receiver 0's
+// observation sets at the epochs that are multiples of 64 and at no
+// others, apart from the flagged epochs that always capture. The
+// flagged epochs come from a run whose cadence never recurs.
+func TestEngineJournalDefaultCaptureCadence(t *testing.T) {
+	const epochs = 300
+	captured := func(every int) map[uint64]bool {
+		res := runJournaled(t, Config{Receivers: 1, Seed: 3, JournalCaptureEvery: every}, epochs)
+		out := map[uint64]bool{}
+		for _, r := range res.Records {
+			if r.Has(journal.FlagObs) {
+				out[r.Epoch] = true
+			}
+		}
+		return out
+	}
+	flagged := captured(1 << 30)
+	got := captured(0)
+	for i := uint64(0); i < epochs; i++ {
+		if want := i%64 == 0 || flagged[i]; got[i] != want {
+			t.Errorf("epoch %d: observations captured %v, want %v", i, got[i], want)
+		}
+	}
+}

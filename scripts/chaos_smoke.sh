@@ -11,6 +11,8 @@
 #   - a restart with -restore resumes from that checkpoint
 #   - a flipped checkpoint byte degrades -restore to a logged cold
 #     start, not a crash
+#   - a checkpoint whose receiver 1 ran another station is rejected:
+#     a logged cold start, reported as "rejected" on /healthz
 # Needs bash (the stalled client is a /dev/tcp redirection) and curl.
 set -euo pipefail
 
@@ -127,6 +129,7 @@ if ! wait "$pid"; then fail "server exited non-zero on SIGTERM"; fi
 pid=
 grep -q 'gpsserve: drained: .*conserved=true' "$log" || fail "no conserved drain summary"
 [ -s "$ckpt" ] || fail "no checkpoint written on shutdown"
+cp "$ckpt" "$workdir/phase1.ckpt"
 exec 3<&- 3>&- 4<&- 4>&-
 
 # ---- Phase 2: kill-and-restore ----------------------------------------
@@ -147,4 +150,18 @@ kill -TERM "$pid"
 wait "$pid" || fail "cold-start server exited non-zero on SIGTERM"
 pid=
 
-echo "chaos smoke OK (panic supervised, slow client evicted, drain conserved, restore + corrupt fallback verified)"
+# ---- Phase 4: rejected checkpoint falls back to cold start ------------
+phase="phase 4: rejected checkpoint"
+# Phase 1 ran receiver 0 at SRZN and receiver 1 at YYR1; pinning both to
+# SRZN makes the engine refuse receiver 1's record.
+cp "$workdir/phase1.ckpt" "$ckpt"
+start_server -receivers 2 -station SRZN -rate 500 -restore
+wait_grep "$log" 'cold start' "cold-start fallback log"
+grep -q 'gpsserve: restored' "$log" && fail "mismatched checkpoint was restored"
+curl -fsS "http://$admin/healthz" | grep -q '"outcome":"rejected"' ||
+    fail "/healthz does not report the restore as rejected"
+kill -TERM "$pid"
+wait "$pid" || fail "cold-start server exited non-zero on SIGTERM"
+pid=
+
+echo "chaos smoke OK (panic supervised, slow client evicted, drain conserved, restore + corrupt and rejected fallbacks verified)"
