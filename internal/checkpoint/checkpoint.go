@@ -102,8 +102,8 @@ type State struct {
 // len(ids) — the shape a checkpoint handoff sends to a survivor node
 // that will host exactly those sessions. Ids with no record in st are
 // simply absent from the result (the adopting engine cold-starts
-// them); the Epoch echo is kept, since it is the cluster-wide resume
-// point, not a per-session property.
+// them). The Epoch echo is kept as it was; a node restoring the
+// result takes its resume point from the records it keeps.
 func (s *State) Filter(ids []int) *State {
 	want := make(map[int]struct{}, len(ids))
 	for _, id := range ids {

@@ -253,12 +253,23 @@ func (p *Proxy) pollCheckpoint(ctx context.Context, name string, addr NodeAddr) 
 
 // failover re-homes a dead node's sessions: remove it from the ring,
 // group its orphans by the ring's chosen survivors, and hand each
-// group the filtered cached checkpoint.
+// group the filtered cached checkpoint. The dead node's engines may
+// run far apart in epoch, and its checkpoint keeps each engine's
+// records at that engine's own epoch, so orphans are also grouped by
+// their own record's epoch: a group resumes one past the newest head
+// its sessions published, or at that epoch when it is later. A session
+// without a record joins the group resuming where it would.
 func (p *Proxy) failover(dead string) {
 	p.ring.Remove(dead)
 	p.ckptMu.Lock()
 	ck := p.ckpts[dead]
 	p.ckptMu.Unlock()
+	recorded := make(map[int]int)
+	if ck != nil {
+		for _, s := range ck.Sessions {
+			recorded[s.Receiver] = s.Epoch
+		}
+	}
 
 	p.mu.Lock()
 	orphans := make([]int, 0, len(p.hosted[dead]))
@@ -267,24 +278,28 @@ func (p *Proxy) failover(dead string) {
 	}
 	sort.Ints(orphans)
 	delete(p.hosted, dead)
-	groups := make(map[string][]int)
-	resume := make(map[string]int)
+	type target struct {
+		owner string
+		from  int // the sessions' record epoch
+	}
+	groups := make(map[target][]int)
+	resume := make(map[target]int)
 	for _, s := range orphans {
 		owner, ok := p.ring.OwnerSession(s)
 		if !ok {
 			continue // no survivors; clients keep retrying
 		}
-		groups[owner] = append(groups[owner], s)
-		r := 0
+		from, ok := recorded[s]
+		r := from
 		if h, seen := p.heads[s]; seen {
-			r = int(h) + 1
+			r = max(r, int(h)+1)
 		}
-		if ck != nil && ck.Epoch > r {
-			r = ck.Epoch
+		if !ok {
+			from = r
 		}
-		if r > resume[owner] {
-			resume[owner] = r
-		}
+		to := target{owner, from}
+		groups[to] = append(groups[to], s)
+		resume[to] = max(resume[to], r)
 	}
 	p.mu.Unlock()
 
@@ -296,8 +311,8 @@ func (p *Proxy) failover(dead string) {
 		return
 	}
 	p.failovers.Inc()
-	for owner, ids := range groups {
-		p.handoff(owner, ids, resume[owner], ck)
+	for to, ids := range groups {
+		p.handoff(to.owner, ids, resume[to], ck)
 	}
 }
 

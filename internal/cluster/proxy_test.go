@@ -275,3 +275,77 @@ func TestProxyUnknownSessionAnswered(t *testing.T) {
 		t.Fatal("client never received the StatusUnknown verdict for its resume token")
 	}
 }
+
+// TestProxyFailoverResumesEachEngineAtItsOwnEpoch: a dead node whose
+// engines run far apart in epoch has each group of its sessions
+// restored at that group's own checkpoint epoch. Node a hosts sessions
+// 0 and 1 from its boot and has adopted session 9 at epoch 5000; when
+// it dies, the survivor must restore 0 and 1 where they were, not
+// cold-start them at session 9's epoch, so their clients skip nothing.
+func TestProxyFailoverResumesEachEngineAtItsOwnEpoch(t *testing.T) {
+	const seed, adoptedAt = 13, 5000
+	a := startTestNode(t, "a", []int{0, 1}, seed)
+	b := startTestNode(t, "b", []int{2}, seed)
+	if _, err := a.node.Adopt([]int{9}, adoptedAt, nil); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := startTestProxy(t, map[string]*testNode{"a": a, "b": b}, 4)
+
+	// Kill node a once the proxy holds a checkpoint with every one of
+	// its sessions and has seen each publish.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		p.ckptMu.Lock()
+		ck := p.ckpts["a"]
+		p.ckptMu.Unlock()
+		epochs := map[int]int{}
+		if ck != nil {
+			for _, s := range ck.Sessions {
+				epochs[s.Receiver] = s.Epoch
+			}
+		}
+		p.mu.Lock()
+		_, seen0 := p.heads[0]
+		_, seen9 := p.heads[9]
+		p.mu.Unlock()
+		if epochs[0] >= testCkptEvery && epochs[1] >= testCkptEvery && epochs[9] > adoptedAt && seen0 && seen9 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node a's checkpoint never covered every session: %v", epochs)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	a.kill()
+
+	// The proxy records a new owner once the survivor has answered the
+	// handoff, so by then every restore is logged.
+	for {
+		owners := p.Owners()
+		if owners[0] == "b" && owners[1] == "b" && owners[9] == "b" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owners %v, survivor restores %+v", owners, b.restoreLog())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	restored := map[int]bool{} // restored session counts, by whether they resumed past adoptedAt
+	for _, o := range b.restoreLog() {
+		if o.Outcome != "ok" {
+			t.Fatalf("survivor restore %+v, want every group restored", o)
+		}
+		restored[o.Sessions] = o.Epoch >= adoptedAt
+	}
+	if late, ok := restored[2]; !ok || late {
+		t.Fatalf("restores %+v: want sessions 0 and 1 restored together before epoch %d", b.restoreLog(), adoptedAt)
+	}
+	if late, ok := restored[1]; !ok || !late {
+		t.Fatalf("restores %+v: want session 9 restored on its own past epoch %d", b.restoreLog(), adoptedAt)
+	}
+	for _, s := range []int{0, 1} {
+		if h := b.node.Hub.Head(s); h >= adoptedAt {
+			t.Fatalf("session %d serves epoch %d on the survivor: it skipped to session 9's epoch", s, h)
+		}
+	}
+}

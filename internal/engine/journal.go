@@ -68,14 +68,14 @@ func (e *Engine) journalMeta() journal.Meta {
 // still snapshot the tail after a run returns.
 func (e *Engine) Journal() *journal.Writer { return e.jw }
 
-// flushJournal hands the shard's accumulated batch payload to the
-// writer at the batch boundary — the only place journal I/O happens,
-// keeping the per-epoch solve path free of file writes and locks.
+// flushJournal hands the shard's accumulated batch to the writer at
+// the batch boundary — the only place journal I/O happens, keeping the
+// per-epoch solve path free of file writes and locks.
 func (sh *shard) flushJournal(maxEpoch uint64) {
-	if sh.jenc == nil || sh.jenc.Count() == 0 {
+	if sh.jenc == nil {
 		return
 	}
-	if err := sh.jw.WriteRecords(sh.jenc.Payload(), sh.jenc.Count(), maxEpoch); err != nil {
+	if err := sh.jw.WriteBatch(sh.jenc, maxEpoch); err != nil {
 		sh.jerrs.Inc()
 	}
 }

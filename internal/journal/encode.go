@@ -2,16 +2,17 @@ package journal
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"gpsdl/internal/frame"
 )
 
 // Encoder builds one FrameRecords payload. Each engine shard owns one
-// Encoder and appends records while stepping a batch; the accumulated
-// payload is handed to Writer.WriteRecords at the batch boundary, so
-// the solve hot path never touches the file or the writer lock. The
-// internal buffer is reused across batches — after warm-up, Add
-// performs no allocations.
+// Encoder and appends records while stepping a batch; the batch is
+// handed to Writer.WriteBatch at the batch boundary, so the solve hot
+// path never touches the file or the writer lock. Buffers are reused
+// across batches (the writer trades the one it keeps for the one its
+// tail ring evicts), so after warm-up Add performs no allocations.
 //
 // Payload layout:
 //
@@ -33,26 +34,30 @@ import (
 //	                 [FlagSigma] sigma f64le }*
 //
 // mm and milli fields are frame.Quant's; RMS and DOP clamp at 0.
+//
+// Begin reserves headroom in front of the first record for the payload
+// prefix and the frame envelope, whose widths are known only when the
+// batch ends. Payload writes the prefix into it; Writer.WriteBatch also
+// writes the envelope and frames the batch where it lies.
 type Encoder struct {
-	buf   []byte
+	buf   []byte // headroom, then the records
 	count int
+	shard uint64
 	base  uint64
-
-	// countAt remembers where the record-count varint placeholder
-	// sits so Payload can patch it without re-encoding.
-	countAt int
 }
+
+// headroom is the room Begin leaves in front of the first record: the
+// envelope, the kind byte and the shard, base and count uvarints at
+// their widest.
+const headroom = frame.Headroom + 1 + 3*binary.MaxVarintLen64
 
 // Begin starts a new batch payload for the given shard with the given
 // base epoch. Any previously accumulated payload is discarded.
 func (e *Encoder) Begin(shard int, baseEpoch uint64) {
-	e.buf = e.buf[:0]
+	e.buf = slices.Grow(e.buf[:0], headroom)[:headroom]
 	e.count = 0
+	e.shard = uint64(shard)
 	e.base = baseEpoch
-	e.buf = append(e.buf, FrameRecords)
-	e.buf = binary.AppendUvarint(e.buf, uint64(shard))
-	e.buf = binary.AppendUvarint(e.buf, baseEpoch)
-	e.countAt = len(e.buf)
 }
 
 // Add appends one record. r.Epoch must be >= the base epoch passed to
@@ -110,24 +115,34 @@ func (e *Encoder) Add(r *Record) {
 // Count is the number of records accumulated since Begin.
 func (e *Encoder) Count() int { return e.count }
 
-// Payload finalizes and returns the batch payload (valid until the
-// next Begin). It returns nil when no records were added.
+// Payload returns the batch payload, valid until the next Begin or
+// Add. It returns nil when no records were added.
 func (e *Encoder) Payload() []byte {
 	if e.count == 0 {
 		return nil
 	}
-	if e.countAt < 0 { // already finalized
-		return e.buf
-	}
-	// Patch the record count in. The count varint lives between the
-	// fixed prefix and the first record; shift the records right by
-	// its width. The tail move is a few hundred bytes at most per
-	// batch and happens once per frame, off the hot path.
-	var cnt [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(cnt[:], uint64(e.count))
-	e.buf = append(e.buf, cnt[:n]...) // grow, values overwritten below
-	copy(e.buf[e.countAt+n:], e.buf[e.countAt:len(e.buf)-n])
-	copy(e.buf[e.countAt:], cnt[:n])
-	e.countAt = -1 // Payload is single-shot per Begin
-	return e.buf
+	return e.buf[e.prefix():]
+}
+
+// prefix writes the payload prefix into the headroom, just in front
+// of the first record, and returns where the payload starts.
+func (e *Encoder) prefix() int {
+	var pre [headroom - frame.Headroom]byte
+	p := append(pre[:0], FrameRecords)
+	p = binary.AppendUvarint(p, e.shard)
+	p = binary.AppendUvarint(p, e.base)
+	p = binary.AppendUvarint(p, uint64(e.count))
+	return headroom - copy(e.buf[headroom-len(p):], p)
+}
+
+// seal frames the batch where it lies and returns the buffer with the
+// offset the frame starts at.
+func (e *Encoder) seal() ([]byte, int) {
+	return frame.Seal(e.buf, e.prefix(), FrameMarker)
+}
+
+// reset empties the encoder onto buf's storage (nil allocates afresh
+// at the next Begin).
+func (e *Encoder) reset(buf []byte) {
+	e.buf, e.count = buf[:0], 0
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -372,6 +373,94 @@ func TestTailRingByteBudget(t *testing.T) {
 		if total := int(epoch) / batchLen; len(res.Records)/batchLen >= total {
 			t.Fatalf("tail kept all %d frames; the byte budget never applied", total)
 		}
+	}
+}
+
+// TestWriteBatchMatchesWriteRecords: framing a batch inside its encoder
+// writes the same bytes, and keeps the same tail segment, as framing
+// a copy of its payload, with and without a tail ring, across shard
+// ids, base epochs and record counts whose varints take 1 to 3 bytes.
+func TestWriteBatchMatchesWriteRecords(t *testing.T) {
+	for _, opt := range []Options{{}, {TailFrames: 4}, {TailFrames: -1}, {SyncEvery: 3, TailFrames: 2}} {
+		var inPlace, copied bytes.Buffer
+		wb, err := NewWriter(&inPlace, testMeta(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, err := NewWriter(&copied, testMeta(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb, er Encoder
+		epoch := uint64(1 << 20)
+		for b, n := range []int{1, 3, 127, 128, 5, 300, 2, 16400, 1, 64} {
+			shard := []int{0, 1, 300, 70000}[b%4]
+			eb.Begin(shard, epoch)
+			er.Begin(shard, epoch)
+			for i := 0; i < n; i++ {
+				rec := makeRecord(i%3, epoch, i%5 == 0)
+				eb.Add(&rec)
+				er.Add(&rec)
+				epoch++
+			}
+			if err := wr.WriteRecords(er.Payload(), er.Count(), epoch-1); err != nil {
+				t.Fatal(err)
+			}
+			if err := wb.WriteBatch(&eb, epoch-1); err != nil {
+				t.Fatal(err)
+			}
+			if eb.Count() != 0 || eb.Payload() != nil {
+				t.Fatalf("batch %d: encoder holds %d records after WriteBatch", b, eb.Count())
+			}
+			if !bytes.Equal(inPlace.Bytes(), copied.Bytes()) {
+				t.Fatalf("options %+v, batch %d: WriteBatch wrote other bytes than WriteRecords", opt, b)
+			}
+			if !bytes.Equal(wb.TailSegment(), wr.TailSegment()) {
+				t.Fatalf("options %+v, batch %d: tail segments differ", opt, b)
+			}
+		}
+		if err := wb.WriteBatch(&eb, epoch); err != nil {
+			t.Fatalf("empty batch: %v", err)
+		}
+		wb.Close()
+		wr.Close()
+		if !bytes.Equal(inPlace.Bytes(), copied.Bytes()) {
+			t.Fatalf("options %+v: closed journals differ", opt)
+		}
+	}
+}
+
+// TestWriteBatchReusesEvictedBuffers: once the tail ring is full, a
+// batch is framed in the buffer of the frame the ring evicted, so
+// writing it allocates nothing: the frame is neither copied nor
+// assembled in a buffer of the writer's own.
+func TestWriteBatchReusesEvictedBuffers(t *testing.T) {
+	w, err := NewWriter(io.Discard, testMeta(), Options{SyncEvery: -1, TailFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc Encoder
+	recs := make([]Record, 40)
+	for i := range recs {
+		recs[i] = makeRecord(i%3, uint64(i), i%7 == 0)
+	}
+	epoch := uint64(0)
+	batch := func() {
+		enc.Begin(0, epoch)
+		for i := range recs {
+			recs[i].Epoch = epoch
+			enc.Add(&recs[i])
+			epoch++
+		}
+		if err := w.WriteBatch(&enc, epoch-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		batch()
+	}
+	if n := testing.AllocsPerRun(50, batch); n != 0 {
+		t.Fatalf("%v allocations per batch with a full tail ring, want 0", n)
 	}
 }
 

@@ -55,15 +55,14 @@ const tailBudget = 4 << 20
 type syncer interface{ Sync() error }
 
 // Writer appends CRC-framed payloads to an underlying sink. All
-// methods are safe for concurrent use; each frame is assembled into a
-// reusable scratch buffer and handed to the sink as a single Write so
-// torn writes land mid-frame at worst, never interleaved.
+// methods are safe for concurrent use; each frame is handed to the
+// sink as a single Write so torn writes land mid-frame at worst, never
+// interleaved.
 type Writer struct {
-	mu      sync.Mutex
-	w       io.Writer
-	syncer  syncer // non-nil when the sink supports fsync (e.g. *os.File)
-	header  []byte // encoded file header, retained for TailSegment
-	scratch []byte // frame assembly buffer, reused
+	mu     sync.Mutex
+	w      io.Writer
+	syncer syncer // non-nil when the sink supports fsync (e.g. *os.File)
+	header []byte // encoded file header, retained for TailSegment
 
 	syncEvery  int
 	sinceSync  int
@@ -73,10 +72,14 @@ type Writer struct {
 	syncFrames uint64
 	maxEpoch   uint64
 
-	tail      [][]byte // ring of framed bytes (marker..crc); empty slots are nil
-	tailPos   int      // slot the next frame goes to
-	tailLen   int      // retained frames, the newest just before tailPos
-	tailBytes int      // capacity held by the retained slots
+	// The tail ring owns the buffers frames were written from: slot i
+	// holds its frame (marker..crc) at tail[i][tailAt[i]:]. Empty slots
+	// are nil.
+	tail      [][]byte
+	tailAt    []int
+	tailPos   int // slot the next frame goes to
+	tailLen   int // retained frames, the newest just before tailPos
+	tailBytes int // capacity held by the retained slots
 
 	// Background fsync: periodic sync points kick this channel and the
 	// syncLoop goroutine flushes without holding mu, so a slow disk
@@ -116,6 +119,7 @@ func NewWriter(w io.Writer, meta Meta, opt Options) (*Writer, error) {
 	}
 	if tf > 0 {
 		jw.tail = make([][]byte, tf)
+		jw.tailAt = make([]int, tf)
 	}
 	if opt.Registry != nil {
 		jw.bytesTotal = opt.Registry.Counter("gps_journal_bytes_written_total",
@@ -162,25 +166,61 @@ func (w *Writer) syncLoop() {
 	}
 }
 
-// WriteRecords frames and appends one record-batch payload (as built
-// by Encoder.Payload). count is the number of records in the payload
-// and maxEpoch the highest epoch it contains; both feed sync frames
-// and Stats. A nil/empty payload is a no-op.
+// WriteRecords frames and appends one record-batch payload, such as
+// Encoder.Payload returns. count is the number of records in the
+// payload and maxEpoch the highest epoch it contains; both feed sync
+// frames and Stats. A nil/empty payload is a no-op.
 func (w *Writer) WriteRecords(payload []byte, count int, maxEpoch uint64) error {
 	if len(payload) == 0 {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.writableLocked(); err != nil {
+		return err
+	}
+	if _, err := w.writeFrameLocked(frame.Append(nil, FrameMarker, payload), 0); err != nil {
+		return err
+	}
+	return w.wroteRecordsLocked(count, maxEpoch)
+}
+
+// WriteBatch appends enc's batch as WriteRecords(enc.Payload(),
+// enc.Count(), maxEpoch) would, framing it in the encoder's own buffer
+// instead of a copy. That buffer then moves to the tail ring, and enc
+// gets the buffer of the frame the ring evicts (or keeps its own when
+// there is no ring). Unless the writer refused the batch, enc is empty
+// afterwards and Begin starts its next batch. An empty batch is a
+// no-op.
+func (w *Writer) WriteBatch(enc *Encoder, maxEpoch uint64) error {
+	count := enc.Count()
+	if count == 0 {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.writableLocked(); err != nil {
+		return err
+	}
+	spare, err := w.writeFrameLocked(enc.seal())
+	enc.reset(spare)
+	if err != nil {
+		return err
+	}
+	return w.wroteRecordsLocked(count, maxEpoch)
+}
+
+// writableLocked reports why no frame can be written, nil when one can.
+func (w *Writer) writableLocked() error {
 	if w.closed {
 		return errors.New("journal: writer closed")
 	}
-	if w.syncErr != nil {
-		return w.syncErr
-	}
-	if err := w.writeFrameLocked(payload); err != nil {
-		return err
-	}
+	return w.syncErr
+}
+
+// wroteRecordsLocked counts a written record frame and emits a sync
+// frame when one is due.
+func (w *Writer) wroteRecordsLocked(count int, maxEpoch uint64) error {
 	w.frames++
 	w.records += uint64(count)
 	if maxEpoch > w.maxEpoch {
@@ -204,7 +244,7 @@ func (w *Writer) syncLocked(flush bool) error {
 	sp = binary.AppendUvarint(sp, w.maxEpoch)
 	sp = binary.AppendUvarint(sp, w.frames)
 	sp = binary.AppendUvarint(sp, w.records)
-	if err := w.writeFrameLocked(sp); err != nil {
+	if _, err := w.writeFrameLocked(frame.Append(nil, FrameMarker, sp), 0); err != nil {
 		return err
 	}
 	w.syncFrames++
@@ -230,44 +270,41 @@ func (w *Writer) syncLocked(flush bool) error {
 	return w.syncErr
 }
 
-func (w *Writer) writeFrameLocked(payload []byte) error {
-	b := frame.Append(w.scratch[:0], FrameMarker, payload)
-	w.scratch = b
+// writeFrameLocked writes the frame buf[at:] and, with a tail ring,
+// hands buf to the ring. It returns a buffer the caller may reuse: buf
+// itself when the ring did not take it, else the buffer of the last
+// frame the ring evicted (nil when none).
+func (w *Writer) writeFrameLocked(buf []byte, at int) ([]byte, error) {
+	b := buf[at:]
 	if _, err := w.w.Write(b); err != nil {
-		return err
+		return buf, err
 	}
 	w.bytes += uint64(len(b))
 	if w.bytesTotal != nil {
 		w.bytesTotal.Add(uint64(len(b)))
 	}
-	if w.tail != nil {
-		w.pushTailLocked(b)
+	if w.tail == nil {
+		return buf, nil
 	}
-	return nil
+	return w.pushTailLocked(buf, at), nil
 }
 
-// pushTailLocked copies frame b into the tail ring. It first evicts the
-// oldest frames while the ring is full or b's slot would take it past
-// tailBudget, so the ring's capacity stays within tailBudget — or within
-// b's slot alone when b is larger. Evicted slots are cleared, so their
-// memory is released; the last one evicted is reused for b when it fits.
-func (w *Writer) pushTailLocked(b []byte) {
-	// A fresh slot gets 1/8 headroom so later frames of similar size
-	// reuse it instead of allocating.
-	need := len(b) + len(b)/8
+// pushTailLocked keeps the frame buf[at:] in the tail ring, taking
+// ownership of buf. It first evicts the oldest frames while the ring is
+// full or buf would take it past tailBudget, so the ring's capacity
+// stays within tailBudget — or within buf alone when buf is larger. It
+// returns the buffer of the last frame evicted (nil when none), which
+// the ring no longer references.
+func (w *Writer) pushTailLocked(buf []byte, at int) []byte {
 	var spare []byte
-	for w.tailLen > 0 && (w.tailLen == len(w.tail) || w.tailBytes+need > tailBudget) {
+	for w.tailLen > 0 && (w.tailLen == len(w.tail) || w.tailBytes+cap(buf) > tailBudget) {
 		spare = w.dropOldestTailLocked()
 	}
-	slot := spare[:0]
-	if cap(spare) < len(b) || cap(spare) > need {
-		slot = make([]byte, 0, need)
-	}
-	slot = append(slot, b...)
-	w.tail[w.tailPos] = slot
-	w.tailBytes += cap(slot)
+	w.tail[w.tailPos], w.tailAt[w.tailPos] = buf, at
+	w.tailBytes += cap(buf)
 	w.tailPos = (w.tailPos + 1) % len(w.tail)
 	w.tailLen++
+	return spare
 }
 
 // dropOldestTailLocked evicts the oldest retained frame and returns its
@@ -289,14 +326,20 @@ func (w *Writer) TailSegment() []byte {
 	defer w.mu.Unlock()
 	n := len(w.header)
 	for i := 0; i < w.tailLen; i++ {
-		n += len(w.tail[(w.tailPos-w.tailLen+i+len(w.tail))%len(w.tail)])
+		n += len(w.tailFrameLocked(i))
 	}
 	seg := make([]byte, 0, n)
 	seg = append(seg, w.header...)
 	for i := 0; i < w.tailLen; i++ {
-		seg = append(seg, w.tail[(w.tailPos-w.tailLen+i+len(w.tail))%len(w.tail)]...)
+		seg = append(seg, w.tailFrameLocked(i)...)
 	}
 	return seg
+}
+
+// tailFrameLocked returns the i-th oldest retained frame.
+func (w *Writer) tailFrameLocked(i int) []byte {
+	j := (w.tailPos - w.tailLen + i + len(w.tail)) % len(w.tail)
+	return w.tail[j][w.tailAt[j]:]
 }
 
 // Stats reports cumulative frames (record frames only), records, and

@@ -260,7 +260,9 @@ func (c *Constellation) Satellites() []Satellite {
 // (look angles, light-time emission position) derives from it with cheap
 // arithmetic, no further Kepler solves.
 type SatState struct {
-	Sat Satellite
+	// Sat is the satellite, in its constellation's immutable list, so a
+	// cached state does not copy it.
+	Sat *Satellite
 	// Pos is the ECEF position at the epoch time, bit-identical to
 	// Orbit.PositionECEF(t); visibility tests use it.
 	Pos geo.ECEF
@@ -286,9 +288,13 @@ type EpochState struct {
 // bit-identical to propagating each satellite on its own.
 func (c *Constellation) StateAt(t float64, dst *EpochState) error {
 	dst.T = t
+	if cap(dst.Sats) < len(c.sats) {
+		dst.Sats = make([]SatState, 0, len(c.sats))
+	}
 	dst.Sats = dst.Sats[:0]
 	rot := RotationAt(t)
-	for i, s := range c.sats {
+	for i := range c.sats {
+		s := &c.sats[i]
 		eci, vel, err := s.Orbit.stateECI(c.terms[i], t)
 		if err != nil {
 			return fmt.Errorf("orbit: PRN %d at t=%v: %w", s.PRN, t, err)

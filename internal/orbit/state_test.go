@@ -3,6 +3,7 @@ package orbit
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"gpsdl/internal/geo"
 )
@@ -176,5 +177,31 @@ func TestVisibleMatchesIndependentGeometry(t *testing.T) {
 			t.Errorf("PRN %d: look angles (%v, %v) != independent (%v, %v)",
 				prn, v.Elevation, v.Azimuth, elev, azim)
 		}
+	}
+}
+
+// TestStateAtFootprint pins what an epoch-cache entry costs: a state
+// points into the constellation instead of copying its satellite (at
+// most 104 bytes), and StateAt sizes a fresh Sats slice once, at the
+// constellation's length.
+func TestStateAtFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(SatState{}); n > 104 {
+		t.Fatalf("SatState is %d bytes, want ≤ 104", n)
+	}
+	cons := DefaultConstellation()
+	var st EpochState
+	if n := testing.AllocsPerRun(10, func() {
+		st = EpochState{}
+		if err := cons.StateAt(100, &st); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("StateAt into an empty state: %v allocations, want 1", n)
+	}
+	if cap(st.Sats) != DefaultSatCount {
+		t.Fatalf("Sats capacity %d, want %d", cap(st.Sats), DefaultSatCount)
+	}
+	if st.Sats[3].Sat != &cons.sats[3] {
+		t.Fatal("SatState.Sat does not point into the constellation")
 	}
 }

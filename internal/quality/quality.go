@@ -235,10 +235,56 @@ func (s *Snapshot) RMSQuantile(q float64) float64 {
 // float aggregates reproducible. Observe is allocation-free.
 type Window struct {
 	size uint64
-	ring []Sample
-	occ  []bool
+	ring []slot
 	snap Snapshot // running aggregates (ClockMax recomputed on read)
 }
+
+// slot is one Sample packed into 40 bytes: its four floats, its chain
+// depth (clamped as apply clamps it) and one byte of flags holding its
+// validity bools plus the occupied bit. The epoch only picks the slot,
+// so it is not kept.
+type slot struct {
+	rms, pdop, hdop, clock float64
+	chain                  int8
+	flags                  uint8
+}
+
+// slot flag bits.
+const (
+	slotOccupied uint8 = 1 << iota
+	slotFixOK
+	slotRMSValid
+	slotChi2Pass
+	slotChi2Valid
+	slotDOPValid
+	slotExcluded
+	slotClockValid
+)
+
+// pack converts s into its occupied ring slot.
+func pack(s *Sample) slot {
+	ci := s.ChainIndex
+	if ci < 0 {
+		ci = 0
+	} else if ci >= MaxChainDepth {
+		ci = MaxChainDepth - 1
+	}
+	f := slotOccupied | flag(s.FixOK, slotFixOK) | flag(s.RMSValid, slotRMSValid) |
+		flag(s.Chi2Pass, slotChi2Pass) | flag(s.Chi2Valid, slotChi2Valid) |
+		flag(s.DOPValid, slotDOPValid) | flag(s.Excluded, slotExcluded) |
+		flag(s.ClockValid, slotClockValid)
+	return slot{rms: s.RMS, pdop: s.PDOP, hdop: s.HDOP, clock: s.ClockInnov, chain: int8(ci), flags: f}
+}
+
+// flag is bit when set, else 0.
+func flag(set bool, bit uint8) uint8 {
+	if set {
+		return bit
+	}
+	return 0
+}
+
+func (sl *slot) has(bit uint8) bool { return sl.flags&bit != 0 }
 
 // NewWindow returns a window spanning size epochs (minimum 1).
 func NewWindow(size int) *Window {
@@ -247,8 +293,7 @@ func NewWindow(size int) *Window {
 	}
 	return &Window{
 		size: uint64(size),
-		ring: make([]Sample, size),
-		occ:  make([]bool, size),
+		ring: make([]slot, size),
 		snap: Snapshot{WindowSize: size},
 	}
 }
@@ -260,13 +305,12 @@ func (w *Window) Observe(s Sample) {
 	if w == nil {
 		return
 	}
-	slot := s.Epoch % w.size
-	if w.occ[slot] {
-		w.apply(&w.ring[slot], -1)
+	sl := &w.ring[s.Epoch%w.size]
+	if sl.has(slotOccupied) {
+		w.apply(sl, -1)
 	}
-	w.ring[slot] = s
-	w.occ[slot] = true
-	w.apply(&s, +1)
+	*sl = pack(&s)
+	w.apply(sl, +1)
 	if s.Epoch > w.snap.LastEpoch {
 		w.snap.LastEpoch = s.Epoch
 	}
@@ -275,45 +319,39 @@ func (w *Window) Observe(s Sample) {
 // apply adds (sign=+1) or subtracts (sign=-1) one sample's contribution
 // to the running aggregates. Add and subtract must stay exact mirror
 // images or the window drifts; counts use uint64 wraparound symmetry.
-func (w *Window) apply(s *Sample, sign int) {
+func (w *Window) apply(s *slot, sign int) {
 	u := uint64(1)
 	if sign < 0 {
 		u = ^uint64(0) // adding -1 in two's complement
 	}
 	f := float64(sign)
 	w.snap.Count += u
-	if s.FixOK {
+	if s.has(slotFixOK) {
 		w.snap.Fixes += u
-		ci := s.ChainIndex
-		if ci < 0 {
-			ci = 0
-		} else if ci >= MaxChainDepth {
-			ci = MaxChainDepth - 1
-		}
-		w.snap.Chain[ci] += u
+		w.snap.Chain[s.chain] += u
 	}
-	if s.Chi2Valid {
+	if s.has(slotChi2Valid) {
 		w.snap.Chi2Checked += u
-		if s.Chi2Pass {
+		if s.has(slotChi2Pass) {
 			w.snap.Chi2Passed += u
 		}
 	}
-	if s.Excluded {
+	if s.has(slotExcluded) {
 		w.snap.RAIMExcluded += u
 	}
-	if s.RMSValid && !math.IsNaN(s.RMS) {
+	if s.has(slotRMSValid) && !math.IsNaN(s.rms) {
 		w.snap.RMSCount += u
-		w.snap.RMSSum += f * s.RMS
-		w.snap.RMSBuckets[rmsBucket(s.RMS)] += u
+		w.snap.RMSSum += f * s.rms
+		w.snap.RMSBuckets[rmsBucket(s.rms)] += u
 	}
-	if s.DOPValid {
+	if s.has(slotDOPValid) {
 		w.snap.DOPCount += u
-		w.snap.PDOPSum += f * s.PDOP
-		w.snap.HDOPSum += f * s.HDOP
+		w.snap.PDOPSum += f * s.pdop
+		w.snap.HDOPSum += f * s.hdop
 	}
-	if s.ClockValid && !math.IsNaN(s.ClockInnov) {
+	if s.has(slotClockValid) && !math.IsNaN(s.clock) {
 		w.snap.ClockCount += u
-		w.snap.ClockSum += f * s.ClockInnov
+		w.snap.ClockSum += f * s.clock
 	}
 }
 
@@ -340,12 +378,9 @@ func (w *Window) SnapshotInto(dst *Snapshot) {
 	*dst = w.snap
 	dst.ClockMax = 0
 	for i := range w.ring {
-		if !w.occ[i] {
-			continue
-		}
 		s := &w.ring[i]
-		if s.ClockValid && s.ClockInnov > dst.ClockMax {
-			dst.ClockMax = s.ClockInnov
+		if s.has(slotClockValid) && s.clock > dst.ClockMax {
+			dst.ClockMax = s.clock
 		}
 	}
 }

@@ -56,6 +56,12 @@ func (s *Server) serve(ctx context.Context, ln net.Listener, handle func(context
 			}
 			return err
 		}
+		if ctx.Err() != nil {
+			// The listener closes from its own goroutine, so a dial can
+			// still land after shutdown: turn it away unserved.
+			conn.Close()
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -286,3 +286,22 @@ func TestQuantSaturation(t *testing.T) {
 		t.Fatalf("mm rounding broken: %d", q)
 	}
 }
+
+// TestAppendFixIntoNilAllocatesOnce: the hub frames every fix into a
+// fresh slice it keeps in the replay ring, so framing into nil must
+// allocate once, at the frame's size, not grow through append.
+func TestAppendFixIntoNilAllocatesOnce(t *testing.T) {
+	enc := FixEncoder{}
+	e := uint64(0)
+	var b []byte
+	if n := testing.AllocsPerRun(100, func() {
+		f := synthFix(3, e)
+		b, _ = enc.AppendFix(nil, &f)
+		e++
+	}); n != 1 {
+		t.Fatalf("AppendFix(nil) made %v allocations, want 1", n)
+	}
+	if cap(b) > len(b)+len(b)/2 {
+		t.Fatalf("%d-byte frame in a %d-byte buffer", len(b), cap(b))
+	}
+}
